@@ -15,11 +15,18 @@ two explicit patterns so shape bugs fail loudly:
 
 Plain numpy arrays and Python scalars are auto-wrapped as untracked
 constants; constants are pre-broadcast to the tracked operand's shape.
+
+Inside ``with no_grad():`` no graph is recorded: every op returns an
+untracked Tensor with the same data, so inference keeps no tape alive.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+
+_grad_enabled = True
 
 
 class ShapeMismatchError(ValueError):
@@ -94,9 +101,23 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def no_grad():
+    """Record no graph inside the block; the previous setting is restored on exit.
+
+    The setting is one flag for the whole process, not one per thread.
+    """
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn

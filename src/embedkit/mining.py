@@ -99,7 +99,12 @@ class ReplacementEvent:
 
 
 class MiningState:
-    """All per-query slots and candidate pools, owned by the training loop."""
+    """All per-query slots and candidate pools, owned by the training loop.
+
+    Besides the slots themselves it keeps each query's slot count and the
+    keys of the flagged slots, so a step costs time in its batch, not in
+    the number of slots.
+    """
 
     def __init__(self, mode: str = "absolute"):
         if mode not in MODES:
@@ -107,17 +112,20 @@ class MiningState:
         self.mode = mode
         self.slots: dict[tuple[str, int], NegativeSlotState] = {}
         self.pools: dict[str, NegativePool] = {}
+        self._slot_count: dict[str, int] = {}
+        self._flagged: set[tuple[str, int]] = set()
 
     def register_query(self, query_id: str, initial_negatives: list[str], pool: list[str]):
         if query_id in self.pools:
             raise ValueError(f"query {query_id!r} already registered")
         self.pools[query_id] = NegativePool(candidates=list(pool))
+        self._slot_count[query_id] = len(initial_negatives)
         for k, neg in enumerate(initial_negatives):
             self.slots[(query_id, k)] = NegativeSlotState(query_id=query_id, slot_index=k, negative_id=neg)
 
     def current_negatives(self, query_id: str) -> list[str]:
-        keys = sorted(k for k in self.slots if k[0] == query_id)
-        return [self.slots[k].negative_id for k in keys]
+        return [self.slots[(query_id, k)].negative_id
+                for k in range(self._slot_count.get(query_id, 0))]
 
     def cache_scores(self, step: int,
                      scored: Iterable[tuple[str, int, float]]) -> list[dict]:
@@ -139,6 +147,7 @@ class MiningState:
             d = decide(slot, is_initial=is_initial, mode=self.mode)
             if d is Decision.REPLACE:
                 slot.flagged = True
+                self._flagged.add(key)
             records.append({
                 "step": step,
                 "query_id": query_id,
@@ -152,7 +161,7 @@ class MiningState:
     def replace_flagged(self) -> list[ReplacementEvent]:
         """At a step boundary, swap each flagged slot for the pool's next candidate."""
         events = []
-        for key in sorted(k for k in self.slots if self.slots[k].flagged):
+        for key in sorted(self._flagged):
             slot = self.slots[key]
             pool = self.pools[slot.query_id]
             nxt = pool.draw()
@@ -168,6 +177,7 @@ class MiningState:
                 slot.first_step_seen = None
                 slot.last_cached_step = None
             slot.flagged = False
+        self._flagged.clear()
         return events
 
     # -- persistence for mid-run checkpointing --------------------------
@@ -195,9 +205,18 @@ class MiningState:
     def from_dict(cls, d: dict) -> "MiningState":
         state = cls(mode=d["mode"])
         for s in d["slots"]:
-            state.slots[(s["query_id"], s["slot_index"])] = NegativeSlotState(**s)
+            slot = NegativeSlotState(**s)
+            key = (slot.query_id, slot.slot_index)
+            state.slots[key] = slot
+            state._slot_count[slot.query_id] = state._slot_count.get(slot.query_id, 0) + 1
+            if slot.flagged:
+                state._flagged.add(key)
         for qid, p in d["pools"].items():
             state.pools[qid] = NegativePool(candidates=list(p["candidates"]),
                                             cursor=p["cursor"],
                                             exhausted_events=p["exhausted_events"])
+        for qid, n in state._slot_count.items():
+            if any((qid, k) not in state.slots for k in range(n)):
+                raise ValueError(f"mining state for query {qid!r} does not number its "
+                                 f"slots 0..{n - 1}")
         return state

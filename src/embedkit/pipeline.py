@@ -16,7 +16,7 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
-import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional
@@ -34,8 +34,6 @@ from .masks import AttentionMask, ScheduleState, bidirectional_mask, build_soft_
 from .mining import MiningState
 from .optim import AdamW, AdamWConfig, warmup_lr
 from .tokenizer import PAD_ID, Tokenizer
-
-logger = logging.getLogger(__name__)
 
 STAGE_KINDS = ("lm-pretrain", "pair-sft", "weak-contrastive", "supervised")
 SUPERVISED_TASKS = ("retrieval", "clr", "classification", "sts")
@@ -178,13 +176,28 @@ def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optio
 
 def embed_texts(encoder: Encoder, tokenizer: Tokenizer, texts: list[str],
                 chunk: int = 128) -> np.ndarray:
-    """(N, hidden) unit-norm embeddings under the bidirectional mask; no gradients kept."""
+    """(N, hidden) unit-norm embeddings under the bidirectional mask; no tape is recorded."""
     out = []
-    for i in range(0, len(texts), chunk):
-        ids, lengths = batch_ids(tokenizer, texts[i:i + chunk])
-        mask = bidirectional_mask(ids.shape[1])
-        out.append(encoder.embed_batch(ids, mask, lengths).data)
+    with ag.no_grad():
+        for i in range(0, len(texts), chunk):
+            ids, lengths = batch_ids(tokenizer, texts[i:i + chunk])
+            mask = bidirectional_mask(ids.shape[1])
+            out.append(encoder.embed_batch(ids, mask, lengths).data)
     return np.concatenate(out, axis=0)
+
+
+def _truncate_log(path: Path, start_step: int):
+    """Drop the records of steps >= ``start_step``, which a resume writes again.
+
+    A last line without its newline is a record torn by a crash and is dropped too.
+    """
+    if not path.exists():
+        return
+    with open(path, encoding="utf-8") as fh:
+        kept = [line for line in fh
+                if line.endswith("\n") and json.loads(line)["step"] < start_step]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
 
 
 def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
@@ -345,13 +358,17 @@ class Trainer:
         metrics_path = self.out_dir / f"stage{idx}-{cfg.kind}.metrics.jsonl"
         mining_path = self.out_dir / f"stage{idx}-mining.jsonl"
         ckpt_path = self.out_dir / f"stage{idx}-{cfg.kind}.ckpt"
-        mode = "a" if start_step > 0 and metrics_path.exists() else "w"
+        if start_step > 0:
+            for path in (metrics_path, mining_path):
+                _truncate_log(path, start_step)
+        mode = "a" if start_step > 0 else "w"
 
         if cfg.kind == "supervised" and cfg.dhnm and mining is None:
             mining = self._init_mining(cfg, encoder, data)
 
         with open(metrics_path, mode, encoding="utf-8") as metrics_fh, \
-                open(mining_path, mode, encoding="utf-8") as mining_fh:
+                (open(mining_path, mode, encoding="utf-8") if mining is not None
+                 else nullcontext()) as mining_fh:
             for step in range(start_step, cfg.steps):
                 rng = _step_rng(self.manifest.seed, cfg.seed, idx, step)
                 if cfg.kind in ("lm-pretrain", "pair-sft"):
@@ -411,21 +428,25 @@ class Trainer:
         return loss
 
     def _init_mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict) -> MiningState:
-        """Rank each query's candidate negatives with the incoming (seed) encoder."""
+        """Rank each query's candidate negatives with the incoming (seed) encoder.
+
+        Every distinct query and negative text is embedded once, in one
+        tape-free call; each query's negatives are then scored by row lookup.
+        """
+        triplets = [(task, ex) for task in SUPERVISED_TASKS
+                    if task != "sts" and task in datasets
+                    for ex in datasets[task] if isinstance(ex, Triplet) and ex.negatives]
+        # sorted, not set order: string hashing is randomized per process
+        texts = sorted({t for _, ex in triplets for t in (ex.query, *ex.negatives)})
+        row = {t: i for i, t in enumerate(texts)}
+        emb = embed_texts(encoder, self.tokenizer, texts) if texts else None
         mining = MiningState(mode=cfg.dhnm_mode)
-        for task in SUPERVISED_TASKS:
-            if task == "sts" or task not in datasets:
-                continue
-            for ex in datasets[task]:
-                if not isinstance(ex, Triplet) or not ex.negatives:
-                    continue
-                qv = embed_texts(encoder, self.tokenizer, [ex.query])[0]
-                nv = embed_texts(encoder, self.tokenizer, list(ex.negatives))
-                scores = nv @ qv
-                order = np.lexsort((np.arange(len(ex.negatives)), -scores))
-                ranked = [ex.negatives[i] for i in order]
-                k = min(cfg.negatives_per_query, len(ranked))
-                mining.register_query(f"{task}:{ex.uid}", ranked[:k], ranked[k:])
+        for task, ex in triplets:
+            scores = emb[[row[n] for n in ex.negatives]] @ emb[row[ex.query]]
+            order = np.lexsort((np.arange(len(ex.negatives)), -scores))
+            ranked = [ex.negatives[i] for i in order]
+            k = min(cfg.negatives_per_query, len(ranked))
+            mining.register_query(f"{task}:{ex.uid}", ranked[:k], ranked[k:])
         return mining
 
     def _triplet_negatives(self, cfg: StageConfig, mining: Optional[MiningState],

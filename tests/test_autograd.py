@@ -165,6 +165,32 @@ class TestErrors:
             grad_check(f, np.array([1.0, 1e-7]), h=1e-6)
 
 
+class TestNoGrad:
+    def test_ops_record_no_graph(self):
+        x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
+        with ag.no_grad():
+            y = ag.softmax_lastdim(ag.mul(x, x))
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+
+    def test_flag_restored_after_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with ag.no_grad():
+                raise RuntimeError("inside")
+        assert ag.mul(x, x).requires_grad
+
+    def test_nested_use_restores_outer_setting(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with ag.no_grad():
+            with ag.no_grad():
+                assert not ag.mul(x, x).requires_grad
+            assert not ag.mul(x, x).requires_grad
+        out = ag.tensor_sum(ag.mul(x, x))
+        backward(out)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
 def test_grad_check_linear_function_is_exact():
     # fd of a linear function is h-independent; a large step avoids cancellation noise
     for seed in range(5):

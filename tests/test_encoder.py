@@ -219,6 +219,21 @@ class TestEncoderGradients:
         assert err < 1e-3, f"{name}: {err}"
 
 
+class TestNoGradInference:
+    @pytest.mark.parametrize("pooling", ["mean", "last-token"])
+    def test_embed_batch_bitwise_equal_without_tape(self, pooling):
+        enc = Encoder(SMALL, seed=3)
+        ids = np.random.default_rng(4).integers(2, SMALL.vocab_size, size=(3, 6))
+        lengths = np.array([6, 4, 2])
+        mask = bidirectional_mask(6)
+        tracked = enc.embed_batch(ids, mask, lengths, pooling=pooling)
+        with ag.no_grad():
+            untracked = enc.embed_batch(ids, mask, lengths, pooling=pooling)
+        assert tracked.requires_grad and not untracked.requires_grad
+        assert untracked._parents == ()
+        assert untracked.data.tobytes() == tracked.data.tobytes()
+
+
 class TestCheckpointRoundtrip:
     def test_exact_roundtrip(self, tmp_path):
         enc = Encoder(SMALL, seed=6)

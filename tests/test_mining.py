@@ -141,6 +141,25 @@ class TestMiningState:
         restored = MiningState.from_dict(ms.to_dict())
         assert restored.to_dict() == ms.to_dict()
 
+    def test_roundtrip_rebuilds_slot_counts_and_flags(self):
+        ms = self._state()
+        ms.register_query("q2", ["m0"], [])
+        ms.cache_scores(0, [("q1", 1, 0.1), ("q2", 0, 0.9)])    # flags q1 slot 1 only
+        restored = MiningState.from_dict(ms.to_dict())
+        assert restored.current_negatives("q1") == ["n0", "n1"]
+        assert restored.current_negatives("q2") == ["m0"]
+        assert restored.current_negatives("q9") == []
+        events = restored.replace_flagged()
+        assert [(e.query_id, e.slot_index, e.new_negative) for e in events] == [("q1", 1, "p0")]
+        assert restored.current_negatives("q1") == ["n0", "p0"]
+        assert restored.replace_flagged() == []
+
+    def test_from_dict_rejects_gap_in_slot_numbers(self):
+        d = self._state().to_dict()
+        d["slots"] = [s for s in d["slots"] if s["slot_index"] != 0]
+        with pytest.raises(ValueError, match="q1"):
+            MiningState.from_dict(d)
+
 
 # ---------------------------------------------------------------------------
 # trajectory replay against an independent oracle

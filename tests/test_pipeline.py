@@ -9,14 +9,15 @@ import pytest
 
 from embedkit.autograd import Tensor
 from embedkit.cli import main as cli_main
-from embedkit.data import (MockTranslator, LanguageDistribution, build_classification,
+from embedkit.data import (MockTranslator, LanguageDistribution, Triplet, build_classification,
                            build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
                            build_sft_records, synth_corpus, write_dataset, write_text_dataset)
-from embedkit.encoder import EncoderConfig
+from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.masks import causal_mask
+from embedkit.mining import MiningState
 from embedkit.optim import AdamW, AdamWConfig, warmup_lr
-from embedkit.pipeline import (RunManifest, StageConfig, Trainer, _stage_mask,
-                               evaluate_checkpoint)
+from embedkit.pipeline import (SUPERVISED_TASKS, RunManifest, StageConfig, Trainer, _stage_mask,
+                               embed_texts, evaluate_checkpoint)
 
 SMALL_ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
                           vocab_size=512, max_len=32, mrl_dims=(8, 16))
@@ -217,6 +218,31 @@ class TestTrainingRuns:
         res_lines = (tmp_path / "resumed" / "stage3-supervised.metrics.jsonl").read_text().splitlines()
         assert full_lines[5:] == res_lines
 
+    def test_crash_then_resume_in_place_matches_uninterrupted(self, toy_data, tmp_path):
+        final_full = Trainer(_manifest(toy_data, tmp_path / "full")).run()
+
+        class Crash(Trainer):
+            def _supervised_step(self, cfg, encoder, datasets, rng, step, mining, mining_fh):
+                if step == 8:
+                    raise RuntimeError("simulated crash")
+                return super()._supervised_step(cfg, encoder, datasets, rng, step,
+                                                mining, mining_fh)
+
+        crashed = _manifest(toy_data, tmp_path / "crashed")
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            Crash(crashed).run()
+        with open(tmp_path / "crashed" / "stage3-supervised.metrics.jsonl", "a") as fh:
+            fh.write('{"kind":"supervised","loss":0.5')      # a record torn by the crash
+        final_res = Trainer(crashed).run(resume_from=str(tmp_path / "crashed" / "stage3-step5.ckpt"))
+        assert Path(final_full).read_bytes() == Path(final_res).read_bytes()
+        for name in ("stage3-supervised.metrics.jsonl", "stage3-mining.jsonl"):
+            assert (tmp_path / "crashed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+    def test_stage_without_mining_writes_no_mining_log(self, toy_data, tmp_path):
+        Trainer(_manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)).run()
+        assert (tmp_path / "run" / "stage3-supervised.metrics.jsonl").exists()
+        assert not list((tmp_path / "run").glob("*mining*"))
+
     def test_mining_log_schema(self, toy_data, tmp_path):
         m = _manifest(toy_data, tmp_path / "run")
         Trainer(m).run()
@@ -254,6 +280,42 @@ class TestTrainingRuns:
 
         with pytest.raises(ArithmeticError, match="stage 0 step 0"):
             Poisoned(m).run()
+
+
+def _init_mining_per_query(trainer, cfg, encoder, datasets):
+    """Reference ranking: two ``embed_texts`` calls per query, as before batching."""
+    mining = MiningState(mode=cfg.dhnm_mode)
+    for task in SUPERVISED_TASKS:
+        if task == "sts" or task not in datasets:
+            continue
+        for ex in datasets[task]:
+            if not isinstance(ex, Triplet) or not ex.negatives:
+                continue
+            qv = embed_texts(encoder, trainer.tokenizer, [ex.query])[0]
+            nv = embed_texts(encoder, trainer.tokenizer, list(ex.negatives))
+            scores = nv @ qv
+            order = np.lexsort((np.arange(len(ex.negatives)), -scores))
+            ranked = [ex.negatives[i] for i in order]
+            k = min(cfg.negatives_per_query, len(ranked))
+            mining.register_query(f"{task}:{ex.uid}", ranked[:k], ranked[k:])
+    return mining
+
+
+class TestInitMining:
+    def test_batched_ranking_matches_per_query_reference(self, toy_data, tmp_path):
+        m = _manifest(toy_data, tmp_path / "run")
+        trainer = Trainer(m)
+        cfg = m.stages[-1]
+        datasets = trainer._load_stage_data(cfg)
+        encoder = Encoder(m.encoder, seed=m.seed)
+        got = trainer._init_mining(cfg, encoder, datasets)
+        want = _init_mining_per_query(trainer, cfg, encoder, datasets)
+        assert got.to_dict() == want.to_dict()
+        # the ranking is not the dataset order, so the comparison has teeth
+        reordered = [ex.uid for task in ("retrieval", "clr") for ex in datasets[task]
+                     if got.current_negatives(f"{task}:{ex.uid}")
+                     != list(ex.negatives[:cfg.negatives_per_query])]
+        assert reordered
 
 
 class TestCli:
