@@ -127,11 +127,9 @@ def _make(data, parents, backward_fn) -> Tensor:
 def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # own the buffer so a later += cannot alias an op output
-        t.grad = np.array(g, dtype=np.float64)
-    else:
-        t.grad += g
+    # gradients are never written in place, so the first one is kept as is
+    # (a leaf's .grad may be a read-only view) and later ones add out of place
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _check_elementwise(a: Tensor, b: Tensor):
@@ -230,9 +228,11 @@ def matmul(a, b) -> Tensor:
         if a.requires_grad:
             _accumulate(a, np.matmul(g, _swap_last2(b.data)))
         if b.requires_grad:
-            gb = np.matmul(_swap_last2(a.data), g)
-            if b.ndim == 2 and gb.ndim > 2:
-                gb = gb.sum(axis=tuple(range(gb.ndim - 2)))
+            if b.ndim == 2 and a.ndim > 2:
+                # a weight shared by every leading position: one (N, D)^T @ (N, F) GEMM
+                gb = np.matmul(a.data.reshape(-1, a.shape[-1]).T, g.reshape(-1, g.shape[-1]))
+            else:
+                gb = np.matmul(_swap_last2(a.data), g)
             _accumulate(b, gb)
 
     return _make(out_data, (a, b), backward_fn)
@@ -284,6 +284,58 @@ def softmax_lastdim(a) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
+def attention(q, k, v, weights, scale: float) -> Tensor:
+    """Masked grouped-query attention as one node: ``P @ v``, row i of P = norm(w_i * exp(scale * q_i . k)).
+
+    ``q`` is (B, H, L, dh); ``k`` and ``v`` are (B, KV, L, dh), query head h
+    reading key/value head h // (H // KV).  ``weights`` is (L, L) or (B, L, L)
+    in [0, 1], shared by every head: a zero weight is a -inf score offset before
+    the softmax, the others re-weight its probabilities, and rows are renormalized.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 4 or k.ndim != 4:
+        raise ShapeMismatchError(f"attention needs (B, H, L, dh) operands: {q.shape} vs {k.shape}")
+    bsz, heads, length, dh = q.shape
+    kv = k.shape[1]
+    if k.shape != v.shape or k.shape != (bsz, kv, length, dh) or heads % kv:
+        raise ShapeMismatchError(f"attention q {q.shape} does not group over k {k.shape} / v {v.shape}")
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape not in ((length, length), (bsz, length, length)):
+        raise ShapeMismatchError(f"attention weights {w.shape} do not fit {length} positions of {bsz} rows")
+    group = heads // kv
+    # the G query heads of one key/value head stacked along rows: (B, KV, G*L, dh),
+    # so that sharing k and v is a reshape and their gradients sum inside one GEMM
+    qg = q.data.reshape(bsz, kv, group * length, dh)
+    p = np.matmul(qg, _swap_last2(k.data))
+    p5 = p.reshape(bsz, kv, group, length, length)
+    w5 = w if w.ndim == 2 else w[:, None, None]
+    p *= scale
+    zero = w5 == 0.0
+    if zero.any():
+        np.copyto(p5, -np.inf, where=zero)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    if not (w == 1.0).all():
+        p5 *= w5
+    p /= p.sum(axis=-1, keepdims=True)  # always: skipping it for 0/1 weights changes bits
+    out_data = np.matmul(p, v.data).reshape(q.shape)
+
+    def backward_fn(g):
+        g = g.reshape(bsz, kv, group * length, dh)
+        if v.requires_grad:
+            _accumulate(v, np.matmul(_swap_last2(p), g))
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(g, _swap_last2(v.data))
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            _accumulate(q, np.matmul(ds, k.data).reshape(q.shape))
+            _accumulate(k, np.matmul(_swap_last2(ds), qg))
+
+    return _make(out_data, (q, k, v), backward_fn)
+
+
 def l2_normalize(a) -> Tensor:
     """Normalize along the last axis to unit Euclidean norm."""
     a = as_tensor(a)
@@ -297,6 +349,27 @@ def l2_normalize(a) -> Tensor:
         _accumulate(a, (g - out_data * inner) / norms)
 
     return _make(out_data, (a,), backward_fn)
+
+
+def rmsnorm(x, gain) -> Tensor:
+    """``x / rms(x) * gain`` along the last axis, computed as ``l2_normalize(x) * sqrt(D) * gain``."""
+    x, gain = as_tensor(x), as_tensor(gain)
+    _check_elementwise(x, gain)
+    norms = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True))
+    if np.any(norms == 0.0):
+        raise DomainError("cannot L2-normalize a zero vector")
+    c = float(np.sqrt(x.shape[-1]))
+    unit = x.data / norms
+    scaled = unit * c
+    out_data = scaled * gain.data
+
+    def backward_fn(g):
+        _accumulate(gain, _unbroadcast(g * scaled, gain.shape))
+        gu = g * gain.data * c
+        inner = (gu * unit).sum(axis=-1, keepdims=True)
+        _accumulate(x, (gu - unit * inner) / norms)
+
+    return _make(out_data, (x, gain), backward_fn)
 
 
 def tensor_sum(a) -> Tensor:
@@ -330,26 +403,6 @@ def sum_lastdim(a, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make(out_data, (a,), backward_fn)
-
-
-def cosine(u, v) -> Tensor:
-    """Cosine similarity of two equal-shape 1-d vectors."""
-    u, v = as_tensor(u), as_tensor(v)
-    if u.ndim != 1 or u.shape != v.shape:
-        raise ShapeMismatchError(f"cosine needs equal-shape vectors: {u.shape} vs {v.shape}")
-    nu = np.sqrt((u.data * u.data).sum())
-    nv = np.sqrt((v.data * v.data).sum())
-    if nu == 0.0 or nv == 0.0:
-        raise DomainError("cosine of a zero vector")
-    c = float(u.data @ v.data / (nu * nv))
-    out_data = np.asarray(c)
-
-    def backward_fn(g):
-        g = float(g)
-        _accumulate(u, g * (v.data / (nu * nv) - c * u.data / (nu * nu)))
-        _accumulate(v, g * (u.data / (nu * nv) - c * v.data / (nv * nv)))
-
-    return _make(out_data, (u, v), backward_fn)
 
 
 def index_select(a, axis: int, indices) -> Tensor:

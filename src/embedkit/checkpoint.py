@@ -15,6 +15,7 @@ given (config, arrays, extra) always serializes to identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -29,18 +30,30 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: dict | None = None):
+    """Write ``path`` atomically: a temporary file beside it is fsynced, then renamed onto it.
+
+    A write that fails part-way leaves any previous checkpoint at ``path`` intact.
+    """
     entries = [{"name": k, "shape": list(np.asarray(arrays[k]).shape)} for k in sorted(arrays)]
     header = json.dumps({"config": config, "extra": extra or {}, "arrays": entries},
                         sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for e in entries:
-            fh.write(np.ascontiguousarray(arrays[e["name"]], dtype="<f8").tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for e in entries:
+                fh.write(np.ascontiguousarray(arrays[e["name"]], dtype="<f8").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:

@@ -1,11 +1,11 @@
 """Small transformer encoder with grouped-query attention and nested-dim embeddings.
 
-The attention mask enters the layer in two pieces derived from the same
-weight matrix: an additive log-indicator (-inf where the weight is
-exactly zero) applied before the row softmax, and the fractional weights
-multiplied onto the resulting probabilities, after which each row is
-renormalized to sum to one.  With an all-zero upper triangle this is
-exactly causal attention; with all-ones weights it is exactly
+The attention mask enters each layer as its weight matrix, passed to the
+fused ``autograd.attention`` op.  The op derives the -inf score offset
+from the exact-zero weights itself and applies it before the row softmax,
+multiplies the fractional weights onto the resulting probabilities, and
+renormalizes each row to sum to one.  With an all-zero upper triangle
+this is exactly causal attention; with all-ones weights it is exactly
 bidirectional attention; scheduled masks interpolate between the two.
 """
 
@@ -74,23 +74,6 @@ def full_scale_config() -> EncoderConfig:
     )
 
 
-@dataclass
-class SentenceEmbedding:
-    """L2-normalized sentence vector; ``dim_used`` is the active nested-prefix length."""
-
-    vector: np.ndarray
-    dim_used: int
-    language_tag: Optional[str] = None
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1 or self.vector.size != self.dim_used:
-            raise ValueError(f"vector of length {self.vector.size} does not match dim_used={self.dim_used}")
-        norm = float(np.linalg.norm(self.vector))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"embedding prefix norm {norm} is not 1 within 1e-10")
-
-
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     half = np.arange(0, dim, 2, dtype=np.float64)
@@ -99,11 +82,6 @@ def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     table[:, 0::2] = np.sin(pos * freq)
     table[:, 1::2] = np.cos(pos * freq[: dim - dim // 2])
     return table
-
-
-def _rmsnorm(x: Tensor, gain: Tensor, dim: int) -> Tensor:
-    # x / rms(x) == l2_normalize(x) * sqrt(dim)
-    return ag.mul(ag.scale(ag.l2_normalize(x), np.sqrt(dim)), gain)
 
 
 class Encoder:
@@ -154,21 +132,17 @@ class Encoder:
         if ids.shape[-1] < 1:
             raise ValueError("empty token sequence")
 
-    def _mask_pieces(self, mask: AttentionMask, batch: int, length: int,
-                     lengths: Optional[np.ndarray]):
+    def _mask_weights(self, mask: AttentionMask, length: int,
+                      lengths: Optional[np.ndarray]) -> np.ndarray:
+        """(L, L) mask weights, or (B, L, L) with padded keys zeroed when ``lengths`` is given."""
         if mask.n != length:
             raise ValueError(f"mask size {mask.n} does not match sequence length {length}")
         if lengths is None:
-            w = mask.entries
-        else:
-            w = np.broadcast_to(mask.entries, (batch, length, length)).copy()
-            for b, ln in enumerate(lengths):
-                if ln < length:
-                    w[b, :, ln:] = 0.0
-                    w[b, ln:, ln:][np.diag_indices(length - int(ln))] = 1.0  # pad rows self-attend
-            w = w[:, None, :, :]
-        log_ind = np.where(w > 0.0, 0.0, -np.inf)
-        return w, log_ind
+            return mask.entries
+        pad = np.arange(length) >= np.asarray(lengths)[:, None]           # (B, L)
+        w = np.where(pad[:, None, :], 0.0, mask.entries)
+        w[pad[:, :, None] & np.eye(length, dtype=bool)] = 1.0             # pad rows self-attend
+        return w
 
     def forward_batch(self, ids: np.ndarray, mask: AttentionMask,
                       lengths: Optional[np.ndarray] = None) -> Tensor:
@@ -182,34 +156,27 @@ class Encoder:
         d = cfg.hidden_dim
         heads, kv = cfg.heads, cfg.kv_heads
         dh = d // heads
-        group = np.repeat(np.arange(kv), heads // kv)
 
         x = ag.reshape(ag.index_select(self.params["embed"], 0, ids.reshape(-1)), (bsz, length, d))
         x = ag.add_const(x, self.positions[:length])
 
-        weights, log_ind = self._mask_pieces(mask, bsz, length, lengths)
+        weights = self._mask_weights(mask, length, lengths)
         inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
         for i in range(cfg.layers):
-            h = _rmsnorm(x, self.params[f"layer{i}.attn_gain"], d)
+            h = ag.rmsnorm(x, self.params[f"layer{i}.attn_gain"])
             q = ag.permute(ag.reshape(ag.matmul(h, self.params[f"layer{i}.wq"]), (bsz, length, heads, dh)), (0, 2, 1, 3))
             k = ag.permute(ag.reshape(ag.matmul(h, self.params[f"layer{i}.wk"]), (bsz, length, kv, dh)), (0, 2, 1, 3))
             v = ag.permute(ag.reshape(ag.matmul(h, self.params[f"layer{i}.wv"]), (bsz, length, kv, dh)), (0, 2, 1, 3))
-            k = ag.index_select(k, 1, group)
-            v = ag.index_select(v, 1, group)
-            scores = ag.scale(ag.matmul(q, ag.permute(k, (0, 1, 3, 2))), inv_sqrt_dh)
-            probs = ag.softmax_lastdim(ag.add_const(scores, log_ind))
-            weighted = ag.apply_mask(probs, weights)
-            attn = ag.div(weighted, ag.sum_lastdim(weighted, keepdims=True))
-            ctx = ag.reshape(ag.permute(ag.matmul(attn, v), (0, 2, 1, 3)), (bsz, length, d))
+            ctx = ag.reshape(ag.permute(ag.attention(q, k, v, weights, inv_sqrt_dh), (0, 2, 1, 3)), (bsz, length, d))
             x = ag.add(x, ag.matmul(ctx, self.params[f"layer{i}.wo"]))
 
-            h = _rmsnorm(x, self.params[f"layer{i}.ffn_gain"], d)
+            h = ag.rmsnorm(x, self.params[f"layer{i}.ffn_gain"])
             f = ag.matmul(ag.relu(ag.matmul(h, self.params[f"layer{i}.w1"])), self.params[f"layer{i}.w2"])
             x = ag.add(x, f)
 
         if cfg.layers > 0:
-            x = _rmsnorm(x, self.params["final_gain"], d)
+            x = ag.rmsnorm(x, self.params["final_gain"])
         return x
 
     def encode(self, tokens: Sequence[int], mask: AttentionMask) -> Tensor:
@@ -252,39 +219,18 @@ def pool_states(states: Tensor, mode: str, lengths: Optional[np.ndarray] = None)
     return ag.l2_normalize(pooled)
 
 
-def pool(states, mode: str, language_tag: Optional[str] = None) -> SentenceEmbedding:
-    """Pool one (L, D) token-state matrix into a SentenceEmbedding."""
-    data = states.data if isinstance(states, Tensor) else np.asarray(states, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 1:
-        raise ValueError(f"expected at least one (L, D) token state, got shape {data.shape}")
-    vec = pool_states(Tensor(data[None, :, :]), mode).data[0]
-    return SentenceEmbedding(vector=vec, dim_used=vec.size, language_tag=language_tag)
-
-
-def mrl_truncate(e: SentenceEmbedding, d: int, mrl_dims: Sequence[int]) -> SentenceEmbedding:
-    """Keep the first ``d`` coordinates and renormalize (nested-prefix property)."""
-    if d not in tuple(mrl_dims):
-        raise ValueError(f"target dim {d} not in configured mrl_dims {tuple(mrl_dims)}")
-    if d == e.dim_used:
-        return e
-    if d > e.dim_used:
-        raise ValueError(f"target dim {d} exceeds active dim {e.dim_used}")
-    prefix = e.vector[:d]
-    norm = np.linalg.norm(prefix)
-    if norm == 0.0:
-        raise ValueError("truncated prefix has zero norm")
-    return SentenceEmbedding(vector=prefix / norm, dim_used=d, language_tag=e.language_tag)
-
-
-def truncate_normalize(embeddings: Tensor, d: int) -> Tensor:
-    """Tracked prefix truncation + renormalization for nested-dim training."""
+def truncate_normalize(embeddings: Tensor, d: int, dims: Sequence[int]) -> Tensor:
+    """Tracked prefix truncation + renormalization to one of the nested ``dims``."""
+    if d not in tuple(dims):
+        raise ValueError(f"target dim {d} not in configured mrl_dims {tuple(dims)}")
+    if d > embeddings.shape[-1]:
+        raise ValueError(f"target dim {d} exceeds active dim {embeddings.shape[-1]}")
     if d == embeddings.shape[-1]:
         return embeddings
     return ag.l2_normalize(ag.index_select(embeddings, -1, np.arange(d)))
 
 
 __all__ = [
-    "EncoderConfig", "Encoder", "SentenceEmbedding", "full_scale_config",
-    "pool", "pool_states", "mrl_truncate", "truncate_normalize",
+    "EncoderConfig", "Encoder", "full_scale_config", "pool_states", "truncate_normalize",
     "sinusoidal_positions", "PAD_ID",
 ]

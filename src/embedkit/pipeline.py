@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .checkpoint import load_checkpoint, require_matching_config, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, require_matching_config, save_checkpoint
 from .data import Pair, ScoredPair, Triplet, read_dataset, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import exact_search, ndcg_at_10, recall_at_k, spearman
@@ -277,9 +277,14 @@ class Trainer:
 
     # -- main loop -------------------------------------------------------
 
-    def _adopt_checkpoint(self, path) -> tuple[Encoder, dict[str, np.ndarray], dict]:
+    def _adopt_checkpoint(self, path, resume: bool) -> tuple[Encoder, dict[str, np.ndarray], dict]:
         config, arrays, extra = load_checkpoint(path)
         require_matching_config(self.manifest.encoder.to_dict(), config, str(path))
+        # a resume replays this manifest's step rngs, so only the run that wrote
+        # the checkpoint can continue it; adopting weights (init_from) is free
+        if resume and extra.get("manifest_seed") != self.manifest.seed:
+            raise CheckpointError(f"cannot resume from {path}: it was written with manifest seed "
+                                  f"{extra.get('manifest_seed')}, this manifest has seed {self.manifest.seed}")
         # checkpoint ids keep their meaning; words the checkpoint has not seen
         # are appended and map to still-untrained embedding rows
         ckpt_words = list(extra.get("vocab", []))
@@ -307,14 +312,14 @@ class Trainer:
         mining_dict = None
 
         if resume_from is not None:
-            encoder, arrays, extra = self._adopt_checkpoint(resume_from)
+            encoder, arrays, extra = self._adopt_checkpoint(resume_from, resume=True)
             opt_arrays = {k: v for k, v in arrays.items() if k.startswith("opt.")}
             opt_step_count = int(extra["opt_step_count"])
             resume_stage = int(extra["stage_index"])
             resume_step = int(extra["stage_step"])
             mining_dict = extra.get("mining")
         elif init_from is not None:
-            encoder, _, _ = self._adopt_checkpoint(init_from)
+            encoder, _, _ = self._adopt_checkpoint(init_from, resume=False)
         else:
             encoder = Encoder(manifest.encoder, seed=manifest.seed)
 
@@ -493,7 +498,8 @@ class Trainer:
         dims = self._mrl_dims(cfg)
         total = None
         for d in dims:
-            cos = ag.sum_lastdim(ag.mul(truncate_normalize(ea, d), truncate_normalize(eb, d)))
+            cos = ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims),
+                                        truncate_normalize(eb, d, dims)))
             term = cosent(StsBatch(cos, labels, tau=cfg.cosent_tau))
             total = term if total is None else ag.add(total, term)
         return ag.scale(total, 1.0 / len(dims))
@@ -526,9 +532,9 @@ class Trainer:
         total = None
         full_neg_scores = None
         for d in sorted(dims, reverse=True):
-            qd = truncate_normalize(q_emb, d)
-            pd = truncate_normalize(p_emb, d)
-            nd = truncate_normalize(n_emb, d) if n_emb is not None else None
+            qd = truncate_normalize(q_emb, d, dims)
+            pd = truncate_normalize(p_emb, d, dims)
+            nd = truncate_normalize(n_emb, d, dims) if n_emb is not None else None
             loss_d, _, neg_scores = info_nce_with_scores(
                 ContrastiveBatch(qd, pd, nd, temperature=cfg.temperature))
             if d == max(dims):

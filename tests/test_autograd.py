@@ -6,8 +6,14 @@ import pytest
 
 from embedkit import autograd as ag
 from embedkit.autograd import DomainError, ShapeMismatchError, Tensor, backward, grad_check
+from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 
 KERNEL_SEEDS = list(range(50))
+
+
+def _cosine(u, v):
+    """Cosine of two vectors as the losses compute it: a dot product of unit vectors."""
+    return ag.sum_lastdim(ag.mul(ag.l2_normalize(u), ag.l2_normalize(v)))
 
 
 class TestForwardValues:
@@ -20,7 +26,7 @@ class TestForwardValues:
         np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_cosine_orthogonal(self):
-        out = ag.cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
+        out = _cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
         assert out.item() == 0.0
 
     def test_softmax_rows_sum_to_one(self):
@@ -50,7 +56,7 @@ class TestBackwardValues:
     def test_cosine_grad_vanishes_at_identical_vectors(self):
         # d cos(u, v) / du is the component of v orthogonal to u: zero at u = v
         u = Tensor([1.0, 0.0], requires_grad=True)
-        backward(ag.cosine(u, Tensor([1.0, 0.0])))
+        backward(_cosine(u, Tensor([1.0, 0.0])))
         np.testing.assert_array_equal(u.grad, [0.0, 0.0])
 
     def test_chained_matmul_softmax_log(self):
@@ -112,6 +118,120 @@ def test_kernels_match_finite_differences(seed):
                       x, h=1e-6) < 1e-4
 
 
+def _composed_attention(q, k, v, weights, scale):
+    """The encoder's attention before it was fused: a GQA gather and eight tape nodes."""
+    heads, kv = q.shape[1], k.shape[1]
+    group = np.repeat(np.arange(kv), heads // kv)
+    w = weights if weights.ndim == 2 else weights[:, None]
+    k, v = ag.index_select(k, 1, group), ag.index_select(v, 1, group)
+    scores = ag.scale(ag.matmul(q, ag.permute(k, (0, 1, 3, 2))), scale)
+    probs = ag.softmax_lastdim(ag.add_const(scores, np.where(w > 0.0, 0.0, -np.inf)))
+    weighted = ag.apply_mask(probs, w)
+    return ag.matmul(ag.div(weighted, ag.sum_lastdim(weighted, keepdims=True)), v)
+
+
+def _attention_weights(kind, bsz, length):
+    if kind == "causal":
+        return causal_mask(length).entries
+    if kind == "soft":
+        return build_soft_mask(ScheduleState("linear", 2, 5), length).entries
+    if kind == "bidirectional":
+        return bidirectional_mask(length).entries
+    # padded: row 1 holds 3 real tokens; its keys past them are zeroed and
+    # its pad rows attend to themselves only
+    w = np.array(np.broadcast_to(build_soft_mask(ScheduleState("linear", 3, 5), length).entries,
+                                 (bsz, length, length)))
+    w[1, :, 3:] = 0.0
+    w[1, 3:, 3:][np.diag_indices(length - 3)] = 1.0
+    return w
+
+
+ATTENTION_KINDS = ("causal", "soft", "bidirectional", "padded")
+
+
+class TestAttention:
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_matches_finite_differences(self, kind, group):
+        rng = np.random.default_rng(group)
+        bsz, kv, length, dh = 2, 2, 5, 3
+        q = rng.normal(size=(bsz, kv * group, length, dh))
+        k, v = rng.normal(size=(2, bsz, kv, length, dh))
+        w = _attention_weights(kind, bsz, length)
+        r = rng.normal(size=q.shape)
+        args = {"q": q, "k": k, "v": v}
+        for name in args:
+            def f(t, name=name):
+                ops = {n: (t if n == name else Tensor(a)) for n, a in args.items()}
+                return ag.tensor_sum(ag.mul(ag.attention(ops["q"], ops["k"], ops["v"], w, 0.7), r))
+
+            err = grad_check(f, args[name], h=1e-6)
+            assert err < 1e-8, f"d/d{name} off by {err} ({kind}, group {group})"
+
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_forward_bitwise_equal_to_composed_chain(self, kind, group):
+        rng = np.random.default_rng(10 + group)
+        bsz, kv, length, dh = 3, 2, 7, 4
+        # q, k, v as the encoder makes them: permuted views of projections
+        q = rng.normal(size=(bsz, length, kv * group, dh)).transpose(0, 2, 1, 3)
+        k, v = rng.normal(size=(2, bsz, length, kv, dh)).transpose(0, 1, 3, 2, 4)
+        w = _attention_weights(kind, bsz, length)
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        ref = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        fused = ag.attention(*ts, w, 0.5)
+        composed = _composed_attention(*ref, w, 0.5)
+        assert fused.data.tobytes() == composed.data.tobytes()
+        r = rng.normal(size=fused.shape)
+        backward(ag.tensor_sum(ag.mul(fused, r)))
+        backward(ag.tensor_sum(ag.mul(composed, r)))
+        for t, t_ref in zip(ts, ref):
+            np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-12, atol=1e-14)
+
+    def test_zero_weight_keys_get_no_probability(self):
+        rng = np.random.default_rng(5)
+        q, k = rng.normal(size=(2, 1, 2, 4, 3))
+        v = np.zeros((1, 2, 4, 3))
+        v[:, :, 3] = 1e6  # a key past the causal horizon of every row but the last
+        out = ag.attention(Tensor(q), Tensor(k), Tensor(v), causal_mask(4).entries, 1.0)
+        assert np.all(out.data[:, :, :3] == 0.0)
+
+    def test_shape_errors(self):
+        q = Tensor(np.ones((1, 3, 4, 2)))
+        kv = Tensor(np.ones((1, 2, 4, 2)))
+        with pytest.raises(ShapeMismatchError, match="group"):
+            ag.attention(q, kv, kv, np.ones((4, 4)), 1.0)
+        with pytest.raises(ShapeMismatchError, match="weights"):
+            ag.attention(kv, kv, kv, np.ones((3, 3)), 1.0)
+
+
+def test_rmsnorm_matches_finite_differences():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(2, 3, 6))
+    gain = rng.normal(size=6)
+    r = rng.normal(size=x.shape)
+    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.rmsnorm(t, Tensor(gain)), r)), x) < 1e-8
+    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.rmsnorm(Tensor(x), t), r)), gain) < 1e-8
+
+
+def test_rmsnorm_bitwise_equal_to_composed_chain():
+    rng = np.random.default_rng(22)
+    x, gain = Tensor(rng.normal(size=(3, 5, 8))), Tensor(rng.normal(size=8))
+    composed = ag.mul(ag.scale(ag.l2_normalize(x), np.sqrt(8)), gain)
+    assert ag.rmsnorm(x, gain).data.tobytes() == composed.data.tobytes()
+    with pytest.raises(DomainError):
+        ag.rmsnorm(Tensor(np.zeros((2, 8))), gain)
+
+
+def test_matmul_batched_input_against_shared_weight():
+    # a (B, L, D) input against a (D, F) weight: the weight gradient is one flat GEMM
+    rng = np.random.default_rng(23)
+    a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))
+    r = rng.normal(size=(3, 4, 2))
+    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.matmul(Tensor(a), t), r)), b) < 1e-8
+    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.matmul(t, Tensor(b)), r)), a) < 1e-8
+
+
 def test_broadcast_suffix_and_trailing_expansion():
     a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
     bias = Tensor(np.arange(4.0), requires_grad=True)
@@ -143,7 +263,7 @@ class TestErrors:
 
     def test_cosine_zero_vector(self):
         with pytest.raises(DomainError):
-            ag.cosine(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
+            _cosine(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
 
     def test_backward_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

@@ -8,10 +8,9 @@ import pytest
 from embedkit import autograd as ag
 from embedkit.autograd import DomainError, Tensor, grad_check
 from embedkit.checkpoint import CheckpointError, load_checkpoint, require_matching_config, save_checkpoint
-from embedkit.encoder import (Encoder, EncoderConfig, SentenceEmbedding, full_scale_config,
-                              mrl_truncate, pool, pool_states, truncate_normalize)
-from embedkit.losses import ContrastiveBatch, info_nce
-from embedkit.masks import bidirectional_mask, causal_mask
+from embedkit.encoder import Encoder, EncoderConfig, full_scale_config, pool_states, truncate_normalize
+from embedkit.losses import ContrastiveBatch, info_nce, next_token_ce
+from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 
 TOY = EncoderConfig()
 SMALL = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -133,24 +132,31 @@ class TestGroupedQueryAttention:
         assert out.data.tobytes() == k.data.tobytes()
 
 
+def _pool_one(states, mode):
+    """Pool one (L, D) state matrix through the batched path; the result must be unit-norm."""
+    vec = pool_states(Tensor(np.asarray(states, dtype=np.float64)[None]), mode).data[0]
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
+    return vec
+
+
 class TestPooling:
     def test_identical_states_both_modes(self):
         v = np.array([3.0, 4.0])
         states = np.tile(v, (5, 1))
         for mode in ("mean", "last-token"):
-            np.testing.assert_allclose(pool(states, mode).vector, v / 5.0, atol=1e-15)
+            np.testing.assert_allclose(_pool_one(states, mode), v / 5.0, atol=1e-15)
 
     def test_mean_of_two_orthogonal(self):
-        e = pool(np.array([[1.0, 0.0], [0.0, 1.0]]), "mean")
-        np.testing.assert_allclose(e.vector, [np.sqrt(2) / 2] * 2, atol=1e-15)
+        vec = _pool_one(np.array([[1.0, 0.0], [0.0, 1.0]]), "mean")
+        np.testing.assert_allclose(vec, [np.sqrt(2) / 2] * 2, atol=1e-15)
 
     def test_last_token_returns_final_row(self):
-        e = pool(np.array([[1.0, 0.0], [0.0, 2.0]]), "last-token")
-        np.testing.assert_allclose(e.vector, [0.0, 1.0], atol=1e-15)
+        vec = _pool_one(np.array([[1.0, 0.0], [0.0, 2.0]]), "last-token")
+        np.testing.assert_allclose(vec, [0.0, 1.0], atol=1e-15)
 
     def test_zero_states_raise_domain_error(self):
         with pytest.raises(DomainError):
-            pool(np.zeros((3, 4)), "mean")
+            pool_states(Tensor(np.zeros((1, 3, 4))), "mean")
 
     def test_pool_states_respects_lengths(self):
         states = Tensor(np.array([[[2.0, 0.0], [0.0, 2.0], [9.0, 9.0]]]))
@@ -159,41 +165,54 @@ class TestPooling:
 
 
 class TestMrlTruncate:
+    DIMS = TOY.mrl_dims
+
     def _emb(self):
-        v = np.zeros(64)
-        v[0], v[1] = 3.0, 4.0
-        return SentenceEmbedding(v / 5.0, 64)
+        v = np.zeros((1, 64))
+        v[0, 0], v[0, 1] = 3.0, 4.0
+        return Tensor(v / 5.0)
+
+    @staticmethod
+    def _unit(t, d):
+        assert t.shape[-1] == d
+        np.testing.assert_allclose(np.linalg.norm(t.data, axis=-1), 1.0, rtol=0, atol=1e-10)
+        return t
 
     def test_full_dim_is_identity(self):
         e = self._emb()
-        assert mrl_truncate(e, 64, TOY.mrl_dims) is e
+        assert truncate_normalize(e, 64, self.DIMS) is e
 
     def test_three_four_five(self):
-        t = mrl_truncate(self._emb(), 16, TOY.mrl_dims)
-        np.testing.assert_allclose(t.vector[:2], [0.6, 0.8], atol=1e-15)
-        assert t.dim_used == 16
+        t = self._unit(truncate_normalize(self._emb(), 16, self.DIMS), 16)
+        np.testing.assert_allclose(t.data[0, :2], [0.6, 0.8], atol=1e-15)
 
     def test_nesting_identity(self):
         rng = np.random.default_rng(9)
-        v = rng.normal(size=64)
-        e = SentenceEmbedding(v / np.linalg.norm(v), 64)
-        direct = mrl_truncate(e, 16, TOY.mrl_dims)
-        nested = mrl_truncate(mrl_truncate(e, 32, TOY.mrl_dims), 16, TOY.mrl_dims)
-        np.testing.assert_allclose(direct.vector, nested.vector, atol=1e-12)
+        v = rng.normal(size=(1, 64))
+        e = Tensor(v / np.linalg.norm(v))
+        direct = self._unit(truncate_normalize(e, 16, self.DIMS), 16)
+        mid = self._unit(truncate_normalize(e, 32, self.DIMS), 32)
+        nested = self._unit(truncate_normalize(mid, 16, self.DIMS), 16)
+        np.testing.assert_allclose(direct.data, nested.data, atol=1e-12)
 
     def test_idempotent(self):
-        e = mrl_truncate(self._emb(), 32, TOY.mrl_dims)
-        np.testing.assert_array_equal(mrl_truncate(e, 32, TOY.mrl_dims).vector, e.vector)
+        e = truncate_normalize(self._emb(), 32, self.DIMS)
+        np.testing.assert_array_equal(truncate_normalize(e, 32, self.DIMS).data, e.data)
 
     def test_unconfigured_dim_rejected(self):
         with pytest.raises(ValueError, match="mrl_dims"):
-            mrl_truncate(self._emb(), 48, TOY.mrl_dims)
+            truncate_normalize(self._emb(), 48, self.DIMS)
+
+    def test_dim_beyond_active_width_rejected(self):
+        e = truncate_normalize(self._emb(), 16, self.DIMS)
+        with pytest.raises(ValueError, match="exceeds active dim 16"):
+            truncate_normalize(e, 32, self.DIMS)
 
     def test_tracked_truncation_matches(self):
         rng = np.random.default_rng(10)
         raw = rng.normal(size=(3, 16))
         emb = ag.l2_normalize(Tensor(raw))
-        out = truncate_normalize(emb, 8).data
+        out = truncate_normalize(emb, 8, (8, 16)).data
         expect = raw[:, :8] / np.linalg.norm(raw[:, :8], axis=-1, keepdims=True)
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
@@ -217,6 +236,39 @@ class TestEncoderGradients:
         err = grad_check(f, base, h=1e-5, max_coords=20, seed=seed)
         enc.params[name] = Tensor(base, requires_grad=True)
         assert err < 1e-3, f"{name}: {err}"
+
+
+def _tape_nodes(loss) -> int:
+    """Op nodes (tracked tensors with parents) reachable from a loss."""
+    seen, stack, n = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            n += bool(t._parents)
+            stack.extend(p for p in t._parents if p.requires_grad)
+    return n
+
+
+class TestTape:
+    def test_lm_step_tape_nodes(self):
+        # one lm step of the default two-layer encoder, built as Trainer._lm_step
+        # does; the unfused attention and norm chains recorded 86 nodes
+        enc = Encoder(TOY, seed=0)
+        ids = np.random.default_rng(0).integers(2, TOY.vocab_size, size=(4, 12))
+        states = enc.forward_batch(ids[:, :-1], causal_mask(11))
+        logits = ag.reshape(enc.lm_logits(states), (4 * 11, TOY.vocab_size))
+        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 56
+
+    def test_padded_weights_match_row_loop(self):
+        mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)
+        lengths = np.array([6, 2, 5, 1])
+        ref = np.broadcast_to(mask.entries, (4, 6, 6)).copy()
+        for b, ln in enumerate(lengths):
+            ref[b, :, ln:] = 0.0
+            ref[b, ln:, ln:][np.diag_indices(6 - ln)] = 1.0
+        w = Encoder(SMALL, seed=0)._mask_weights(mask, 6, lengths)
+        assert w.tobytes() == ref.tobytes()
 
 
 class TestNoGradInference:
@@ -266,6 +318,26 @@ class TestCheckpointRoundtrip:
                               vocab_size=24, max_len=8, mrl_dims=(4, 8, 16))
         with pytest.raises(CheckpointError, match=r"(?s)expected.*found"):
             require_matching_config(other.to_dict(), config)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        class FailsOnWrite:
+            """Array-like whose first conversion (the header) works and whose second fails."""
+            calls = 0
+
+            def __array__(self, dtype=None, copy=None):
+                FailsOnWrite.calls += 1
+                if FailsOnWrite.calls > 1:
+                    raise OSError("no space left on device")
+                return np.zeros(2)
+
+        path = tmp_path / "enc.ckpt"
+        save_checkpoint(path, SMALL.to_dict(), Encoder(SMALL, seed=1).export_arrays(), {})
+        before = path.read_bytes()
+        # "a" is written first, then converting "b" fails mid-file
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, {}, {"a": np.ones(3), "b": FailsOnWrite()}, {})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["enc.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "junk.ckpt"

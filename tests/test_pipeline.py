@@ -365,6 +365,24 @@ class TestCli:
                          "--seed", "3"]) == 0
         assert out_path.exists()
 
+    def test_resume_across_manifest_seeds_exits_3(self, toy_data, tmp_path, capsys):
+        # the checkpoint's step rngs belong to seed 5: a seed-99 resume would
+        # match neither run, so it is refused; adopting its weights is not
+        m = _manifest(toy_data, tmp_path / "s1", sup_steps=4, dhnm=False)
+        yml = tmp_path / "m1.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 0
+        ckpt = tmp_path / "s1" / "stage1-pair-sft.ckpt"
+        capsys.readouterr()
+        assert cli_main(["train", "--manifest", str(yml), "--seed", "99", "--resume", str(ckpt),
+                         "--output-dir", str(tmp_path / "s2")]) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "seed 5" in err and "seed 99" in err
+        assert not (tmp_path / "s2").exists() or not list((tmp_path / "s2").iterdir())
+        m.seed = 99
+        m.output_dir = str(tmp_path / "s3")
+        assert Path(Trainer(m).run(init_from=str(ckpt))).exists()
+
     def test_train_seed_override_changes_outputs(self, toy_data, tmp_path):
         m = _manifest(toy_data, tmp_path / "s1", sup_steps=4, dhnm=False)
         yml = tmp_path / "m1.yaml"
