@@ -166,7 +166,7 @@ def cmd_grad_check(args) -> int:
     def report(name, seed, err, tol=None):
         nonlocal failures
         tol = args.tolerance if tol is None else tol
-        ok = err < tol
+        ok = bool(err < tol)
         failures += 0 if ok else 1
         print(_dumps({"record": "grad_check", "target": name, "seed": seed,
                       "max_rel_err": err, "tolerance": tol, "ok": ok}))

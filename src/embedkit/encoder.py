@@ -59,21 +59,6 @@ class EncoderConfig:
         return cls(**d)
 
 
-def full_scale_config() -> EncoderConfig:
-    """Production-shape reference configuration (not meant to be instantiated here)."""
-    return EncoderConfig(
-        layers=8,
-        hidden_dim=3584,
-        heads=32,
-        kv_heads=8,
-        ffn_dim=8192,
-        vocab_size=150_000,
-        max_len=32_768,
-        pooling="mean",
-        mrl_dims=(256, 512, 1024, 1536, 2048, 3072, 3584),
-    )
-
-
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     half = np.arange(0, dim, 2, dtype=np.float64)
@@ -116,10 +101,6 @@ class Encoder:
 
     def export_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
-
-    def zero_grads(self):
-        for p in self.params.values():
-            p.grad = None
 
     # -- forward -------------------------------------------------------
 
@@ -179,12 +160,6 @@ class Encoder:
             x = ag.rmsnorm(x, self.params["final_gain"])
         return x
 
-    def encode(self, tokens: Sequence[int], mask: AttentionMask) -> Tensor:
-        """Token-state matrix (L, hidden) for one sequence."""
-        ids = np.asarray(tokens, dtype=np.intp)[None, :]
-        states = self.forward_batch(ids, mask)
-        return ag.reshape(states, (ids.shape[1], self.cfg.hidden_dim))
-
     def embed_batch(self, ids: np.ndarray, mask: AttentionMask,
                     lengths: Optional[np.ndarray] = None,
                     pooling: Optional[str] = None) -> Tensor:
@@ -231,6 +206,6 @@ def truncate_normalize(embeddings: Tensor, d: int, dims: Sequence[int]) -> Tenso
 
 
 __all__ = [
-    "EncoderConfig", "Encoder", "full_scale_config", "pool_states", "truncate_normalize",
+    "EncoderConfig", "Encoder", "pool_states", "truncate_normalize",
     "sinusoidal_positions", "PAD_ID",
 ]

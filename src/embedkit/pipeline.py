@@ -26,7 +26,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import CheckpointError, load_checkpoint, require_matching_config, save_checkpoint
-from .data import Pair, ScoredPair, Triplet, read_dataset, read_text_dataset
+from .data import Pair, Triplet, read_dataset, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import exact_search, ndcg_at_10, recall_at_k, spearman
 from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
@@ -35,7 +35,15 @@ from .mining import MiningState
 from .optim import AdamW, AdamWConfig, warmup_lr
 from .tokenizer import PAD_ID, Tokenizer
 
-STAGE_KINDS = ("lm-pretrain", "pair-sft", "weak-contrastive", "supervised")
+# per stage kind, in pipeline order: the Trainer method that computes one
+# step's loss, and the allowed mask policies, the first being the default
+_KINDS = {
+    "lm-pretrain": ("_lm_step", ("causal",)),
+    "pair-sft": ("_lm_step", ("causal",)),
+    "weak-contrastive": ("_contrastive_step", ("soft", "bidirectional")),
+    "supervised": ("_supervised_step", ("bidirectional",)),
+}
+STAGE_KINDS = tuple(_KINDS)
 SUPERVISED_TASKS = ("retrieval", "clr", "classification", "sts")
 
 
@@ -68,12 +76,8 @@ class StageConfig:
             raise ValueError(f"unknown stage kind {self.kind!r}; expected one of {STAGE_KINDS}")
         if self.steps < 1:
             raise ValueError("stage needs at least one step")
-        if not self.mask_policy:
-            self.mask_policy = {"lm-pretrain": "causal", "pair-sft": "causal",
-                                "weak-contrastive": "soft", "supervised": "bidirectional"}[self.kind]
-        allowed = {"lm-pretrain": ("causal",), "pair-sft": ("causal",),
-                   "weak-contrastive": ("soft", "bidirectional"),
-                   "supervised": ("bidirectional",)}[self.kind]
+        allowed = _KINDS[self.kind][1]
+        self.mask_policy = self.mask_policy or allowed[0]
         if self.mask_policy not in allowed:
             raise ValueError(f"mask policy {self.mask_policy!r} not allowed in {self.kind} "
                              f"(allowed: {allowed})")
@@ -84,8 +88,7 @@ class StageConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown stage options: {sorted(unknown)}")
         return cls(**d)
@@ -106,13 +109,12 @@ class RunManifest:
         if any(a >= b for a, b in zip(order, order[1:])):
             raise ValueError("stages must appear in pipeline order, each kind at most once")
         for s in self.stages:
-            key = s.kind
-            if key not in self.data:
-                raise ValueError(f"manifest is missing data for stage {key!r}")
-            if key == "supervised":
-                if not isinstance(self.data[key], dict) or not self.data[key]:
+            if s.kind not in self.data:
+                raise ValueError(f"manifest is missing data for stage {s.kind!r}")
+            if s.kind == "supervised":
+                if not isinstance(self.data[s.kind], dict) or not self.data[s.kind]:
                     raise ValueError("supervised data must map task names to dataset paths")
-                bad = set(self.data[key]) - set(SUPERVISED_TASKS)
+                bad = set(self.data[s.kind]) - set(SUPERVISED_TASKS)
                 if bad:
                     raise ValueError(f"unknown supervised tasks: {sorted(bad)}")
 
@@ -203,10 +205,9 @@ def _truncate_log(path: Path, start_step: int):
 def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
     if cfg.mask_policy == "causal":
         return causal_mask(n)
-    if cfg.mask_policy == "bidirectional":
-        return bidirectional_mask(n)
-    # scheduled: t counts this stage's steps; the final step reaches alpha = 1
-    if cfg.steps == 1:
+    # scheduled: t counts this stage's steps; the final step (the only one
+    # of a one-step stage) reaches alpha = 1
+    if cfg.mask_policy == "bidirectional" or cfg.steps == 1:
         return bidirectional_mask(n)
     state = ScheduleState(kind=cfg.mask_schedule, t=step, tau_steps=cfg.steps - 1)
     return build_soft_mask(state, n, cfg.mask_l)
@@ -214,6 +215,19 @@ def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
 
 def _step_rng(manifest_seed: int, stage_seed: int, stage_index: int, step: int) -> np.random.Generator:
     return np.random.default_rng([manifest_seed, stage_seed, stage_index, step])
+
+
+def _draw(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """``min(size, n)`` distinct row indices below ``n``, in ascending order."""
+    return np.sort(rng.choice(n, size=min(size, n), replace=False))
+
+
+def _mean(terms: list[Tensor]) -> Tensor:
+    """Mean of the per-dim losses, summed in list order (the order sets the last bits)."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = ag.add(total, term)
+    return ag.scale(total, 1.0 / len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +244,8 @@ class Trainer:
     # -- data ----------------------------------------------------------
 
     def _dataset_paths(self) -> list[str]:
-        paths = []
-        for v in self.manifest.data.values():
-            if isinstance(v, dict):
-                paths.extend(v.values())
-            else:
-                paths.append(v)
-        return paths
+        return [p for v in self.manifest.data.values()
+                for p in (v.values() if isinstance(v, dict) else (v,))]
 
     def _build_tokenizer(self) -> Tokenizer:
         words: set[str] = set()
@@ -247,24 +256,18 @@ class Trainer:
         return Tokenizer(sorted(words), self.manifest.encoder.vocab_size)
 
     def _load_stage_data(self, cfg: StageConfig):
-        key = cfg.kind
-        if key == "lm-pretrain":
-            _, texts = read_text_dataset(self.manifest.data[key])
-            return self._pack_windows([self.tokenizer.encode(t) for t in texts], cfg.window_len)
-        if key == "pair-sft":
-            _, examples = read_dataset(self.manifest.data[key])
+        path = self.manifest.data[cfg.kind]
+        if cfg.kind == "supervised":
+            return {task: read_dataset(path[task])[1] for task in SUPERVISED_TASKS if task in path}
+        if cfg.kind == "lm-pretrain":
+            seqs = [self.tokenizer.encode(t) for t in read_text_dataset(path)[1]]
+        else:
+            _, examples = read_dataset(path)
+            if cfg.kind == "weak-contrastive":
+                return [e for e in examples if isinstance(e, (Pair, Triplet))]
             seqs = [self.tokenizer.encode(e.query) + self.tokenizer.encode(e.positive)
                     for e in examples]
-            return self._pack_windows(seqs, cfg.window_len)
-        if key == "weak-contrastive":
-            _, examples = read_dataset(self.manifest.data[key])
-            return [e for e in examples if isinstance(e, (Pair, Triplet))]
-        datasets = {}
-        for task in SUPERVISED_TASKS:
-            if task in self.manifest.data[key]:
-                _, examples = read_dataset(self.manifest.data[key][task])
-                datasets[task] = examples
-        return datasets
+        return self._pack_windows(seqs, cfg.window_len)
 
     @staticmethod
     def _pack_windows(seqs: list[list[int]], window_len: int) -> np.ndarray:
@@ -368,26 +371,22 @@ class Trainer:
                 _truncate_log(path, start_step)
         mode = "a" if start_step > 0 else "w"
 
-        if cfg.kind == "supervised" and cfg.dhnm and mining is None:
+        if cfg.dhnm and mining is None:
             mining = self._init_mining(cfg, encoder, data)
+        step_fn = getattr(self, _KINDS[cfg.kind][0])
 
         with open(metrics_path, mode, encoding="utf-8") as metrics_fh, \
                 (open(mining_path, mode, encoding="utf-8") if mining is not None
                  else nullcontext()) as mining_fh:
             for step in range(start_step, cfg.steps):
                 rng = _step_rng(self.manifest.seed, cfg.seed, idx, step)
-                if cfg.kind in ("lm-pretrain", "pair-sft"):
-                    loss, task = self._lm_step(cfg, encoder, data, rng), "lm"
-                elif cfg.kind == "weak-contrastive":
-                    loss, task = self._contrastive_step(cfg, encoder, data, rng, step), "pairs"
-                else:
-                    loss, task = self._supervised_step(cfg, encoder, data, rng, step,
-                                                       mining, mining_fh)
+                loss, task = step_fn(cfg, encoder, data, rng, step, mining, mining_fh)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise ArithmeticError(f"non-finite loss at stage {idx} step {step}")
                 ag.backward(loss)
-                optimizer.step(lr=warmup_lr(cfg.lr, step, cfg.steps, cfg.warmup_frac))
+                lr = warmup_lr(cfg.lr, step, cfg.steps, cfg.warmup_frac)
+                optimizer.step(lr=lr)
                 optimizer.zero_grads()
                 if mining is not None:
                     for ev in mining.replace_flagged():
@@ -396,8 +395,7 @@ class Trainer:
                                                 "old": ev.old_negative, "new": ev.new_negative,
                                                 "exhausted": ev.exhausted}) + "\n")
                 metrics_fh.write(_dumps({"stage": idx, "kind": cfg.kind, "step": step,
-                                         "task": task, "loss": value,
-                                         "lr": warmup_lr(cfg.lr, step, cfg.steps, cfg.warmup_frac)}) + "\n")
+                                         "task": task, "loss": value, "lr": lr}) + "\n")
                 if cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0 \
                         and step + 1 < cfg.steps:
                     self._save(self.out_dir / f"stage{idx}-step{step + 1}.ckpt",
@@ -405,32 +403,30 @@ class Trainer:
         self._save(ckpt_path, encoder, optimizer, idx, cfg.steps, mining)
         return ckpt_path
 
-    # -- per-kind steps --------------------------------------------------
+    # -- per-kind steps: (cfg, encoder, data, rng, step, mining, mining_fh) -> (loss, task)
+
+    def _embed(self, cfg: StageConfig, encoder: Encoder, texts: list[str], step: int) -> Tensor:
+        """Tracked (B, hidden) embeddings of ``texts`` under the stage's mask at ``step``."""
+        ids, lengths = batch_ids(self.tokenizer, texts)
+        return encoder.embed_batch(ids, _stage_mask(cfg, step, ids.shape[1]), lengths)
 
     def _lm_step(self, cfg: StageConfig, encoder: Encoder, windows: np.ndarray,
-                 rng: np.random.Generator) -> Tensor:
-        take = min(cfg.batch_size, windows.shape[0])
-        rows = rng.choice(windows.shape[0], size=take, replace=False)
-        batch = windows[np.sort(rows)]
+                 rng: np.random.Generator, step: int, mining, mining_fh) -> tuple[Tensor, str]:
+        batch = windows[_draw(rng, len(windows), cfg.batch_size)]
         inputs, targets = batch[:, :-1], batch[:, 1:]
-        states = encoder.forward_batch(inputs, causal_mask(inputs.shape[1]))
+        states = encoder.forward_batch(inputs, _stage_mask(cfg, step, inputs.shape[1]))
         logits = encoder.lm_logits(states)
         bsz, length, vocab = logits.shape
-        flat = ag.reshape(logits, (bsz * length, vocab))
-        return next_token_ce(flat, targets.reshape(-1))
+        return next_token_ce(ag.reshape(logits, (bsz * length, vocab)), targets.reshape(-1)), "lm"
 
     def _contrastive_step(self, cfg: StageConfig, encoder: Encoder, pairs: list,
-                          rng: np.random.Generator, step: int) -> Tensor:
-        take = min(cfg.batch_size, len(pairs))
-        picks = np.sort(rng.choice(len(pairs), size=take, replace=False))
-        chosen = [pairs[i] for i in picks]
-        q_ids, q_lens = batch_ids(self.tokenizer, [p.query for p in chosen])
-        p_ids, p_lens = batch_ids(self.tokenizer, [p.positive for p in chosen])
-        q_emb = encoder.embed_batch(q_ids, _stage_mask(cfg, step, q_ids.shape[1]), q_lens)
-        p_emb = encoder.embed_batch(p_ids, _stage_mask(cfg, step, p_ids.shape[1]), p_lens)
+                          rng: np.random.Generator, step: int, mining, mining_fh) -> tuple[Tensor, str]:
+        chosen = [pairs[i] for i in _draw(rng, len(pairs), cfg.batch_size)]
+        q_emb = self._embed(cfg, encoder, [p.query for p in chosen], step)
+        p_emb = self._embed(cfg, encoder, [p.positive for p in chosen], step)
         loss, _, _ = info_nce_with_scores(
             ContrastiveBatch(q_emb, p_emb, temperature=cfg.temperature))
-        return loss
+        return loss, "pairs"
 
     def _init_mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict) -> MiningState:
         """Rank each query's candidate negatives with the incoming (seed) encoder.
@@ -475,7 +471,7 @@ class Trainer:
         task = tasks[step % len(tasks)]
         weight = float(cfg.loss_mix.get(task, 1.0))
         if task == "sts":
-            loss = self._sts_batch_loss(cfg, encoder, datasets[task], rng)
+            loss = self._sts_batch_loss(cfg, encoder, datasets[task], rng, step)
         else:
             loss = self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step,
                                             task, mining, mining_fh)
@@ -484,43 +480,27 @@ class Trainer:
         return loss, task
 
     def _sts_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
-                        rng: np.random.Generator) -> Tensor:
-        take = min(cfg.sts_batch_size, len(examples))
-        picks = np.sort(rng.choice(len(examples), size=take, replace=False))
-        chosen: list[ScoredPair] = [examples[i] for i in picks]
-        a_ids, a_lens = batch_ids(self.tokenizer, [e.text_a for e in chosen])
-        b_ids, b_lens = batch_ids(self.tokenizer, [e.text_b for e in chosen])
-        mask_a = bidirectional_mask(a_ids.shape[1])
-        mask_b = bidirectional_mask(b_ids.shape[1])
-        ea = encoder.embed_batch(a_ids, mask_a, a_lens)
-        eb = encoder.embed_batch(b_ids, mask_b, b_lens)
+                        rng: np.random.Generator, step: int) -> Tensor:
+        chosen = [examples[i] for i in _draw(rng, len(examples), cfg.sts_batch_size)]
+        ea = self._embed(cfg, encoder, [e.text_a for e in chosen], step)
+        eb = self._embed(cfg, encoder, [e.text_b for e in chosen], step)
         labels = np.array([e.similarity for e in chosen])
         dims = self._mrl_dims(cfg)
-        total = None
-        for d in dims:
-            cos = ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims),
-                                        truncate_normalize(eb, d, dims)))
-            term = cosent(StsBatch(cos, labels, tau=cfg.cosent_tau))
-            total = term if total is None else ag.add(total, term)
-        return ag.scale(total, 1.0 / len(dims))
+        cos = [ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims),
+                                     truncate_normalize(eb, d, dims))) for d in dims]
+        return _mean([cosent(StsBatch(c, labels, tau=cfg.cosent_tau)) for c in cos])  # ascending dims
 
     def _triplet_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                             rng: np.random.Generator, step: int, task: str,
                             mining: Optional[MiningState], mining_fh) -> Tensor:
-        take = min(cfg.triplet_batch_size, len(examples))
-        picks = np.sort(rng.choice(len(examples), size=take, replace=False))
-        chosen: list[Triplet] = [examples[i] for i in picks]
+        chosen = [examples[i] for i in _draw(rng, len(examples), cfg.triplet_batch_size)]
         negatives = [self._triplet_negatives(cfg, mining, task, ex) for ex in chosen]
         k = min(len(n) for n in negatives)
         negatives = [n[:k] for n in negatives]
 
-        q_ids, q_lens = batch_ids(self.tokenizer, [e.query for e in chosen])
+        q_emb = self._embed(cfg, encoder, [e.query for e in chosen], step)
         passages = [e.positive for e in chosen] + [n for negs in negatives for n in negs]
-        p_ids, p_lens = batch_ids(self.tokenizer, passages)
-        mask_q = bidirectional_mask(q_ids.shape[1])
-        mask_p = bidirectional_mask(p_ids.shape[1])
-        q_emb = encoder.embed_batch(q_ids, mask_q, q_lens)
-        all_emb = encoder.embed_batch(p_ids, mask_p, p_lens)
+        all_emb = self._embed(cfg, encoder, passages, step)
         bsz = len(chosen)
         p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
         n_emb = None
@@ -529,20 +509,14 @@ class Trainer:
                                (bsz, k, self.manifest.encoder.hidden_dim))
 
         dims = self._mrl_dims(cfg)
-        total = None
-        full_neg_scores = None
-        for d in sorted(dims, reverse=True):
-            qd = truncate_normalize(q_emb, d, dims)
-            pd = truncate_normalize(p_emb, d, dims)
-            nd = truncate_normalize(n_emb, d, dims) if n_emb is not None else None
-            loss_d, _, neg_scores = info_nce_with_scores(
-                ContrastiveBatch(qd, pd, nd, temperature=cfg.temperature))
-            if d == max(dims):
-                full_neg_scores = neg_scores
-            total = loss_d if total is None else ag.add(total, loss_d)
-        loss = ag.scale(total, 1.0 / len(dims))
+        widest_first = [info_nce_with_scores(ContrastiveBatch(
+            truncate_normalize(q_emb, d, dims), truncate_normalize(p_emb, d, dims),
+            truncate_normalize(n_emb, d, dims) if n_emb is not None else None,
+            temperature=cfg.temperature)) for d in sorted(dims, reverse=True)]
+        loss = _mean([loss_d for loss_d, _, _ in widest_first])
 
         if mining is not None and k > 0:
+            full_neg_scores = widest_first[0][2]
             scored = [(f"{task}:{ex.uid}", slot, float(full_neg_scores[b, slot]))
                       for b, ex in enumerate(chosen) for slot in range(k)]
             for rec in mining.cache_scores(step, scored):

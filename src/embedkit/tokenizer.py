@@ -36,31 +36,3 @@ class Tokenizer:
             else:
                 ids.extend(BYTE_OFFSET + b for b in word.encode("utf-8"))
         return ids
-
-    def decode(self, ids: list[int]) -> str:
-        parts: list[str] = []
-        pending: list[int] = []
-
-        def flush():
-            if pending:
-                parts.append(bytes(pending).decode("utf-8", errors="replace"))
-                pending.clear()
-
-        for i in ids:
-            if BYTE_OFFSET <= i < WORD_OFFSET:
-                pending.append(i - BYTE_OFFSET)
-            elif i >= WORD_OFFSET:
-                flush()
-                parts.append(self.words[i - WORD_OFFSET])
-            elif i == UNK_ID:
-                flush()
-                parts.append("<unk>")
-            # PAD drops silently
-        flush()
-        return " ".join(parts)
-
-
-def build_vocabulary(texts, vocab_size: int) -> Tokenizer:
-    """Deterministic tokenizer over the sorted unique words of a corpus."""
-    words = sorted({w for t in texts for w in t.split()})
-    return Tokenizer(words, vocab_size)

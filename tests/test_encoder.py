@@ -8,7 +8,7 @@ import pytest
 from embedkit import autograd as ag
 from embedkit.autograd import DomainError, Tensor, grad_check
 from embedkit.checkpoint import CheckpointError, load_checkpoint, require_matching_config, save_checkpoint
-from embedkit.encoder import Encoder, EncoderConfig, full_scale_config, pool_states, truncate_normalize
+from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_normalize
 from embedkit.losses import ContrastiveBatch, info_nce, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 
@@ -20,11 +20,6 @@ SMALL = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
 class TestConfig:
     def test_default_validates(self):
         assert TOY.heads % TOY.kv_heads == 0
-
-    def test_full_scale_shape(self):
-        cfg = full_scale_config()
-        assert cfg.heads // cfg.kv_heads == 4
-        assert cfg.mrl_dims[-1] == cfg.hidden_dim
 
     def test_bad_grouping_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -119,8 +114,8 @@ class TestGroupedQueryAttention:
     def test_forward_bitwise_reproducible(self):
         enc = Encoder(SMALL, seed=4)
         ids = np.array([[2, 3, 4, 5]])
-        a = enc.encode(ids[0], bidirectional_mask(4)).data
-        b = enc.encode(ids[0], bidirectional_mask(4)).data
+        a = enc.forward_batch(ids, bidirectional_mask(4)).data
+        b = enc.forward_batch(ids, bidirectional_mask(4)).data
         assert a.tobytes() == b.tobytes()
 
     def test_identity_group_gather_is_bitwise_copy(self):

@@ -16,8 +16,8 @@ from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.masks import causal_mask
 from embedkit.mining import MiningState
 from embedkit.optim import AdamW, AdamWConfig, warmup_lr
-from embedkit.pipeline import (SUPERVISED_TASKS, RunManifest, StageConfig, Trainer, _stage_mask,
-                               embed_texts, evaluate_checkpoint)
+from embedkit.pipeline import (STAGE_KINDS, SUPERVISED_TASKS, RunManifest, StageConfig, Trainer,
+                               _stage_mask, embed_texts, evaluate_checkpoint)
 
 SMALL_ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
                           vocab_size=512, max_len=32, mrl_dims=(8, 16))
@@ -206,17 +206,29 @@ class TestTrainingRuns:
                      "stage3-mining.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_mid_stage_resume_matches_uninterrupted(self, toy_data, tmp_path):
-        full = _manifest(toy_data, tmp_path / "full")
-        final_full = Trainer(full).run()
-        mid = tmp_path / "full" / "stage3-step5.ckpt"
+    # stage 2's step also drives the soft-mask clock
+    @pytest.mark.parametrize("stage,mid_step", [(0, 3), (2, 3), (3, 5)],
+                             ids=["stage0", "stage2", "stage3"])
+    def test_mid_stage_resume_matches_uninterrupted(self, toy_data, tmp_path, stage, mid_step):
+        def manifest(out):
+            m = _manifest(toy_data, out)
+            m.stages[stage].checkpoint_every = mid_step
+            return m
+
+        final_full = Trainer(manifest(tmp_path / "full")).run()
+        mid = tmp_path / "full" / f"stage{stage}-step{mid_step}.ckpt"
         assert mid.exists()
-        resumed = _manifest(toy_data, tmp_path / "resumed")
-        final_res = Trainer(resumed).run(resume_from=str(mid))
+        final_res = Trainer(manifest(tmp_path / "resumed")).run(resume_from=str(mid))
         assert Path(final_full).read_bytes() == Path(final_res).read_bytes()
-        full_lines = (tmp_path / "full" / "stage3-supervised.metrics.jsonl").read_text().splitlines()
-        res_lines = (tmp_path / "resumed" / "stage3-supervised.metrics.jsonl").read_text().splitlines()
-        assert full_lines[5:] == res_lines
+        name = f"stage{stage}-{STAGE_KINDS[stage]}.metrics.jsonl"
+        full_lines = (tmp_path / "full" / name).read_text().splitlines()
+        res_lines = (tmp_path / "resumed" / name).read_text().splitlines()
+        assert full_lines[mid_step:] == res_lines
+        later = [f"stage{i}-{STAGE_KINDS[i]}.metrics.jsonl" for i in range(stage + 1, 4)]
+        if stage < 3:
+            later.append("stage3-mining.jsonl")
+        for name in later:
+            assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
     def test_crash_then_resume_in_place_matches_uninterrupted(self, toy_data, tmp_path):
         final_full = Trainer(_manifest(toy_data, tmp_path / "full")).run()
@@ -274,9 +286,9 @@ class TestTrainingRuns:
         m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
 
         class Poisoned(Trainer):
-            def _lm_step(self, cfg, encoder, data, rng):
+            def _lm_step(self, cfg, encoder, data, rng, step, mining, mining_fh):
                 encoder.params["embed"].data[0, 0] = np.inf
-                return super()._lm_step(cfg, encoder, data, rng)
+                return super()._lm_step(cfg, encoder, data, rng, step, mining, mining_fh)
 
         with pytest.raises(ArithmeticError, match="stage 0 step 0"):
             Poisoned(m).run()
@@ -329,6 +341,11 @@ class TestCli:
         recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
         rows = [r for r in recs if r["record"] == "mask_row"]
         assert len(rows) == 8 and len(rows[0]["values"]) == 4
+
+    def test_grad_check_passes(self, capsys):
+        assert cli_main(["grad-check", "--cases", "2"]) == 0
+        recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert len(recs) == 8 and all(r["ok"] is True for r in recs)
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
