@@ -284,6 +284,19 @@ def softmax_lastdim(a) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
+def logsumexp_lastdim(a) -> Tensor:
+    """``log(sum(exp(a - m))) + m`` over the last axis, m the row max; one node."""
+    a = as_tensor(a)
+    m = np.max(a.data, axis=-1, keepdims=True)
+    e = np.exp(a.data - m)
+    s = e.sum(axis=-1)
+
+    def backward_fn(g):
+        _accumulate(a, np.expand_dims(g / s, -1) * e)
+
+    return _make(np.log(s) + m[..., 0], (a,), backward_fn)
+
+
 def attention(q, k, v, weights, scale: float) -> Tensor:
     """Masked grouped-query attention as one node: ``P @ v``, row i of P = norm(w_i * exp(scale * q_i . k)).
 
@@ -434,9 +447,10 @@ def gather_lastdim(a, indices) -> Tensor:
     out_data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
 
     def backward_fn(g):
+        # one pick per leading position, so the positions are distinct
         buf = np.zeros(a.shape, dtype=np.float64)
-        grids = np.meshgrid(*[np.arange(s) for s in idx.shape], indexing="ij")
-        np.add.at(buf, (*grids, idx), g)
+        flat = buf.reshape(-1, a.shape[-1])
+        flat[np.arange(flat.shape[0]), idx.reshape(-1)] += np.reshape(g, -1)
         _accumulate(a, buf)
 
     return _make(out_data, (a,), backward_fn)

@@ -24,24 +24,45 @@ class RetrievalRun:
                     raise ValueError(f"ranking for query {qid!r} violates (score desc, id asc) order")
 
 
+_SEARCH_BLOCK = 256     # query rows ranked at once; bounds memory beyond the score matrix
+
+
 def exact_search(query_vecs: np.ndarray, query_ids: Sequence[str],
                  corpus_vecs: np.ndarray, corpus_ids: Sequence[str], k: int) -> RetrievalRun:
-    """Top-k by cosine over the whole corpus; ties break by ascending doc id."""
+    """Top-k by cosine over the whole corpus; ties break by ascending doc id, then corpus order."""
     q = np.asarray(query_vecs, dtype=np.float64)
     c = np.asarray(corpus_vecs, dtype=np.float64)
     for name, v in (("query", q), ("corpus", c)):
         norms = np.linalg.norm(v, axis=-1)
-        if np.abs(norms - 1.0).max() > 1e-6:
+        if not (np.abs(norms - 1.0) <= 1e-6).all():
             raise ValueError(f"{name} embeddings must be L2-normalized")
-    k = min(k, c.shape[0])
+    n = c.shape[0]
+    if n == 0:
+        raise ValueError("corpus is empty")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    k = min(k, n)
     scores = q @ c.T
-    order_ids = np.array(corpus_ids)
+    ids = np.array(corpus_ids)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[np.argsort(ids, kind="stable")] = np.arange(n)
+    query_ids = list(query_ids)
     rankings = {}
-    for qi, qid in enumerate(query_ids):
-        row = scores[qi]
+    for start in range(0, scores.shape[0], _SEARCH_BLOCK):
+        block = scores[start:start + _SEARCH_BLOCK]
+        # every score >= the k-th largest of its row: the top k plus ties at the cut
+        kth = np.partition(block, n - k, axis=1)[:, n - k, None]
+        rows, cols = np.nonzero(block >= kth)
+        vals = block[rows, cols]
         # lexsort keys: last key is primary
-        order = np.lexsort((order_ids, -row))[:k]
-        rankings[qid] = [(str(order_ids[j]), float(row[j])) for j in order]
+        order = np.lexsort((id_rank[cols], -vals, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.searchsorted(rows, rows)             # each row's first position
+        keep = np.arange(rows.size) - first < k
+        top_ids = ids[cols[keep]].reshape(-1, k).tolist()
+        top_vals = vals[keep].reshape(-1, k).tolist()
+        for qid, row_ids, row_vals in zip(query_ids[start:start + _SEARCH_BLOCK], top_ids, top_vals):
+            rankings[qid] = list(zip(row_ids, row_vals))
     return RetrievalRun(rankings=rankings)
 
 

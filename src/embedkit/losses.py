@@ -29,7 +29,7 @@ def _as_tracked(x) -> Tensor:
 
 def _check_normalized(name: str, data: np.ndarray, atol: float = 1e-6):
     norms = np.sqrt((data * data).sum(axis=-1))
-    if np.abs(norms - 1.0).max() > atol:
+    if not (np.abs(norms - 1.0) <= atol).all():
         raise ValueError(f"{name} embeddings must be L2-normalized (worst norm {norms.flat[np.abs(norms - 1.0).argmax()]})")
 
 
@@ -64,16 +64,10 @@ class ContrastiveBatch:
             _check_normalized("negative", self.negatives.data)
 
 
-def _logsumexp_lastdim(logits: Tensor) -> Tensor:
-    m = np.max(logits.data, axis=-1, keepdims=True)
-    shifted = ag.exp(ag.add_const(logits, -m))
-    return ag.add_const(ag.log(ag.sum_lastdim(shifted)), m[..., 0])
-
-
 def nce_from_scores(pos_scores: Tensor, candidate_scores: Tensor, temperature: float = 1.0) -> Tensor:
     """Sum over queries of (logsumexp(candidates/T) - positive/T)."""
     inv_t = 1.0 / temperature
-    lse = _logsumexp_lastdim(ag.scale(candidate_scores, inv_t))
+    lse = ag.logsumexp_lastdim(ag.scale(candidate_scores, inv_t))
     return ag.tensor_sum(ag.sub(lse, ag.scale(pos_scores, inv_t)))
 
 
@@ -140,6 +134,6 @@ def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(f"targets shape {targets.shape} does not match positions {logits.shape[0]}")
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ValueError(f"target id out of range for vocab {logits.shape[1]}")
-    lse = _logsumexp_lastdim(logits)
+    lse = ag.logsumexp_lastdim(logits)
     picked = ag.gather_lastdim(logits, targets)
     return ag.tensor_mean(ag.sub(lse, picked))

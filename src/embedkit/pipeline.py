@@ -25,7 +25,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .checkpoint import CheckpointError, load_checkpoint, require_matching_config, save_checkpoint
+from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
+                         save_checkpoint)
 from .data import Pair, Triplet, read_dataset, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import exact_search, ndcg_at_10, recall_at_k, spearman
@@ -281,7 +282,7 @@ class Trainer:
     # -- main loop -------------------------------------------------------
 
     def _adopt_checkpoint(self, path, resume: bool) -> tuple[Encoder, dict[str, np.ndarray], dict]:
-        config, arrays, extra = load_checkpoint(path)
+        config, arrays, extra = (load_checkpoint if resume else load_weights)(path)
         require_matching_config(self.manifest.encoder.to_dict(), config, str(path))
         # a resume replays this manifest's step rngs, so only the run that wrote
         # the checkpoint can continue it; adopting weights (init_from) is free
@@ -355,9 +356,9 @@ class Trainer:
             "opt_step_count": optimizer.step_count,
             "vocab": self.tokenizer.words,
             "manifest_seed": self.manifest.seed,
-            "mining": mining.to_dict() if mining is not None else None,
         }
-        save_checkpoint(path, self.manifest.encoder.to_dict(), arrays, extra)
+        state = {"mining": mining.to_dict() if mining is not None else None}
+        save_checkpoint(path, self.manifest.encoder.to_dict(), arrays, extra, state)
 
     def _run_stage(self, idx: int, cfg: StageConfig, encoder: Encoder,
                    optimizer: AdamW, start_step: int,
@@ -550,10 +551,9 @@ def default_toy_manifest(data: dict, output_dir: str, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def load_encoder(ckpt_path) -> tuple[Encoder, Tokenizer, dict]:
-    config, arrays, extra = load_checkpoint(ckpt_path)
+    config, arrays, extra = load_weights(ckpt_path)
     cfg = EncoderConfig.from_dict(config)
-    encoder = Encoder(cfg, params={k.removeprefix("model."): v
-                                   for k, v in arrays.items() if k.startswith("model.")})
+    encoder = Encoder(cfg, params={k.removeprefix("model."): v for k, v in arrays.items()})
     tokenizer = Tokenizer(extra["vocab"], cfg.vocab_size)
     return encoder, tokenizer, extra
 

@@ -223,6 +223,54 @@ def test_rmsnorm_bitwise_equal_to_composed_chain():
         ag.rmsnorm(Tensor(np.zeros((2, 8))), gain)
 
 
+def _composed_logsumexp(x):
+    """The five-node chain ``logsumexp_lastdim`` replaces, kept as its reference."""
+    m = np.max(x.data, axis=-1, keepdims=True)
+    shifted = ag.exp(ag.add_const(x, -m))
+    return ag.add_const(ag.log(ag.sum_lastdim(shifted)), m[..., 0])
+
+
+def _composed_gather_backward(shape, idx, g):
+    """The meshgrid + ``np.add.at`` scatter ``gather_lastdim``'s backward replaced."""
+    buf = np.zeros(shape)
+    grids = np.meshgrid(*[np.arange(s) for s in idx.shape], indexing="ij")
+    np.add.at(buf, (*grids, idx), g)
+    return buf
+
+
+def test_logsumexp_matches_finite_differences():
+    rng = np.random.default_rng(24)
+    x = 3.0 * rng.normal(size=(2, 4, 7))
+    r = rng.normal(size=(2, 4))
+    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.logsumexp_lastdim(t), r)), x) < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(512, 512), (3, 5, 9), (6,)])
+def test_cross_entropy_bitwise_equal_to_composed_chain(shape):
+    # next_token_ce's graph: logsumexp minus the picked logit, so the logits
+    # gather two gradients; loss and gradient must not move in the last bit
+    rng = np.random.default_rng(25)
+    x = 4.0 * rng.normal(size=shape)
+    idx = rng.integers(0, shape[-1], size=shape[:-1])
+    out = {}
+    for name, lse in (("fused", ag.logsumexp_lastdim), ("chain", _composed_logsumexp)):
+        t = Tensor(x, requires_grad=True)
+        loss = ag.tensor_mean(ag.sub(lse(t), ag.gather_lastdim(t, idx)))
+        ag.backward(loss)
+        out[name] = (loss.data.tobytes(), t.grad.tobytes())
+    assert out["fused"] == out["chain"]
+
+
+def test_gather_backward_equal_to_scatter_add():
+    rng = np.random.default_rng(26)
+    for shape in [(7, 11), (2, 3, 5), (4,)]:
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        idx = rng.integers(0, shape[-1], size=shape[:-1])
+        g = rng.normal(size=shape[:-1])
+        ag.backward(ag.tensor_sum(ag.mul(ag.gather_lastdim(x, idx), g)))
+        assert x.grad.tobytes() == _composed_gather_backward(shape, idx, g).tobytes()
+
+
 def test_matmul_batched_input_against_shared_weight():
     # a (B, L, D) input against a (D, F) weight: the weight gradient is one flat GEMM
     rng = np.random.default_rng(23)

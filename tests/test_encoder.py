@@ -2,12 +2,17 @@
 against a plain multi-head oracle, pooling, nested-dim truncation, and
 full-model gradients."""
 
+import json
+import re
+import struct
+
 import numpy as np
 import pytest
 
 from embedkit import autograd as ag
 from embedkit.autograd import DomainError, Tensor, grad_check
-from embedkit.checkpoint import CheckpointError, load_checkpoint, require_matching_config, save_checkpoint
+from embedkit.checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
+                                 save_checkpoint)
 from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_normalize
 from embedkit.losses import ContrastiveBatch, info_nce, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
@@ -248,12 +253,13 @@ def _tape_nodes(loss) -> int:
 class TestTape:
     def test_lm_step_tape_nodes(self):
         # one lm step of the default two-layer encoder, built as Trainer._lm_step
-        # does; the unfused attention and norm chains recorded 86 nodes
+        # does; the unfused attention and norm chains recorded 86 nodes, and
+        # the 5-node logsumexp chain 56
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(0).integers(2, TOY.vocab_size, size=(4, 12))
         states = enc.forward_batch(ids[:, :-1], causal_mask(11))
         logits = ag.reshape(enc.lm_logits(states), (4 * 11, TOY.vocab_size))
-        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 56
+        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 52
 
     def test_padded_weights_match_row_loop(self):
         mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)
@@ -339,3 +345,83 @@ class TestCheckpointRoundtrip:
         bad.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(bad)
+
+
+def _save_v1(path, config, arrays, extra):
+    """The version-1 writer: everything but the buffers in the header, no state section."""
+    entries = [{"name": k, "shape": list(np.asarray(arrays[k]).shape)} for k in sorted(arrays)]
+    header = json.dumps({"config": config, "extra": extra, "arrays": entries},
+                        sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"EMKP" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header)
+        for e in entries:
+            fh.write(np.ascontiguousarray(arrays[e["name"]], dtype="<f8").tobytes())
+
+
+def _training_checkpoint(path):
+    """A checkpoint shaped like the trainer's: weights, optimizer moments, resume state."""
+    arrays = {f"model.{k}": v for k, v in Encoder(SMALL, seed=3).export_arrays().items()}
+    arrays.update({f"opt.m.{k}": v + 1.0 for k, v in arrays.items()})
+    extra = {"stage_index": 3, "stage_step": 5, "vocab": ["a", "b"], "manifest_seed": 7}
+    state = {"mining": {"version": 1, "slots": [[0.5, "q0", "n1"]] * 50}}
+    save_checkpoint(path, SMALL.to_dict(), arrays, extra, state)
+    return arrays, extra, state
+
+
+class TestCheckpointLayout:
+    def test_full_read_merges_state_into_extra(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        arrays, extra, state = _training_checkpoint(path)
+        config, restored, got = load_checkpoint(path)
+        assert config == SMALL.to_dict() and got == {**extra, **state}
+        assert {k: v.tobytes() for k, v in restored.items()} == \
+            {k: v.tobytes() for k, v in arrays.items()}
+
+    def test_weights_read_skips_moments_and_state(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        _, extra, _ = _training_checkpoint(path)
+        config, weights, got = load_weights(path)
+        _, full, _ = load_checkpoint(path)
+        assert config == SMALL.to_dict() and got == extra
+        assert sorted(weights) == sorted(k for k in full if k.startswith("model."))
+        assert all(weights[k].tobytes() == full[k].tobytes() for k in weights)
+
+    def test_state_section_is_after_the_buffers(self, tmp_path):
+        # corrupt only the state bytes: weights still load, a resume is refused
+        path = tmp_path / "run.ckpt"
+        _, _, state = _training_checkpoint(path)
+        raw = bytearray(path.read_bytes())
+        n = len(json.dumps(state, sort_keys=True, separators=(",", ":")))
+        raw[-n:] = b"\xff" * n
+        path.write_bytes(bytes(raw))
+        _, weights, _ = load_weights(path)
+        assert weights
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*training-state"):
+            load_checkpoint(path)
+
+    def test_version1_file_loads_through_both_readers(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        arrays = {f"model.{k}": v for k, v in Encoder(SMALL, seed=4).export_arrays().items()}
+        arrays["opt.m.x"] = np.arange(3.0)
+        extra = {"vocab": ["a"], "stage_index": 1, "mining": {"version": 1, "slots": []}}
+        _save_v1(path, SMALL.to_dict(), arrays, extra)
+        config, restored, got = load_checkpoint(path)
+        assert config == SMALL.to_dict() and got == extra
+        assert {k: v.tobytes() for k, v in restored.items()} == \
+            {k: v.tobytes() for k, v in arrays.items()}
+        _, weights, got = load_weights(path)
+        assert got == extra and sorted(weights) == sorted(k for k in arrays if k != "opt.m.x")
+
+    @pytest.mark.parametrize("where", ["prefix", "header", "weights", "moments", "state", "trailing"])
+    @pytest.mark.parametrize("reader", [load_checkpoint, load_weights])
+    def test_torn_file_refused_naming_path(self, tmp_path, where, reader):
+        path = tmp_path / "torn.ckpt"
+        arrays, _, _ = _training_checkpoint(path)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        weights = sum(v.size for k, v in arrays.items() if k.startswith("model.")) * 8
+        cut = {"prefix": 10, "header": 16 + hlen // 2, "weights": 16 + hlen + weights // 2,
+               "moments": 16 + hlen + weights + 8, "state": len(raw) - 5}.get(where)
+        path.write_bytes(raw[:cut] if cut else raw + b"\x00")
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            reader(path)

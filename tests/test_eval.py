@@ -109,6 +109,57 @@ class TestExactSearch:
         with pytest.raises(ValueError, match="normalized"):
             exact_search(np.array([[2.0, 0.0]]), ["q"], np.eye(2), ["a", "b"], k=1)
 
+    @pytest.mark.parametrize("side", ["query", "corpus"])
+    def test_nan_embeddings_rejected(self, side):
+        nan = np.array([[np.nan, 0.0]])
+        q, c = (nan, np.eye(2)) if side == "query" else (np.eye(2)[:1], np.vstack([nan, [[0.0, 1.0]]]))
+        with pytest.raises(ValueError, match=f"{side} embeddings must be L2-normalized"):
+            exact_search(q, ["q"], c, ["a", "b"], k=1)
+
+    def test_empty_corpus_and_nonpositive_k_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            exact_search(np.eye(2)[:1], ["q"], np.zeros((0, 2)), [], k=1)
+        with pytest.raises(ValueError, match="k must be positive"):
+            exact_search(np.eye(2)[:1], ["q"], np.eye(2), ["a", "b"], k=0)
+
+
+def _per_query_lexsort(qv, qids, cv, cids, k):
+    """The one-lexsort-per-query ranking that the blocked top-k pass replaced."""
+    scores = qv @ cv.T
+    order_ids = np.array(cids)
+    k = min(k, cv.shape[0])
+    rankings = {}
+    for qi, qid in enumerate(qids):
+        order = np.lexsort((order_ids, -scores[qi]))[:k]
+        rankings[qid] = [(str(order_ids[j]), float(scores[qi, j])) for j in order]
+    return rankings
+
+
+def _quantized_unit(rng, n, d, levels):
+    """Unit rows from a few coordinate levels, so that many scores tie exactly."""
+    v = rng.integers(-levels, levels + 1, size=(n, d)).astype(float)
+    v[np.all(v == 0, axis=1), 0] = 1.0
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("nq, nc, d, levels, k, dup_ids", [
+    (300, 40, 3, 1, 5, False),       # query count not a multiple of the block; dense ties
+    (513, 64, 4, 1, 20, True),       # duplicate corpus ids: ties fall back to corpus order
+    (7, 9, 2, 1, 9, False),          # k == N
+    (5, 6, 3, 2, 50, True),          # k > N
+    (1, 30, 4, 2, 10, False),        # a single query
+    (40, 1, 3, 1, 10, False),        # a single document
+    (257, 200, 8, 3, 20, False),     # few ties
+])
+def test_exact_search_equals_per_query_lexsort(nq, nc, d, levels, k, dup_ids):
+    rng = np.random.default_rng(nq * 1000 + nc)
+    qv, cv = _quantized_unit(rng, nq, d, levels), _quantized_unit(rng, nc, d, levels)
+    qids = [f"q{i}" for i in range(nq)]
+    cids = [f"d{rng.integers(0, max(1, nc // 3))}" if dup_ids else f"d{i}" for i in range(nc)]
+    run = exact_search(qv, qids, cv, cids, k)
+    # == on ids and float scores: the same ranking, bit for bit
+    assert run.rankings == _per_query_lexsort(qv, qids, cv, cids, k)
+
 
 # ---------------------------------------------------------------------------
 # quadratic-time oracles

@@ -75,6 +75,13 @@ class TestInfoNceValues:
         with pytest.raises(ValueError, match="normalized"):
             ContrastiveBatch(Tensor([[2.0, 0.0]]), Tensor([[1.0, 0.0]]))
 
+    def test_nan_embeddings_rejected(self):
+        with pytest.raises(ValueError, match="query embeddings must be L2-normalized"):
+            ContrastiveBatch(Tensor([[np.nan, 0.0]]), Tensor([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="negative embeddings must be L2-normalized"):
+            ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]),
+                             Tensor([[[0.0, 1.0], [np.nan, np.nan]]]))
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             ContrastiveBatch(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from embedkit.autograd import Tensor
+from embedkit.checkpoint import save_checkpoint
 from embedkit.cli import main as cli_main
 from embedkit.data import (MockTranslator, LanguageDistribution, Triplet, build_classification,
                            build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
@@ -354,6 +355,17 @@ class TestCli:
 
     def test_missing_manifest_exits_4(self):
         assert cli_main(["train", "--manifest", "/no/such/file.yaml"]) == 4
+
+    @pytest.mark.parametrize("cut", [12, 200, -5])
+    def test_eval_torn_checkpoint_exits_3_naming_file(self, toy_data, tmp_path, capsys, cut):
+        # cut inside the fixed prefix, the header, or the training state
+        path = tmp_path / "torn.ckpt"
+        arrays = {f"model.{k}": v for k, v in Encoder(SMALL_ENC, seed=1).export_arrays().items()}
+        save_checkpoint(path, SMALL_ENC.to_dict(), arrays, {"vocab": ["a"]}, {"mining": None})
+        path.write_bytes(path.read_bytes()[:cut])
+        assert cli_main(["eval", "--checkpoint", str(path),
+                         "--data", str(toy_data / "retrieval.jsonl")]) == 3
+        assert str(path) in capsys.readouterr().err
 
     def test_unreadable_config_exits_3(self, tmp_path):
         bad = tmp_path / "bad.yaml"
