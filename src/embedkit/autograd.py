@@ -3,7 +3,11 @@
 A Tensor wraps a numpy array plus, when gradients are tracked, the
 closure that pushes its output gradient back to its parents.  The graph
 is implicit (each result remembers its inputs) and is rebuilt on every
-forward pass; ``backward`` may be called once per scalar result.
+forward pass.  ``backward`` may be called once per graph: as it runs, it
+frees the graph's saved state, dropping each node's closure (and the
+arrays it saved) and each intermediate gradient once the node has passed
+its gradient on.  Only the leaves' ``.grad`` and the nodes' ``_parents``
+(the graph's shape) remain.
 
 Broadcasting between two tracked operands is deliberately restricted to
 two explicit patterns so shape bugs fail loudly:
@@ -22,6 +26,7 @@ untracked Tensor with the same data, so inference keeps no tape alive.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -38,7 +43,8 @@ class DomainError(ValueError):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -260,6 +266,19 @@ def log(a) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
+def log1p(a) -> Tensor:
+    """``log(1 + a)``, accurate where ``1 + a`` would round to 1; the gradient is ``g / (a + 1)``."""
+    a = as_tensor(a)
+    if np.any(a.data <= -1.0):
+        raise DomainError("log1p of input <= -1")
+    out_data = np.log1p(a.data)
+
+    def backward_fn(g):
+        _accumulate(a, g / (a.data + 1.0))
+
+    return _make(out_data, (a,), backward_fn)
+
+
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.maximum(a.data, 0.0)
@@ -428,30 +447,49 @@ def index_select(a, axis: int, indices) -> Tensor:
     out_data = np.take(a.data, idx, axis=axis)
 
     def backward_fn(g):
-        buf = np.zeros(a.shape, dtype=np.float64)
-        moved = np.moveaxis(buf, axis, 0)
-        np.add.at(moved, idx, np.moveaxis(g, axis, 0))
-        _accumulate(a, buf)
+        # one bincount over flat (index, position) bins: duplicates sum in the
+        # order they occur, from 0.0, as np.add.at onto zeros would sum them
+        ax = axis % a.ndim
+        rest = a.shape[:ax] + a.shape[ax + 1:]
+        width = math.prod(rest)
+        rows = np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim))  # idx.shape + rest
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        summed = np.bincount(flat, weights=rows.reshape(-1), minlength=dim * width)
+        _accumulate(a, np.moveaxis(summed.reshape((dim,) + rest), 0, ax))
 
     return _make(out_data, (a,), backward_fn)
 
 
-def gather_lastdim(a, indices) -> Tensor:
-    """out[..., ] = a[..., indices[...]] — one element picked per leading position."""
+def cross_entropy_lastdim(a, targets) -> Tensor:
+    """Mean over leading positions of ``logsumexp(a[..., :]) - a[..., target]``; one node.
+
+    The ops and their order are those of the chain ``logsumexp_lastdim``,
+    pick, ``sub``, ``tensor_mean``, so loss and gradient match it bit for bit.
+    One (N, V) buffer holds ``exp(a - max)`` and then, in place, the gradient.
+    """
     a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = np.asarray(targets, dtype=np.intp)
     if idx.shape != a.shape[:-1]:
-        raise ShapeMismatchError(f"gather index shape {idx.shape} must equal {a.shape[:-1]}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[-1]):
-        raise IndexError(f"gather index out of range for extent {a.shape[-1]}")
-    out_data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+        raise ShapeMismatchError(f"target shape {idx.shape} must equal {a.shape[:-1]}")
+    vocab = a.shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
+        raise IndexError(f"target out of range for extent {vocab}")
+    x = a.data.reshape(-1, vocab)
+    rows, cols = np.arange(x.shape[0]), idx.reshape(-1)
+    m = np.max(x, axis=-1, keepdims=True)
+    e = x - m
+    np.exp(e, out=e)
+    s = e.sum(axis=-1)
+    lse = np.log(s) + m[:, 0]
+    n = idx.size
+    out_data = np.asarray((lse - x[rows, cols]).reshape(idx.shape).mean())
 
     def backward_fn(g):
-        # one pick per leading position, so the positions are distinct
-        buf = np.zeros(a.shape, dtype=np.float64)
-        flat = buf.reshape(-1, a.shape[-1])
-        flat[np.arange(flat.shape[0]), idx.reshape(-1)] += np.reshape(g, -1)
-        _accumulate(a, buf)
+        gn = g / n
+        grad = e  # the forward buffer, overwritten: backward runs once per graph
+        grad *= np.expand_dims(gn / s, -1)
+        grad[rows, cols] -= gn
+        _accumulate(a, grad.reshape(a.shape))
 
     return _make(out_data, (a,), backward_fn)
 
@@ -522,7 +560,11 @@ def add_const(a, c) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate gradients of every tracked leaf reachable from a scalar loss."""
+    """Populate gradients of every tracked leaf reachable from a scalar loss.
+
+    The graph is freed on the way: each node's closure and gradient are
+    dropped once its gradient has been passed to its parents.
+    """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.shape != ():
@@ -544,6 +586,8 @@ def backward(loss: Tensor):
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._parents and node._backward is None:
+            raise RuntimeError("graph already freed by an earlier backward; rebuild the graph first")
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
@@ -553,6 +597,10 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            # passed on: free the closure's saved arrays and the intermediate gradient
+            node._backward = None
+            node.grad = None
 
 
 def grad_check(f, x, h: float = 1e-6, max_coords: int | None = None, seed: int = 0) -> float:

@@ -15,7 +15,7 @@ import json
 import logging
 import re
 import subprocess
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union
 
@@ -78,12 +78,14 @@ class ScoredPair:
 TrainingExample = Union[Pair, Triplet, ScoredPair]
 
 _KINDS = {"pair": Pair, "triplet": Triplet, "scored_pair": ScoredPair}
+_FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _KINDS.items()}
 
 
 def example_to_record(e: TrainingExample) -> dict:
     for kind, cls in _KINDS.items():
         if isinstance(e, cls):
-            return {"record": "example", "kind": kind, **asdict(e)}
+            # shallow, unlike dataclasses.asdict's recursive deep copy: records are only serialized
+            return {"record": "example", "kind": kind, **{f: getattr(e, f) for f in _FIELDS[kind]}}
     raise TypeError(f"not a training example: {type(e)}")
 
 

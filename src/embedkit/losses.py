@@ -9,7 +9,8 @@ negatives.
 CoSENT sums exp((cos_low - cos_high) / tau) over every pair of examples
 whose ground-truth similarity labels are strictly ordered, inside
 log(1 + .); ties contribute nothing, so a batch with all-equal labels
-scores exactly 0.
+scores exactly 0.  The log is ``log1p``: a batch whose ordered pairs are all
+far apart still scores above 0, where ``log(1 + total)`` would round to 0.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def cosent(batch: StsBatch) -> Tensor:
         return Tensor(0.0)
     diffs = ag.sub(ag.index_select(batch.cosines, 0, lo), ag.index_select(batch.cosines, 0, hi))
     total = ag.tensor_sum(ag.exp(ag.scale(diffs, 1.0 / batch.tau)))
-    return ag.log(ag.add_const(total, 1.0))
+    return ag.log1p(total)
 
 
 def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -134,6 +135,4 @@ def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ValueError(f"targets shape {targets.shape} does not match positions {logits.shape[0]}")
     if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
         raise ValueError(f"target id out of range for vocab {logits.shape[1]}")
-    lse = ag.logsumexp_lastdim(logits)
-    picked = ag.gather_lastdim(logits, targets)
-    return ag.tensor_mean(ag.sub(lse, picked))
+    return ag.cross_entropy_lastdim(logits, targets)

@@ -386,6 +386,7 @@ class Trainer:
                 if not np.isfinite(value):
                     raise ArithmeticError(f"non-finite loss at stage {idx} step {step}")
                 ag.backward(loss)
+                del loss  # free this step's graph before the next step's forward pass
                 lr = warmup_lr(cfg.lr, step, cfg.steps, cfg.warmup_frac)
                 optimizer.step(lr=lr)
                 optimizer.zero_grads()

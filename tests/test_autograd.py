@@ -78,6 +78,7 @@ def _unary_cases():
     return {
         "exp": lambda t: ag.tensor_sum(ag.exp(t)),
         "log": lambda t: ag.tensor_sum(ag.log(ag.exp(t))),
+        "log1p": lambda t: ag.tensor_sum(ag.log1p(ag.exp(t))),
         "relu": lambda t: ag.tensor_sum(ag.mul(ag.relu(t), t)),
         "softmax": lambda t: ag.tensor_sum(ag.mul(ag.softmax_lastdim(t), t)),
         "l2_normalize": lambda t: ag.tensor_sum(ag.mul(ag.l2_normalize(t), t)),
@@ -110,7 +111,7 @@ def test_kernels_match_finite_differences(seed):
         err = grad_check(f2, x, h=1e-6)
         assert err < 1e-4, f"{name} gradient off by {err} at seed {seed}"
     idx = rng.integers(0, 3, size=4)
-    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.gather_lastdim(t, idx), idx + 1.0)),
+    assert grad_check(lambda t: ag.scale(ag.cross_entropy_lastdim(t, idx), 3.0),
                       x, h=1e-6) < 1e-4
     sel = rng.integers(0, 4, size=6)
     assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.index_select(t, 0, sel),
@@ -230,8 +231,22 @@ def _composed_logsumexp(x):
     return ag.add_const(ag.log(ag.sum_lastdim(shifted)), m[..., 0])
 
 
+def _gather_lastdim(a, indices):
+    """The pick node of the chain ``cross_entropy_lastdim`` replaced, kept as its reference."""
+    idx = np.asarray(indices, dtype=np.intp)
+    out_data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+
+    def backward_fn(g):
+        buf = np.zeros(a.shape, dtype=np.float64)
+        flat = buf.reshape(-1, a.shape[-1])
+        flat[np.arange(flat.shape[0]), idx.reshape(-1)] += np.reshape(g, -1)
+        ag._accumulate(a, buf)
+
+    return ag._make(out_data, (a,), backward_fn)
+
+
 def _composed_gather_backward(shape, idx, g):
-    """The meshgrid + ``np.add.at`` scatter ``gather_lastdim``'s backward replaced."""
+    """The meshgrid + ``np.add.at`` scatter of the pick's gradient."""
     buf = np.zeros(shape)
     grids = np.meshgrid(*[np.arange(s) for s in idx.shape], indexing="ij")
     np.add.at(buf, (*grids, idx), g)
@@ -245,30 +260,118 @@ def test_logsumexp_matches_finite_differences():
     assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.logsumexp_lastdim(t), r)), x) < 1e-8
 
 
-@pytest.mark.parametrize("shape", [(512, 512), (3, 5, 9), (6,)])
+@pytest.mark.parametrize("shape", [(512, 512), (3, 5, 9), (6,), (44, 512), (3, 5)])
 def test_cross_entropy_bitwise_equal_to_composed_chain(shape):
     # next_token_ce's graph: logsumexp minus the picked logit, so the logits
     # gather two gradients; loss and gradient must not move in the last bit
     rng = np.random.default_rng(25)
     x = 4.0 * rng.normal(size=shape)
     idx = rng.integers(0, shape[-1], size=shape[:-1])
-    out = {}
-    for name, lse in (("fused", ag.logsumexp_lastdim), ("chain", _composed_logsumexp)):
-        t = Tensor(x, requires_grad=True)
-        loss = ag.tensor_mean(ag.sub(lse(t), ag.gather_lastdim(t, idx)))
-        ag.backward(loss)
-        out[name] = (loss.data.tobytes(), t.grad.tobytes())
-    assert out["fused"] == out["chain"]
+    for lse in (ag.logsumexp_lastdim, _composed_logsumexp):
+        out = {}
+        for name, f in (("fused", ag.cross_entropy_lastdim),
+                        ("chain", lambda t, i: ag.tensor_mean(ag.sub(lse(t), _gather_lastdim(t, i))))):
+            t = Tensor(x, requires_grad=True)
+            loss = f(t, idx)
+            ag.backward(loss)
+            out[name] = (loss.data.tobytes(), t.grad.tobytes())
+        assert out["fused"] == out["chain"]
 
 
-def test_gather_backward_equal_to_scatter_add():
+def test_cross_entropy_matches_finite_differences():
+    rng = np.random.default_rng(27)
+    for shape in [(6, 9), (2, 3, 5), (4,)]:
+        x = 3.0 * rng.normal(size=shape)
+        idx = rng.integers(0, shape[-1], size=shape[:-1])
+        assert grad_check(lambda t: ag.cross_entropy_lastdim(t, idx), x) < 1e-8
+
+
+def test_cross_entropy_backward_equal_to_softmax_minus_scatter():
+    # the gradient is the logsumexp gradient plus the pick's scatter of -1/n
     rng = np.random.default_rng(26)
     for shape in [(7, 11), (2, 3, 5), (4,)]:
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         idx = rng.integers(0, shape[-1], size=shape[:-1])
-        g = rng.normal(size=shape[:-1])
-        ag.backward(ag.tensor_sum(ag.mul(ag.gather_lastdim(x, idx), g)))
-        assert x.grad.tobytes() == _composed_gather_backward(shape, idx, g).tobytes()
+        n = idx.size
+        ag.backward(ag.cross_entropy_lastdim(x, idx))
+        lse = Tensor(x.data, requires_grad=True)
+        ag.backward(ag.tensor_mean(ag.logsumexp_lastdim(lse)))
+        scatter = _composed_gather_backward(shape, idx, np.full(idx.shape, -(1.0 / n)))
+        assert x.grad.tobytes() == (lse.grad + scatter).tobytes()
+
+
+def test_cross_entropy_rejects_bad_targets():
+    x = Tensor(np.zeros((3, 4)), requires_grad=True)
+    with pytest.raises(ShapeMismatchError, match=r"\(2,\).*\(3,\)"):
+        ag.cross_entropy_lastdim(x, np.zeros(2, dtype=int))
+    with pytest.raises(IndexError, match="extent 4"):
+        ag.cross_entropy_lastdim(x, np.array([0, 4, 1]))
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_index_select_backward_equal_to_add_at(axis):
+    # duplicates, -0.0 and a 2-d index; the bincount sums as np.add.at onto zeros does
+    rng = np.random.default_rng(28)
+    for shape, idx_shape in [((256, 64), (300,)), ((5, 7, 3), (4, 6)), ((6,), (9,))]:
+        dim = shape[axis]
+        idx = rng.integers(0, dim, size=idx_shape)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        out = ag.index_select(x, axis, idx)
+        g = rng.normal(size=out.shape)
+        g.reshape(-1)[::5] = -0.0
+        backward(ag.tensor_sum(ag.mul(out, g)))
+        buf = np.zeros(shape)
+        ax = axis % len(shape)
+        np.add.at(np.moveaxis(buf, ax, 0), idx,
+                  np.moveaxis(g, tuple(range(ax, ax + idx.ndim)), tuple(range(idx.ndim))))
+        assert x.grad.tobytes() == buf.tobytes()
+
+
+def _reference_backward(loss):
+    """``backward`` as it was before it freed the graph: same order, nothing dropped."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
+    loss.grad = np.asarray(1.0)
+    for node in reversed(topo):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_backward_frees_graph_and_keeps_leaf_grads():
+    def graph(seed):
+        rng = np.random.default_rng(seed)
+        w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        h = ag.softmax_lastdim(ag.matmul(x, w))
+        loss = ag.add(ag.cross_entropy_lastdim(h, np.array([0, 3, 1])), ag.tensor_sum(ag.mul(h, h)))
+        return loss, (w, x)
+
+    loss, leaves = graph(29)
+    nodes, stack = [], [loss]
+    while stack:
+        t = stack.pop()
+        if all(t is not n for n in nodes):
+            nodes.append(t)
+            stack.extend(t._parents)
+    parents = [n._parents for n in nodes]
+    backward(loss)
+    ref_loss, ref_leaves = graph(29)
+    _reference_backward(ref_loss)
+    inner = [n for n in nodes if n._parents]
+    assert len(inner) == 6
+    assert all(n._backward is None and n.grad is None for n in inner)
+    assert [n._parents for n in nodes] == parents
+    for leaf, ref in zip(leaves, ref_leaves):
+        assert leaf.grad.tobytes() == ref.grad.tobytes()
 
 
 def test_matmul_batched_input_against_shared_weight():
@@ -305,6 +408,10 @@ class TestErrors:
         with pytest.raises(DomainError):
             ag.log(Tensor([1.0, -1.0]))
 
+    def test_log1p_domain(self):
+        with pytest.raises(DomainError):
+            ag.log1p(Tensor([0.5, -1.0]))
+
     def test_normalize_zero_vector(self):
         with pytest.raises(DomainError):
             ag.l2_normalize(Tensor([[1.0, 0.0], [0.0, 0.0]]))
@@ -324,6 +431,15 @@ class TestErrors:
         backward(loss)
         with pytest.raises(RuntimeError, match="already"):
             backward(loss)
+
+    def test_backward_through_freed_subgraph_raises(self):
+        # the first backward freed the shared node's closure; a second graph
+        # through it would silently stop there
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        shared = ag.mul(x, x)
+        backward(ag.tensor_sum(shared))
+        with pytest.raises(RuntimeError, match="freed"):
+            backward(ag.tensor_sum(ag.scale(shared, 2.0)))
 
     def test_grad_check_reports_nonfinite_coordinate(self):
         def f(t):

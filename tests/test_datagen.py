@@ -1,6 +1,9 @@
 """Dataset construction: SFT conversion, quality filtering, language sampling,
 cross-lingual pair generation, and synthetic corpus determinism."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,8 @@ from embedkit.data import (CommandTranslator, ConstantScorer, LanguageDistributi
                            TRANSLATION_LANGUAGE_WEIGHTS, Triplet, build_classification,
                            build_sts, build_triplets, default_translation_languages,
                            generate_clr_dataset, make_clr_pair, pair_from_sft,
-                           quality_filter, read_dataset, sample_target_language,
-                           synth_corpus, write_dataset)
+                           example_to_record, quality_filter, read_dataset,
+                           sample_target_language, synth_corpus, write_dataset)
 
 
 class TestPairFromSft:
@@ -253,6 +256,17 @@ class TestDatasetFiles:
         assert header["task"] == "mixed"
         assert header["count"] == 3
         assert back == examples
+
+    def test_record_equals_asdict_record(self):
+        # the shallow field dict serializes exactly as dataclasses.asdict's deep copy
+        examples = [Pair("q", "p", query_lang="aa", cluster=1, uid="u1", source="s"),
+                    Triplet("q", "p", ["n1", "n2"], task="clr", cluster=None, uid="u2"),
+                    ScoredPair("a", "b", 2.5, lang="bb", uid="u3")]
+        for kind, e in zip(("pair", "triplet", "scored_pair"), examples):
+            rec = example_to_record(e)
+            want = {"record": "example", "kind": kind, **asdict(e)}
+            assert rec == want
+            assert json.dumps(rec) == json.dumps(want)
 
     def test_header_vocab_covers_all_text(self, tmp_path):
         examples = [Triplet("alpha beta", "gamma", ["delta epsilon"])]

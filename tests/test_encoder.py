@@ -253,13 +253,13 @@ def _tape_nodes(loss) -> int:
 class TestTape:
     def test_lm_step_tape_nodes(self):
         # one lm step of the default two-layer encoder, built as Trainer._lm_step
-        # does; the unfused attention and norm chains recorded 86 nodes, and
-        # the 5-node logsumexp chain 56
+        # does; the unfused attention and norm chains recorded 86 nodes, the
+        # 5-node logsumexp chain 56, and the 5-node cross-entropy chain 52
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(0).integers(2, TOY.vocab_size, size=(4, 12))
         states = enc.forward_batch(ids[:, :-1], causal_mask(11))
         logits = ag.reshape(enc.lm_logits(states), (4 * 11, TOY.vocab_size))
-        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 52
+        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 48
 
     def test_padded_weights_match_row_loop(self):
         mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)

@@ -121,6 +121,25 @@ class TestCosentValues:
         with pytest.raises(ValueError, match="tau"):
             StsBatch(Tensor([0.1, 0.2]), np.array([1.0, 0.0]), tau=-1.0)
 
+    def test_satisfied_pairs_score_above_zero(self):
+        # total = exp(-40): log(1 + total) rounds to 0, log1p keeps it
+        val = float(cosent(StsBatch(Tensor([-1.0, 1.0]), np.array([0.0, 1.0]))).data)
+        assert val == pytest.approx(math.exp(-40.0), rel=1e-12)
+        assert val > 0.0
+
+    def test_gradient_equal_to_log_of_one_plus_chain(self):
+        # log1p's backward is g / (x + 1), the gradient log(1 + x) gave, bit for bit
+        rng = np.random.default_rng(8)
+        cos, labels = rng.uniform(-1, 1, 7), rng.integers(0, 3, 7).astype(float)
+        hi, lo = np.where(labels[:, None] > labels[None, :])
+        grads = []
+        for head in (ag.log1p, lambda total: ag.log(ag.add_const(total, 1.0))):
+            t = Tensor(cos, requires_grad=True)
+            diffs = ag.sub(ag.index_select(t, 0, lo), ag.index_select(t, 0, hi))
+            ag.backward(head(ag.tensor_sum(ag.exp(ag.scale(diffs, 1.0 / 0.05)))))
+            grads.append(t.grad.tobytes())
+        assert grads[0] == grads[1]
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6),
            st.lists(st.integers(0, 3), min_size=2, max_size=6))

@@ -2,6 +2,7 @@
 round-robin task mixing, determinism, mid-stage resume, and the CLI surface."""
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,29 @@ class TestTrainingRuns:
         assert set(metrics) == {"recall@1", "recall@5", "ndcg@10"}
         sts = evaluate_checkpoint(ckpt, toy_data / "sts.jsonl")
         assert "spearman" in sts
+
+    def test_step_graph_freed_before_next_step(self, toy_data, tmp_path):
+        # step N's loss, and with it the whole tape, is gone when step N+1 starts
+        previous = []
+
+        class Watched(Trainer):
+            def _watch(self, step_fn, *args):
+                assert all(ref() is None for ref in previous), "previous step's graph is alive"
+                loss, task = step_fn(*args)
+                previous[:] = [weakref.ref(loss)]
+                return loss, task
+
+            def _lm_step(self, *args):
+                return self._watch(super()._lm_step, *args)
+
+            def _contrastive_step(self, *args):
+                return self._watch(super()._contrastive_step, *args)
+
+            def _supervised_step(self, *args):
+                return self._watch(super()._supervised_step, *args)
+
+        Watched(_manifest(toy_data, tmp_path / "run", sup_steps=4)).run()
+        assert previous
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf is injected on purpose
     def test_nonfinite_loss_aborts_with_step(self, toy_data, tmp_path):
