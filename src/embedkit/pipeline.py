@@ -177,15 +177,35 @@ def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optio
     return ids, (None if lens.min() == width else lens)
 
 
+# bytes of float64 attention scores one inference block may hold: rows x heads x width^2 x 8
+_SCORE_BUDGET = 1 << 20
+
+
+def _block_rows(heads: int, width: int) -> int:
+    """Rows per ``embed_batch`` call whose attention scores fit in ``_SCORE_BUDGET`` (at least 1)."""
+    return max(1, _SCORE_BUDGET // (heads * width * width * 8))
+
+
 def embed_texts(encoder: Encoder, tokenizer: Tokenizer, texts: list[str],
                 chunk: int = 128) -> np.ndarray:
-    """(N, hidden) unit-norm embeddings under the bidirectional mask; no tape is recorded."""
+    """(N, hidden) unit-norm embeddings under the bidirectional mask; no tape is recorded.
+
+    Texts are padded in groups of ``chunk``; each group runs through the
+    encoder in row blocks of ``_block_rows`` texts, so that a block's attention
+    scores stay cache-sized.  An embedding depends on its group's padded
+    width, not on the block size.
+    """
     out = []
     with ag.no_grad():
         for i in range(0, len(texts), chunk):
             ids, lengths = batch_ids(tokenizer, texts[i:i + chunk])
             mask = bidirectional_mask(ids.shape[1])
-            out.append(encoder.embed_batch(ids, mask, lengths).data)
+            rows = _block_rows(encoder.cfg.heads, ids.shape[1])
+            for j in range(0, len(ids), rows):
+                part = None if lengths is None else lengths[j:j + rows]
+                out.append(encoder.embed_batch(ids[j:j + rows], mask, part).data)
+    if not out:
+        return np.zeros((0, encoder.cfg.hidden_dim))
     return np.concatenate(out, axis=0)
 
 
@@ -588,6 +608,8 @@ def evaluate_sts(encoder: Encoder, tokenizer: Tokenizer, examples: list) -> dict
 def evaluate_checkpoint(ckpt_path, dataset_path, ks: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, float]:
     encoder, tokenizer, _ = load_encoder(ckpt_path)
     header, examples = read_dataset(dataset_path)
+    if not examples:
+        raise ValueError(f"dataset {dataset_path} has no examples to evaluate")
     if header["task"] == "sts":
         return evaluate_sts(encoder, tokenizer, examples)
     return evaluate_retrieval(encoder, tokenizer, examples, ks)

@@ -131,6 +131,34 @@ def _composed_attention(q, k, v, weights, scale):
     return ag.matmul(ag.div(weighted, ag.sum_lastdim(weighted, keepdims=True)), v)
 
 
+def _attention_with_multiply(q, k, v, w, scale, g):
+    """The fused op as it was before skipping the multiply for 0/1 weights.
+
+    Returns its output and the gradients of ``sum(out * g)`` for q, k, v.
+    """
+    bsz, heads, length, dh = q.shape
+    kv = k.shape[1]
+    qg = q.reshape(bsz, kv, heads // kv * length, dh)
+    p = np.matmul(qg, np.swapaxes(k, -1, -2))
+    p5 = p.reshape(bsz, kv, heads // kv, length, length)
+    w5 = w if w.ndim == 2 else w[:, None, None]
+    p *= scale
+    np.copyto(p5, -np.inf, where=w5 == 0.0)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    p5 *= w5
+    p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, v).reshape(q.shape)
+    g = g.reshape(bsz, kv, heads // kv * length, dh)
+    ds = np.matmul(g, np.swapaxes(v, -1, -2))
+    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds *= p
+    ds *= scale
+    return out, (np.matmul(ds, k).reshape(q.shape), np.matmul(np.swapaxes(ds, -1, -2), qg),
+                 np.matmul(np.swapaxes(p, -1, -2), g))
+
+
 def _attention_weights(kind, bsz, length):
     if kind == "causal":
         return causal_mask(length).entries
@@ -188,6 +216,39 @@ class TestAttention:
         backward(ag.tensor_sum(ag.mul(composed, r)))
         for t, t_ref in zip(ts, ref):
             np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("mask", [bidirectional_mask, causal_mask])
+    @pytest.mark.parametrize("group", [1, 4])
+    def test_binary_weights_skip_multiply_bitwise(self, mask, group):
+        # padded 0/1 weights as the encoder builds them: rows 1 and 2 hold 3 and
+        # 5 real tokens, their padded keys are zeroed and pad rows self-attend
+        rng = np.random.default_rng(30 + group)
+        bsz, kv, length, dh = 3, 2, 7, 4
+        w = np.array(np.broadcast_to(mask(length).entries, (bsz, length, length)))
+        for row, n in ((1, 3), (2, 5)):
+            w[row, :, n:] = 0.0
+            w[row, n:, n:][np.diag_indices(length - n)] = 1.0
+        q = rng.normal(size=(bsz, length, kv * group, dh)).transpose(0, 2, 1, 3)
+        k, v = rng.normal(size=(2, bsz, length, kv, dh)).transpose(0, 1, 3, 2, 4)
+        ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+        out = ag.attention(*ts, w, 0.5)
+        r = rng.normal(size=out.shape)
+        backward(ag.tensor_sum(ag.mul(out, r)))
+        want, grads = _attention_with_multiply(q, k, v, w, 0.5, r)
+        assert out.data.tobytes() == want.tobytes()
+        for t, g in zip(ts, grads):
+            assert t.grad.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("length", [1, 2, 7, 24, 64])
+    @pytest.mark.parametrize("rows", [1, 96, 8192])
+    def test_rowmax_equals_np_max(self, length, rows):
+        rng = np.random.default_rng(length)
+        x = rng.normal(size=(rows, length)) * 1e3
+        x[rng.random(size=x.shape) < 0.3] = -np.inf
+        x[0] = -np.inf                                    # a fully masked row
+        m = ag._rowmax(x)
+        assert m.shape == (rows, 1)
+        assert m.tobytes() == np.max(x, axis=-1, keepdims=True).tobytes()
 
     def test_zero_weight_keys_get_no_probability(self):
         rng = np.random.default_rng(5)

@@ -2,24 +2,27 @@
 round-robin task mixing, determinism, mid-stage resume, and the CLI surface."""
 
 import json
+import re
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from embedkit.autograd import Tensor
+from embedkit.autograd import Tensor, no_grad
 from embedkit.checkpoint import save_checkpoint
 from embedkit.cli import main as cli_main
 from embedkit.data import (MockTranslator, LanguageDistribution, Triplet, build_classification,
                            build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
                            build_sft_records, synth_corpus, write_dataset, write_text_dataset)
 from embedkit.encoder import Encoder, EncoderConfig
-from embedkit.masks import causal_mask
+from embedkit.masks import bidirectional_mask, causal_mask
 from embedkit.mining import MiningState
 from embedkit.optim import AdamW, AdamWConfig, warmup_lr
-from embedkit.pipeline import (STAGE_KINDS, SUPERVISED_TASKS, RunManifest, StageConfig, Trainer,
-                               _stage_mask, embed_texts, evaluate_checkpoint)
+from embedkit.pipeline import (_SCORE_BUDGET, STAGE_KINDS, SUPERVISED_TASKS, RunManifest,
+                               StageConfig, Trainer, _block_rows, _stage_mask, batch_ids,
+                               embed_texts, evaluate_checkpoint)
+from embedkit.tokenizer import Tokenizer
 
 SMALL_ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
                           vocab_size=512, max_len=32, mrl_dims=(8, 16))
@@ -319,6 +322,66 @@ class TestTrainingRuns:
             Poisoned(m).run()
 
 
+def _embed_per_group(encoder, tokenizer, texts, chunk=128):
+    """Reference: ``embed_texts`` before row blocks, one ``embed_batch`` per padding group."""
+    out = []
+    with no_grad():
+        for i in range(0, len(texts), chunk):
+            ids, lengths = batch_ids(tokenizer, texts[i:i + chunk])
+            out.append(encoder.embed_batch(ids, bidirectional_mask(ids.shape[1]), lengths).data)
+    return np.concatenate(out, axis=0)
+
+
+def _untrained_checkpoint(path):
+    arrays = {f"model.{k}": v for k, v in Encoder(SMALL_ENC, seed=1).export_arrays().items()}
+    save_checkpoint(path, SMALL_ENC.to_dict(), arrays, {"vocab": ["a"]}, {"mining": None})
+    return path
+
+
+class TestEmbedTexts:
+    def test_row_blocks_match_one_batch_per_group(self):
+        # three padding groups: widths 1..8 (one block), all 24 (28-row blocks,
+        # unpadded as in the benchmark corpus) and 44 texts of widths 1..60 (4-row blocks)
+        cfg = EncoderConfig(heads=8, kv_heads=2, max_len=64)
+        encoder = Encoder(cfg, seed=3)
+        words = [f"w{i}" for i in range(40)]
+        tokenizer = Tokenizer(words, cfg.vocab_size)
+        rng = np.random.default_rng(4)
+        widths = np.concatenate([rng.integers(1, 9, 128), np.full(128, 24), rng.integers(1, 61, 44)])
+        widths[[0, -1]] = [8, 60]
+        texts = [" ".join(rng.choice(words, n)) for n in widths]
+        seen = []
+        embed_batch = encoder.embed_batch
+        encoder.embed_batch = lambda ids, *a: seen.append(len(ids)) or embed_batch(ids, *a)
+        got = embed_texts(encoder, tokenizer, texts)
+        assert seen == [128] + [28] * 4 + [16] + [4] * 11
+        assert [_block_rows(8, w) for w in (8, 24, 60)] == [256, 28, 4]
+        assert got.tobytes() == _embed_per_group(encoder, tokenizer, texts).tobytes()
+
+    @pytest.mark.parametrize("heads", [1, 2, 4, 8, 16])
+    def test_block_scores_within_budget(self, heads):
+        assert _SCORE_BUDGET == 1 << 20
+        for width in range(1, 129):
+            rows = _block_rows(heads, width)
+            per_row = heads * width * width * 8
+            if per_row <= _SCORE_BUDGET:
+                assert rows * per_row <= _SCORE_BUDGET < (rows + 1) * per_row
+            else:
+                assert rows == 1    # a single row over the budget still runs
+
+    def test_no_texts_give_empty_array(self):
+        encoder = Encoder(SMALL_ENC, seed=1)
+        out = embed_texts(encoder, Tokenizer(["a"], SMALL_ENC.vocab_size), [])
+        assert out.shape == (0, SMALL_ENC.hidden_dim)
+
+    @pytest.mark.parametrize("task", ["retrieval", "sts"])
+    def test_eval_of_dataset_without_examples_names_it(self, tmp_path, task):
+        data = tmp_path / f"{task}.jsonl"
+        write_dataset(data, task, [])
+        with pytest.raises(ValueError, match=re.escape(str(data))):
+            evaluate_checkpoint(_untrained_checkpoint(tmp_path / "m.ckpt"), data)
+
+
 def _init_mining_per_query(trainer, cfg, encoder, datasets):
     """Reference ranking: two ``embed_texts`` calls per query, as before batching."""
     mining = MiningState(mode=cfg.dhnm_mode)
@@ -383,13 +446,18 @@ class TestCli:
     @pytest.mark.parametrize("cut", [12, 200, -5])
     def test_eval_torn_checkpoint_exits_3_naming_file(self, toy_data, tmp_path, capsys, cut):
         # cut inside the fixed prefix, the header, or the training state
-        path = tmp_path / "torn.ckpt"
-        arrays = {f"model.{k}": v for k, v in Encoder(SMALL_ENC, seed=1).export_arrays().items()}
-        save_checkpoint(path, SMALL_ENC.to_dict(), arrays, {"vocab": ["a"]}, {"mining": None})
+        path = _untrained_checkpoint(tmp_path / "torn.ckpt")
         path.write_bytes(path.read_bytes()[:cut])
         assert cli_main(["eval", "--checkpoint", str(path),
                          "--data", str(toy_data / "retrieval.jsonl")]) == 3
         assert str(path) in capsys.readouterr().err
+
+    def test_eval_of_dataset_without_examples_exits_3_naming_it(self, tmp_path, capsys):
+        data = tmp_path / "none.jsonl"
+        write_dataset(data, "retrieval", [])
+        assert cli_main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
+                         "--data", str(data)]) == 3
+        assert str(data) in capsys.readouterr().err
 
     def test_unreadable_config_exits_3(self, tmp_path):
         bad = tmp_path / "bad.yaml"
