@@ -22,11 +22,11 @@ CFG = EncoderConfig()
 def test_attention_forward(benchmark, rows, length):
     rng = np.random.default_rng(0)
     dh = CFG.hidden_dim // CFG.heads
-    q = ag.Tensor(rng.normal(size=(rows, CFG.heads, length, dh)))
-    k, v = (ag.Tensor(a) for a in rng.normal(size=(2, rows, CFG.kv_heads, length, dh)))
+    q = ag.Tensor(rng.normal(size=(rows, length, CFG.heads * dh)))
+    k, v = (ag.Tensor(a) for a in rng.normal(size=(2, rows, length, CFG.kv_heads * dh)))
     w = bidirectional_mask(length).entries
     with ag.no_grad():
-        out = benchmark(ag.attention, q, k, v, w, 1.0 / np.sqrt(dh))
+        out = benchmark(ag.attention, q, k, v, w, CFG.heads)
     assert out.shape == q.shape
 
 

@@ -9,16 +9,15 @@ arrays it saved) and each intermediate gradient once the node has passed
 its gradient on.  Only the leaves' ``.grad`` and the nodes' ``_parents``
 (the graph's shape) remain.
 
-Broadcasting between two tracked operands is deliberately restricted to
-two explicit patterns so shape bugs fail loudly:
+Plain numpy arrays and Python scalars are wrapped as untracked constants.
+The elementwise ops take tracked and constant operands alike, no gradient
+is computed for a constant, and broadcasting between the two operands is
+deliberately restricted to two explicit patterns so shape bugs fail loudly:
 
   * suffix match: the smaller shape equals the trailing dims of the
-    larger one, e.g. (D,) against (B, L, D);
+    larger one, e.g. (D,) against (B, L, D), or a scalar () against any;
   * trailing-axis expansion: shapes agree except the last axis of one
     operand is 1, e.g. (B, L, 1) against (B, L, D).
-
-Plain numpy arrays and Python scalars are auto-wrapped as untracked
-constants; constants are pre-broadcast to the tracked operand's shape.
 
 Inside ``with no_grad():`` no graph is recorded: every op returns an
 untracked Tensor with the same data, so inference keeps no tape alive.
@@ -100,7 +99,7 @@ class Tensor:
         return matmul(self, other)
 
     def __neg__(self):
-        return scale(self, -1.0)
+        return mul(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -166,29 +165,31 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise(a, b)
-    out_data = a.data + b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
-    return _make(out_data, (a, b), backward_fn)
+    return _make(a.data + b.data, (a, b), backward_fn)
 
 
 def sub(a, b) -> Tensor:
-    return add(a, scale(as_tensor(b), -1.0))
+    return add(a, mul(b, -1.0))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise(a, b)
-    out_data = a.data * b.data
 
     def backward_fn(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    return _make(out_data, (a, b), backward_fn)
+    return _make(a.data * b.data, (a, b), backward_fn)
 
 
 def div(a, b) -> Tensor:
@@ -203,17 +204,6 @@ def div(a, b) -> Tensor:
         _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(out_data, (a, b), backward_fn)
-
-
-def scale(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-    out_data = a.data * c
-
-    def backward_fn(g):
-        _accumulate(a, g * c)
-
-    return _make(out_data, (a,), backward_fn)
 
 
 def _swap_last2(x: np.ndarray) -> np.ndarray:
@@ -250,18 +240,6 @@ def exp(a) -> Tensor:
 
     def backward_fn(g):
         _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log of non-positive input")
-    out_data = np.log(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g / a.data)
 
     return _make(out_data, (a,), backward_fn)
 
@@ -329,29 +307,44 @@ def _rowmax(x: np.ndarray) -> np.ndarray:
     return m
 
 
-def attention(q, k, v, weights, scale: float) -> Tensor:
-    """Masked grouped-query attention as one node: ``P @ v``, row i of P = norm(w_i * exp(scale * q_i . k)).
+def attention(q, k, v, weights, heads: int) -> Tensor:
+    """Masked grouped-query attention as one node: ``P @ v``, row i of P = norm(w_i * exp(q_i . k / sqrt(dh))).
 
-    ``q`` is (B, H, L, dh); ``k`` and ``v`` are (B, KV, L, dh), query head h
-    reading key/value head h // (H // KV).  ``weights`` is (L, L) or (B, L, L)
-    in [0, 1], shared by every head: a zero weight is a -inf score offset before
-    the softmax, the others re-weight its probabilities, and rows are renormalized.
+    ``q`` is (B, L, H*dh) and ``k`` and ``v`` are (B, L, KV*dh), token-major as
+    the projections produce them; the output is (B, L, H*dh) in the same layout
+    and the gradients come back in the operands' own.  ``heads`` is H; dh and KV
+    follow from the widths, and query head h reads key/value head h // (H // KV).
+    ``weights`` is (L, L) or (B, L, L) in [0, 1], shared by every head: a zero
+    weight is a -inf score offset before the softmax, the others re-weight its
+    probabilities, and rows are renormalized.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    if q.ndim != 4 or k.ndim != 4:
-        raise ShapeMismatchError(f"attention needs (B, H, L, dh) operands: {q.shape} vs {k.shape}")
-    bsz, heads, length, dh = q.shape
-    kv = k.shape[1]
-    if k.shape != v.shape or k.shape != (bsz, kv, length, dh) or heads % kv:
+    if q.ndim != 3 or k.ndim != 3:
+        raise ShapeMismatchError(f"attention needs (B, L, heads*dh) operands: {q.shape} vs {k.shape}")
+    bsz, length, width = q.shape
+    if heads < 1 or width % heads:
+        raise ShapeMismatchError(f"attention q width {width} does not split into {heads} heads")
+    dh = width // heads
+    kv = k.shape[-1] // dh
+    if kv < 1 or heads % kv or k.shape != v.shape or k.shape != (bsz, length, kv * dh):
         raise ShapeMismatchError(f"attention q {q.shape} does not group over k {k.shape} / v {v.shape}")
     w = np.asarray(weights, dtype=np.float64)
     if w.shape not in ((length, length), (bsz, length, length)):
         raise ShapeMismatchError(f"attention weights {w.shape} do not fit {length} positions of {bsz} rows")
     group = heads // kv
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(x, n):  # (B, L, n*dh) -> a (B, n, L, dh) view
+        return x.reshape(bsz, length, n, dh).transpose(0, 2, 1, 3)
+
+    def merge(x, t):  # (B, n, L, dh) -> t's (B, L, n*dh) layout
+        return x.transpose(0, 2, 1, 3).reshape(t.shape)
+
     # the G query heads of one key/value head stacked along rows: (B, KV, G*L, dh),
     # so that sharing k and v is a reshape and their gradients sum inside one GEMM
-    qg = q.data.reshape(bsz, kv, group * length, dh)
-    p = np.matmul(qg, _swap_last2(k.data))
+    qg = split(q.data, heads).reshape(bsz, kv, group * length, dh)
+    kh, vh = split(k.data, kv), split(v.data, kv)
+    p = np.matmul(qg, _swap_last2(kh))
     p5 = p.reshape(bsz, kv, group, length, length)
     w5 = w if w.ndim == 2 else w[:, None, None]
     p *= scale
@@ -364,19 +357,19 @@ def attention(q, k, v, weights, scale: float) -> Tensor:
     if not (zero | (w5 == 1.0)).all():  # 0/1 weights: the -inf offset already zeroed them
         p5 *= w5
     p /= p.sum(axis=-1, keepdims=True)  # always: skipping it for 0/1 weights changes bits
-    out_data = np.matmul(p, v.data).reshape(q.shape)
+    out_data = merge(np.matmul(p, vh).reshape(bsz, heads, length, dh), q)
 
     def backward_fn(g):
-        g = g.reshape(bsz, kv, group * length, dh)
+        g = split(g, heads).reshape(bsz, kv, group * length, dh)
         if v.requires_grad:
-            _accumulate(v, np.matmul(_swap_last2(p), g))
+            _accumulate(v, merge(np.matmul(_swap_last2(p), g), v))
         if q.requires_grad or k.requires_grad:
-            ds = np.matmul(g, _swap_last2(v.data))
+            ds = np.matmul(g, _swap_last2(vh))
             ds -= (ds * p).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scale
-            _accumulate(q, np.matmul(ds, k.data).reshape(q.shape))
-            _accumulate(k, np.matmul(_swap_last2(ds), qg))
+            _accumulate(q, merge(np.matmul(ds, kh).reshape(bsz, heads, length, dh), q))
+            _accumulate(k, merge(np.matmul(_swap_last2(ds), qg), k))
 
     return _make(out_data, (q, k, v), backward_fn)
 
@@ -427,17 +420,6 @@ def tensor_sum(a) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
-def tensor_mean(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.size
-    out_data = np.asarray(a.data.mean())
-
-    def backward_fn(g):
-        _accumulate(a, np.broadcast_to(g / n, a.shape))
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def sum_lastdim(a, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=-1, keepdims=keepdims)
@@ -477,7 +459,7 @@ def cross_entropy_lastdim(a, targets) -> Tensor:
     """Mean over leading positions of ``logsumexp(a[..., :]) - a[..., target]``; one node.
 
     The ops and their order are those of the chain ``logsumexp_lastdim``,
-    pick, ``sub``, ``tensor_mean``, so loss and gradient match it bit for bit.
+    pick, ``sub``, mean, so loss and gradient match it bit for bit.
     One (N, V) buffer holds ``exp(a - max)`` and then, in place, the gradient.
     """
     a = as_tensor(a)
@@ -541,35 +523,6 @@ def permute(a, axes) -> Tensor:
         _accumulate(a, np.transpose(g, inv))
 
     return _make(out_data, (a,), backward_fn)
-
-
-def transpose2d(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeMismatchError(f"transpose2d needs a matrix, got {a.shape}")
-    return permute(a, (1, 0))
-
-
-def apply_mask(a, weights) -> Tensor:
-    """Elementwise multiply by an untracked weight array (broadcast to a's shape)."""
-    a = as_tensor(a)
-    w = np.broadcast_to(np.asarray(weights, dtype=np.float64), a.shape)
-
-    def backward_fn(g):
-        _accumulate(a, g * w)
-
-    return _make(a.data * w, (a,), backward_fn)
-
-
-def add_const(a, c) -> Tensor:
-    """Add an untracked constant array (broadcast to a's shape)."""
-    a = as_tensor(a)
-    c = np.broadcast_to(np.asarray(c, dtype=np.float64), a.shape)
-
-    def backward_fn(g):
-        _accumulate(a, g)
-
-    return _make(a.data + c, (a,), backward_fn)
 
 
 def backward(loss: Tensor):

@@ -319,9 +319,6 @@ class SynthCorpus:
     pairs: list[Pair]
     label_words: list[str]
 
-    def sentences_for(self, lang: str) -> list[dict]:
-        return [s for s in self.sentences if s["lang"] == lang]
-
 
 def _make_sentence(rng, cluster_words: list[str], shared_words: list[str], length: int,
                    noise_prob: float) -> str:

@@ -1,7 +1,9 @@
 """Small transformer encoder with grouped-query attention and nested-dim embeddings.
 
-The attention mask enters each layer as its weight matrix, passed to the
-fused ``autograd.attention`` op.  The op derives the -inf score offset
+The attention mask enters each layer as its weight matrix, passed with
+the (B, L, width) q, k and v projections to the fused
+``autograd.attention`` op, which splits and merges the heads itself, so a
+layer records 12 tape nodes.  The op derives the -inf score offset
 from the exact-zero weights itself and applies it before the row softmax,
 multiplies the fractional weights onto the resulting probabilities, and
 renormalizes each row to sum to one.  With an all-zero upper triangle
@@ -134,22 +136,16 @@ class Encoder:
         self._validate_ids(ids)
         bsz, length = ids.shape
         cfg = self.cfg
-        d = cfg.hidden_dim
-        heads, kv = cfg.heads, cfg.kv_heads
-        dh = d // heads
 
-        x = ag.reshape(ag.index_select(self.params["embed"], 0, ids.reshape(-1)), (bsz, length, d))
-        x = ag.add_const(x, self.positions[:length])
+        x = ag.reshape(ag.index_select(self.params["embed"], 0, ids.reshape(-1)), (bsz, length, cfg.hidden_dim))
+        x = ag.add(x, self.positions[:length])
 
         weights = self._mask_weights(mask, length, lengths)
-        inv_sqrt_dh = 1.0 / np.sqrt(dh)
 
         for i in range(cfg.layers):
             h = ag.rmsnorm(x, self.params[f"layer{i}.attn_gain"])
-            q = ag.permute(ag.reshape(ag.matmul(h, self.params[f"layer{i}.wq"]), (bsz, length, heads, dh)), (0, 2, 1, 3))
-            k = ag.permute(ag.reshape(ag.matmul(h, self.params[f"layer{i}.wk"]), (bsz, length, kv, dh)), (0, 2, 1, 3))
-            v = ag.permute(ag.reshape(ag.matmul(h, self.params[f"layer{i}.wv"]), (bsz, length, kv, dh)), (0, 2, 1, 3))
-            ctx = ag.reshape(ag.permute(ag.attention(q, k, v, weights, inv_sqrt_dh), (0, 2, 1, 3)), (bsz, length, d))
+            q, k, v = (ag.matmul(h, self.params[f"layer{i}.w{n}"]) for n in "qkv")
+            ctx = ag.attention(q, k, v, weights, cfg.heads)
             x = ag.add(x, ag.matmul(ctx, self.params[f"layer{i}.wo"]))
 
             h = ag.rmsnorm(x, self.params[f"layer{i}.ffn_gain"])
@@ -161,15 +157,13 @@ class Encoder:
         return x
 
     def embed_batch(self, ids: np.ndarray, mask: AttentionMask,
-                    lengths: Optional[np.ndarray] = None,
-                    pooling: Optional[str] = None) -> Tensor:
+                    lengths: Optional[np.ndarray] = None) -> Tensor:
         """Pooled unit-norm sentence embeddings (B, hidden), gradient-tracked."""
-        states = self.forward_batch(ids, mask, lengths)
-        return pool_states(states, pooling or self.cfg.pooling, lengths)
+        return pool_states(self.forward_batch(ids, mask, lengths), self.cfg.pooling, lengths)
 
     def lm_logits(self, states: Tensor) -> Tensor:
         """Next-token logits via the tied embedding table."""
-        return ag.matmul(states, ag.transpose2d(self.params["embed"]))
+        return ag.matmul(states, ag.permute(self.params["embed"], (1, 0)))
 
 
 def pool_states(states: Tensor, mode: str, lengths: Optional[np.ndarray] = None) -> Tensor:
@@ -178,12 +172,12 @@ def pool_states(states: Tensor, mode: str, lengths: Optional[np.ndarray] = None)
     if mode == "mean":
         if lengths is None:
             summed = ag.sum_lastdim(ag.permute(states, (0, 2, 1)))
-            pooled = ag.scale(summed, 1.0 / length)
+            pooled = ag.mul(summed, 1.0 / length)
         else:
             valid = (np.arange(length)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
-            masked = ag.apply_mask(states, valid[:, :, None])
+            masked = ag.mul(states, valid[:, :, None])
             summed = ag.sum_lastdim(ag.permute(masked, (0, 2, 1)))
-            pooled = ag.apply_mask(summed, (1.0 / np.asarray(lengths, dtype=np.float64))[:, None])
+            pooled = ag.mul(summed, (1.0 / np.asarray(lengths, dtype=np.float64))[:, None])
     elif mode == "last-token":
         last = (np.asarray(lengths) - 1 if lengths is not None
                 else np.full(bsz, length - 1, dtype=np.intp))

@@ -24,10 +24,6 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
-def _as_tracked(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
-
 def _check_normalized(name: str, data: np.ndarray, atol: float = 1e-6):
     norms = np.sqrt((data * data).sum(axis=-1))
     if not (np.abs(norms - 1.0) <= atol).all():
@@ -44,10 +40,10 @@ class ContrastiveBatch:
     temperature: float = 0.05
 
     def __post_init__(self):
-        self.queries = _as_tracked(self.queries)
-        self.positives = _as_tracked(self.positives)
+        self.queries = ag.as_tensor(self.queries)
+        self.positives = ag.as_tensor(self.positives)
         if self.negatives is not None:
-            self.negatives = _as_tracked(self.negatives)
+            self.negatives = ag.as_tensor(self.negatives)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         q, p = self.queries, self.positives
@@ -68,8 +64,8 @@ class ContrastiveBatch:
 def nce_from_scores(pos_scores: Tensor, candidate_scores: Tensor, temperature: float = 1.0) -> Tensor:
     """Sum over queries of (logsumexp(candidates/T) - positive/T)."""
     inv_t = 1.0 / temperature
-    lse = ag.logsumexp_lastdim(ag.scale(candidate_scores, inv_t))
-    return ag.tensor_sum(ag.sub(lse, ag.scale(pos_scores, inv_t)))
+    lse = ag.logsumexp_lastdim(ag.mul(candidate_scores, inv_t))
+    return ag.tensor_sum(ag.sub(lse, ag.mul(pos_scores, inv_t)))
 
 
 def info_nce(batch: ContrastiveBatch) -> Tensor:
@@ -82,7 +78,7 @@ def info_nce_with_scores(batch: ContrastiveBatch) -> tuple[Tensor, np.ndarray, n
     q, p = batch.queries, batch.positives
     bsz, dim = q.shape
     pos_scores = ag.sum_lastdim(ag.mul(q, p))                      # (B,)
-    all_pos = ag.matmul(q, ag.transpose2d(p))                      # (B, B) in-batch candidates
+    all_pos = ag.matmul(q, ag.permute(p, (1, 0)))                 # (B, B) in-batch candidates
     if batch.negatives is not None and batch.negatives.shape[1] > 0:
         neg = batch.negatives
         neg_scores = ag.reshape(ag.matmul(neg, ag.reshape(q, (bsz, dim, 1))), (bsz, neg.shape[1]))
@@ -104,7 +100,7 @@ class StsBatch:
     tau: float = 0.05
 
     def __post_init__(self):
-        self.cosines = _as_tracked(self.cosines)
+        self.cosines = ag.as_tensor(self.cosines)
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
@@ -121,13 +117,13 @@ def cosent(batch: StsBatch) -> Tensor:
     if hi.size == 0:
         return Tensor(0.0)
     diffs = ag.sub(ag.index_select(batch.cosines, 0, lo), ag.index_select(batch.cosines, 0, hi))
-    total = ag.tensor_sum(ag.exp(ag.scale(diffs, 1.0 / batch.tau)))
+    total = ag.tensor_sum(ag.exp(ag.mul(diffs, 1.0 / batch.tau)))
     return ag.log1p(total)
 
 
 def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean cross-entropy of (L, V) logits against shifted-by-one target ids."""
-    logits = _as_tracked(logits)
+    logits = ag.as_tensor(logits)
     targets = np.asarray(targets, dtype=np.intp)
     if logits.ndim != 2:
         raise ValueError(f"logits must be (positions, vocab), got {logits.shape}")

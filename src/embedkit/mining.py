@@ -16,8 +16,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
 INITIAL_THRESHOLD = 0.4
 DROP_RATIO = 1.2
 EASY_THRESHOLD = 0.7
@@ -55,19 +53,6 @@ class NegativePool:
         nxt = self.candidates[self.cursor]
         self.cursor += 1
         return nxt
-
-
-def score(q, p) -> float:
-    """Cosine of two unit-norm embeddings (their dot product)."""
-    qv = np.asarray(getattr(q, "vector", q), dtype=np.float64)
-    pv = np.asarray(getattr(p, "vector", p), dtype=np.float64)
-    if qv.shape != pv.shape:
-        raise ValueError(f"embedding shapes differ: {qv.shape} vs {pv.shape}")
-    for name, v in (("query", qv), ("passage", pv)):
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"{name} embedding not normalized (norm {n})")
-    return float(qv @ pv)
 
 
 def decide_scores(s0: float, s_cur: float, is_initial: bool, mode: str = "absolute") -> Decision:

@@ -177,6 +177,8 @@ def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optio
     return ids, (None if lens.min() == width else lens)
 
 
+# texts padded to one width together in inference
+_PAD_GROUP = 128
 # bytes of float64 attention scores one inference block may hold: rows x heads x width^2 x 8
 _SCORE_BUDGET = 1 << 20
 
@@ -186,19 +188,18 @@ def _block_rows(heads: int, width: int) -> int:
     return max(1, _SCORE_BUDGET // (heads * width * width * 8))
 
 
-def embed_texts(encoder: Encoder, tokenizer: Tokenizer, texts: list[str],
-                chunk: int = 128) -> np.ndarray:
+def embed_texts(encoder: Encoder, tokenizer: Tokenizer, texts: list[str]) -> np.ndarray:
     """(N, hidden) unit-norm embeddings under the bidirectional mask; no tape is recorded.
 
-    Texts are padded in groups of ``chunk``; each group runs through the
+    Texts are padded in groups of ``_PAD_GROUP``; each group runs through the
     encoder in row blocks of ``_block_rows`` texts, so that a block's attention
     scores stay cache-sized.  An embedding depends on its group's padded
     width, not on the block size.
     """
     out = []
     with ag.no_grad():
-        for i in range(0, len(texts), chunk):
-            ids, lengths = batch_ids(tokenizer, texts[i:i + chunk])
+        for i in range(0, len(texts), _PAD_GROUP):
+            ids, lengths = batch_ids(tokenizer, texts[i:i + _PAD_GROUP])
             mask = bidirectional_mask(ids.shape[1])
             rows = _block_rows(encoder.cfg.heads, ids.shape[1])
             for j in range(0, len(ids), rows):
@@ -248,7 +249,7 @@ def _mean(terms: list[Tensor]) -> Tensor:
     total = terms[0]
     for term in terms[1:]:
         total = ag.add(total, term)
-    return ag.scale(total, 1.0 / len(terms))
+    return ag.mul(total, 1.0 / len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +499,7 @@ class Trainer:
             loss = self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step,
                                             task, mining, mining_fh)
         if weight != 1.0:
-            loss = ag.scale(loss, weight)
+            loss = ag.mul(loss, weight)
         return loss, task
 
     def _sts_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,

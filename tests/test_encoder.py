@@ -2,6 +2,7 @@
 against a plain multi-head oracle, pooling, nested-dim truncation, and
 full-model gradients."""
 
+import dataclasses
 import json
 import re
 import struct
@@ -253,13 +254,25 @@ def _tape_nodes(loss) -> int:
 class TestTape:
     def test_lm_step_tape_nodes(self):
         # one lm step of the default two-layer encoder, built as Trainer._lm_step
-        # does; the unfused attention and norm chains recorded 86 nodes, the
-        # 5-node logsumexp chain 56, and the 5-node cross-entropy chain 52
+        # does: 3 embedding nodes, 12 per layer, the final norm and 4 for the
+        # loss.  The unfused attention and norm chains recorded 86 nodes, the
+        # 5-node logsumexp chain 56, the 5-node cross-entropy chain 52, and the
+        # head split and merge around the attention op 48
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(0).integers(2, TOY.vocab_size, size=(4, 12))
         states = enc.forward_batch(ids[:, :-1], causal_mask(11))
         logits = ag.reshape(enc.lm_logits(states), (4 * 11, TOY.vocab_size))
-        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 48
+        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 32
+
+    def test_weak_contrastive_step_tape_nodes(self):
+        # one unpadded in-batch InfoNCE step, built as Trainer._contrastive_step
+        # does: 32 nodes per mean-pooled embedding and 10 for the loss (106
+        # with the head split and merge around the attention op)
+        enc = Encoder(TOY, seed=0)
+        ids = np.random.default_rng(1).integers(2, TOY.vocab_size, size=(2, 8, 10))
+        mask = build_soft_mask(ScheduleState("linear", 3, 10), 10)
+        q, p = (enc.embed_batch(x, mask) for x in ids)
+        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 74
 
     def test_padded_weights_match_row_loop(self):
         mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)
@@ -275,13 +288,13 @@ class TestTape:
 class TestNoGradInference:
     @pytest.mark.parametrize("pooling", ["mean", "last-token"])
     def test_embed_batch_bitwise_equal_without_tape(self, pooling):
-        enc = Encoder(SMALL, seed=3)
+        enc = Encoder(dataclasses.replace(SMALL, pooling=pooling), seed=3)
         ids = np.random.default_rng(4).integers(2, SMALL.vocab_size, size=(3, 6))
         lengths = np.array([6, 4, 2])
         mask = bidirectional_mask(6)
-        tracked = enc.embed_batch(ids, mask, lengths, pooling=pooling)
+        tracked = enc.embed_batch(ids, mask, lengths)
         with ag.no_grad():
-            untracked = enc.embed_batch(ids, mask, lengths, pooling=pooling)
+            untracked = enc.embed_batch(ids, mask, lengths)
         assert tracked.requires_grad and not untracked.requires_grad
         assert untracked._parents == ()
         assert untracked.data.tobytes() == tracked.data.tobytes()

@@ -7,23 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedkit.mining import (Decision, MiningState, NegativePool, NegativeSlotState,
-                             decide, decide_scores, score)
-
-
-class TestScore:
-    def test_identical(self):
-        assert score(np.array([1.0, 0.0]), np.array([1.0, 0.0])) == 1.0
-
-    def test_antipodal(self):
-        assert score(np.array([1.0, 0.0]), np.array([-1.0, 0.0])) == -1.0
-
-    def test_45_degrees(self):
-        s = score(np.array([1.0, 0.0]), np.array([np.sqrt(2) / 2, np.sqrt(2) / 2]))
-        assert s == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            score(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+                             decide, decide_scores)
 
 
 class TestDecideWorkedCases:
