@@ -38,12 +38,11 @@ class ShapeMismatchError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input outside the kernel's domain (log of non-positive, zero-vector normalize, ...)."""
+    """Input outside the kernel's domain (zero-vector normalize, division by zero, ...)."""
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_backward_done",
-                 "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -51,7 +50,6 @@ class Tensor:
         self.grad = None
         self._parents: tuple = ()
         self._backward = None
-        self._backward_done = False
 
     @property
     def shape(self):
@@ -234,29 +232,6 @@ def matmul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward_fn)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), backward_fn)
-
-
-def log1p(a) -> Tensor:
-    """``log(1 + a)``, accurate where ``1 + a`` would round to 1; the gradient is ``g / (a + 1)``."""
-    a = as_tensor(a)
-    if np.any(a.data <= -1.0):
-        raise DomainError("log1p of input <= -1")
-    out_data = np.log1p(a.data)
-
-    def backward_fn(g):
-        _accumulate(a, g / (a.data + 1.0))
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.maximum(a.data, 0.0)
@@ -279,19 +254,6 @@ def softmax_lastdim(a) -> Tensor:
         _accumulate(a, out_data * (g - inner))
 
     return _make(out_data, (a,), backward_fn)
-
-
-def logsumexp_lastdim(a) -> Tensor:
-    """``log(sum(exp(a - m))) + m`` over the last axis, m the row max; one node."""
-    a = as_tensor(a)
-    m = np.max(a.data, axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e.sum(axis=-1)
-
-    def backward_fn(g):
-        _accumulate(a, np.expand_dims(g / s, -1) * e)
-
-    return _make(np.log(s) + m[..., 0], (a,), backward_fn)
 
 
 def _rowmax(x: np.ndarray) -> np.ndarray:
@@ -458,8 +420,8 @@ def index_select(a, axis: int, indices) -> Tensor:
 def cross_entropy_lastdim(a, targets) -> Tensor:
     """Mean over leading positions of ``logsumexp(a[..., :]) - a[..., target]``; one node.
 
-    The ops and their order are those of the chain ``logsumexp_lastdim``,
-    pick, ``sub``, mean, so loss and gradient match it bit for bit.
+    The ops and their order are those of the chain logsumexp, pick, ``sub``,
+    mean, so loss and gradient match it bit for bit.
     One (N, V) buffer holds ``exp(a - max)`` and then, in place, the gradient.
     """
     a = as_tensor(a)
@@ -489,18 +451,80 @@ def cross_entropy_lastdim(a, targets) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
-def concat_lastdim(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape[:-1] != b.shape[:-1]:
-        raise ShapeMismatchError(f"concat leading dims differ: {a.shape} vs {b.shape}")
-    out_data = np.concatenate([a.data, b.data], axis=-1)
-    na = a.shape[-1]
+def info_nce_loss(q, p, negatives, temperature: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Summed InfoNCE of (B, D) queries as one node: (loss, (B,) positive scores, (B, K) negative scores).
+
+    Row i's candidates are ``q_i . p_j`` for every in-batch positive j, then
+    ``q_i . n_ik`` for its K negatives (``negatives`` is (B, K, D) or None), and
+    its loss is ``logsumexp(candidates / T) - q_i . p_i / T``.  The ops and
+    their order are those of the chain sum_lastdim(mul), matmul(permute),
+    reshape(matmul(reshape)), concat, scale, logsumexp, sub, sum, and each
+    operand's gradient terms are summed in the order that chain's backward
+    added them, so loss, scores and gradients match it bit for bit.  Shapes
+    are not checked here: ``losses.ContrastiveBatch`` validates them.
+    """
+    q, p = as_tensor(q), as_tensor(p)
+    n = None if negatives is None or negatives.shape[1] == 0 else as_tensor(negatives)
+    bsz, dim = q.shape
+    inv_t = 1.0 / temperature
+    pos = (q.data * p.data).sum(axis=-1)
+    qr = q.data.reshape(bsz, dim, 1)
+    cand = np.matmul(q.data, p.data.T)
+    if n is None:
+        neg = np.zeros((bsz, 0))
+    else:
+        neg = np.matmul(n.data, qr).reshape(bsz, -1)
+        cand = np.concatenate([cand, neg], axis=-1)
+    x = cand * inv_t
+    m = np.max(x, axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    s = e.sum(axis=-1)
+    out_data = np.asarray((np.log(s) + m[:, 0] - pos * inv_t).sum())
 
     def backward_fn(g):
-        _accumulate(a, g[..., :na])
-        _accumulate(b, g[..., na:])
+        g = np.broadcast_to(g, (bsz,))
+        gc = np.expand_dims(g / s, -1) * e * inv_t  # d loss / d candidates
+        gin = gc[:, :bsz]
+        gneg = None if n is None else gc[:, bsz:].reshape(bsz, -1, 1)
+        gpos = np.expand_dims(-g * inv_t, -1)
+        if q.requires_grad:
+            gq = np.matmul(gin, p.data)
+            if n is not None:
+                gq = gq + np.matmul(_swap_last2(n.data), gneg).reshape(q.shape)
+            _accumulate(q, gq + gpos * p.data)
+        if p.requires_grad:
+            _accumulate(p, np.matmul(q.data.T, gin).T + gpos * q.data)
+        if n is not None and n.requires_grad:
+            _accumulate(n, np.matmul(gneg, _swap_last2(qr)))
 
-    return _make(out_data, (a, b), backward_fn)
+    # parents in this order make backward's traversal reach p, q, then n, as the chain's did
+    return _make(out_data, (q, p) if n is None else (n, q, p), backward_fn), pos, neg
+
+
+def cosent_loss(cosines, labels, tau: float) -> Tensor:
+    """CoSENT of (P,) cosines as one node: ``log1p(sum exp((c_lo - c_hi) / tau))``.
+
+    The sum runs over every pair (hi, lo) with ``labels[hi] > labels[lo]``;
+    without one the loss is an untracked 0.  The ops and their order are those
+    of the chain index_select, sub, scale, exp, sum, log1p, so loss and
+    gradient match it bit for bit.
+    """
+    c = as_tensor(cosines)
+    labels = np.asarray(labels)
+    hi, lo = np.where(labels[:, None] > labels[None, :])
+    if hi.size == 0:
+        return Tensor(0.0)
+    inv_tau = 1.0 / tau
+    e = np.exp((c.data[lo] - c.data[hi]) * inv_tau)
+    total = e.sum()
+
+    def backward_fn(g):
+        gd = g / (total + 1.0) * e * inv_tau
+        size = c.shape[0]
+        _accumulate(c, np.bincount(lo, weights=gd, minlength=size)
+                    + np.bincount(hi, weights=-gd, minlength=size))
+
+    return _make(np.log1p(total), (c,), backward_fn)
 
 
 def reshape(a, shape) -> Tensor:
@@ -535,9 +559,6 @@ def backward(loss: Tensor):
         raise TypeError("backward expects a Tensor")
     if loss.data.shape != ():
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._backward_done:
-        raise RuntimeError("backward already called on this result; rebuild the graph first")
-    loss._backward_done = True
     if not loss.requires_grad:
         return
 

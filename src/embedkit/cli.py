@@ -4,8 +4,8 @@ Subcommands: train, gen-clr, eval, mask-demo, grad-check.  Machine-readable
 output is line-delimited JSON on stdout; summaries go to stderr.  Exit codes:
 0 success, 2 usage, 3 invalid config/data, 4 missing file, 5 runtime failure.
 
-Environment overrides: EMBEDKIT_OUTPUT_DIR (train output directory) and
-EMBEDKIT_THREADS (BLAS/OpenMP thread count, read before numpy loads).
+Environment override: EMBEDKIT_THREADS (BLAS/OpenMP thread count, read
+before numpy loads).
 """
 
 from __future__ import annotations
@@ -83,9 +83,8 @@ def cmd_train(args) -> int:
     manifest = RunManifest.from_yaml(args.manifest)
     if args.seed is not None:
         manifest.seed = args.seed
-    out_dir = args.output_dir or os.environ.get("EMBEDKIT_OUTPUT_DIR")
-    if out_dir:
-        manifest.output_dir = out_dir
+    if args.output_dir:
+        manifest.output_dir = args.output_dir
     ckpt = Trainer(manifest).run(resume_from=args.resume)
     print(_dumps({"record": "final_checkpoint", "path": str(ckpt)}))
     print(f"training complete: {ckpt}", file=sys.stderr)

@@ -91,7 +91,9 @@ def example_to_record(e: TrainingExample) -> dict:
 
 def example_from_record(d: dict) -> TrainingExample:
     d = dict(d)
-    kind = d.pop("kind")
+    kind = d.pop("kind", None)
+    if kind not in _KINDS:
+        raise ValueError(f"unknown example kind {kind!r}; expected one of {sorted(_KINDS)}")
     d.pop("record", None)
     return _KINDS[kind](**d)
 
@@ -470,15 +472,49 @@ def write_dataset(path, task: str, examples: Sequence[TrainingExample],
             fh.write(_dumps(example_to_record(e)) + "\n")
 
 
-def read_dataset(path) -> tuple[dict, list[TrainingExample]]:
+def _header(path, first_line: str) -> dict:
+    if not first_line:
+        raise ValueError(f"dataset {path} is empty")
+    try:
+        header = json.loads(first_line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:1: invalid header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("record") != "header":
+        raise ValueError(f"dataset {path} is missing its header record")
+    return header
+
+
+def read_header(path) -> dict:
+    """A dataset file's header record, read without its examples."""
+    with open(path, encoding="utf-8") as fh:
+        return _header(path, fh.readline())
+
+
+def _read_records(path, parse, task: Optional[str] = None) -> tuple[dict, list]:
+    """The header and ``parse(record)`` for each record line of a dataset file.
+
+    A header of another ``task``, or a record that is not JSON or that
+    ``parse`` rejects, raises ValueError naming the file (and ``path:line``).
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"dataset {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("record") != "header":
-        raise ValueError(f"dataset {path} is missing its header record")
-    return header, [example_from_record(json.loads(ln)) for ln in lines[1:] if ln]
+    header = _header(path, lines[0] if lines else "")
+    if task is not None and header.get("task") != task:
+        raise ValueError(f"{path} is not a {task} dataset")
+    out = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line:
+            try:
+                out.append(parse(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: record without field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: invalid record: {exc}") from exc
+    return header, out
+
+
+def read_dataset(path) -> tuple[dict, list[TrainingExample]]:
+    return _read_records(path, example_from_record)
 
 
 def write_text_dataset(path, texts: Sequence[str], extra: Optional[dict] = None):
@@ -497,9 +533,4 @@ def write_text_dataset(path, texts: Sequence[str], extra: Optional[dict] = None)
 
 
 def read_text_dataset(path) -> tuple[dict, list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = json.loads(lines[0])
-    if header.get("record") != "header" or header.get("task") != "text":
-        raise ValueError(f"{path} is not a text dataset")
-    return header, [json.loads(ln)["text"] for ln in lines[1:] if ln]
+    return _read_records(path, lambda rec: rec["text"], task="text")

@@ -11,6 +11,9 @@ whose ground-truth similarity labels are strictly ordered, inside
 log(1 + .); ties contribute nothing, so a batch with all-equal labels
 scores exactly 0.  The log is ``log1p``: a batch whose ordered pairs are all
 far apart still scores above 0, where ``log(1 + total)`` would round to 0.
+
+Each loss is one autograd node with a hand-written backward (``info_nce_loss``,
+``cosent_loss``, ``cross_entropy_lastdim``); this module validates their inputs.
 """
 
 from __future__ import annotations
@@ -61,13 +64,6 @@ class ContrastiveBatch:
             _check_normalized("negative", self.negatives.data)
 
 
-def nce_from_scores(pos_scores: Tensor, candidate_scores: Tensor, temperature: float = 1.0) -> Tensor:
-    """Sum over queries of (logsumexp(candidates/T) - positive/T)."""
-    inv_t = 1.0 / temperature
-    lse = ag.logsumexp_lastdim(ag.mul(candidate_scores, inv_t))
-    return ag.tensor_sum(ag.sub(lse, ag.mul(pos_scores, inv_t)))
-
-
 def info_nce(batch: ContrastiveBatch) -> Tensor:
     loss, _, _ = info_nce_with_scores(batch)
     return loss
@@ -75,20 +71,7 @@ def info_nce(batch: ContrastiveBatch) -> Tensor:
 
 def info_nce_with_scores(batch: ContrastiveBatch) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """InfoNCE loss plus the (B,) positive and (B, K) negative cosines it used."""
-    q, p = batch.queries, batch.positives
-    bsz, dim = q.shape
-    pos_scores = ag.sum_lastdim(ag.mul(q, p))                      # (B,)
-    all_pos = ag.matmul(q, ag.permute(p, (1, 0)))                 # (B, B) in-batch candidates
-    if batch.negatives is not None and batch.negatives.shape[1] > 0:
-        neg = batch.negatives
-        neg_scores = ag.reshape(ag.matmul(neg, ag.reshape(q, (bsz, dim, 1))), (bsz, neg.shape[1]))
-        candidates = ag.concat_lastdim(all_pos, neg_scores)
-        neg_values = neg_scores.data.copy()
-    else:
-        candidates = all_pos
-        neg_values = np.zeros((bsz, 0))
-    loss = nce_from_scores(pos_scores, candidates, batch.temperature)
-    return loss, pos_scores.data.copy(), neg_values
+    return ag.info_nce_loss(batch.queries, batch.positives, batch.negatives, batch.temperature)
 
 
 @dataclass
@@ -113,12 +96,7 @@ class StsBatch:
 
 
 def cosent(batch: StsBatch) -> Tensor:
-    hi, lo = np.where(batch.labels[:, None] > batch.labels[None, :])
-    if hi.size == 0:
-        return Tensor(0.0)
-    diffs = ag.sub(ag.index_select(batch.cosines, 0, lo), ag.index_select(batch.cosines, 0, hi))
-    total = ag.tensor_sum(ag.exp(ag.mul(diffs, 1.0 / batch.tau)))
-    return ag.log1p(total)
+    return ag.cosent_loss(batch.cosines, batch.labels, batch.tau)
 
 
 def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -27,7 +27,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
                          save_checkpoint)
-from .data import Pair, Triplet, read_dataset, read_text_dataset
+from .data import Pair, Triplet, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import exact_search, ndcg_at_10, recall_at_k, spearman
 from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
@@ -272,9 +272,7 @@ class Trainer:
     def _build_tokenizer(self) -> Tokenizer:
         words: set[str] = set()
         for p in self._dataset_paths():
-            with open(p, encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-            words.update(header.get("vocab", []))
+            words.update(read_header(p).get("vocab", []))
         return Tokenizer(sorted(words), self.manifest.encoder.vocab_size)
 
     def _load_stage_data(self, cfg: StageConfig):

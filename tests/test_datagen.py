@@ -2,6 +2,7 @@
 cross-lingual pair generation, and synthetic corpus determinism."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -12,8 +13,9 @@ from embedkit.data import (CommandTranslator, ConstantScorer, LanguageDistributi
                            TRANSLATION_LANGUAGE_WEIGHTS, Triplet, build_classification,
                            build_sts, build_triplets, default_translation_languages,
                            generate_clr_dataset, make_clr_pair, pair_from_sft,
-                           example_to_record, quality_filter, read_dataset,
-                           sample_target_language, synth_corpus, write_dataset)
+                           example_to_record, quality_filter, read_dataset, read_text_dataset,
+                           sample_target_language, synth_corpus, write_dataset,
+                           write_text_dataset)
 
 
 class TestPairFromSft:
@@ -274,6 +276,20 @@ class TestDatasetFiles:
         write_dataset(path, "retrieval", examples)
         header, _ = read_dataset(path)
         assert set(header["vocab"]) == {"alpha", "beta", "gamma", "delta", "epsilon"}
+
+    def test_empty_text_dataset_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "lm.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError, match=f"dataset {re.escape(str(path))} is empty"):
+            read_text_dataset(path)
+
+    def test_text_record_without_text_names_its_line(self, tmp_path):
+        path = tmp_path / "lm.jsonl"
+        write_text_dataset(path, ["a b", "c"])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"record":"example","kind":"text"}\n')
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:4:"):
+            read_text_dataset(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

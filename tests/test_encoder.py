@@ -15,8 +15,9 @@ from embedkit.autograd import DomainError, Tensor, grad_check
 from embedkit.checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
                                  save_checkpoint)
 from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_normalize
-from embedkit.losses import ContrastiveBatch, info_nce, next_token_ce
+from embedkit.losses import ContrastiveBatch, StsBatch, cosent, info_nce, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
+from embedkit.pipeline import _mean
 
 TOY = EncoderConfig()
 SMALL = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -266,13 +267,50 @@ class TestTape:
 
     def test_weak_contrastive_step_tape_nodes(self):
         # one unpadded in-batch InfoNCE step, built as Trainer._contrastive_step
-        # does: 32 nodes per mean-pooled embedding and 10 for the loss (106
-        # with the head split and merge around the attention op)
+        # does: 32 nodes per mean-pooled embedding and 1 for the loss (106 with
+        # the head split and merge around the attention op, 74 with the loss
+        # as a 10-node chain)
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(1).integers(2, TOY.vocab_size, size=(2, 8, 10))
         mask = build_soft_mask(ScheduleState("linear", 3, 10), 10)
         q, p = (enc.embed_batch(x, mask) for x in ids)
-        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 74
+        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 65
+
+    def test_supervised_triplet_step_tape_nodes(self):
+        # one unpadded triplet step, built as Trainer._triplet_batch_loss does, with
+        # MRL over (16, 32, 64) and 7 negatives: 64 for the two embeddings, 3 to
+        # cut positives and negatives from the passage batch, 12 to truncate and
+        # renormalize at 16 and 32, 1 per dim for the loss and 3 for the mean
+        # (124 with the loss as a 14-node chain)
+        enc = Encoder(TOY, seed=0)
+        bsz, k, dim = 4, 7, TOY.hidden_dim
+        rng = np.random.default_rng(2)
+        mask = bidirectional_mask(10)
+        q_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz, 10)), mask)
+        all_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz + bsz * k, 10)), mask)
+        p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
+        n_emb = ag.reshape(ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k)), (bsz, k, dim))
+        dims = TOY.mrl_dims
+        loss = _mean([info_nce(ContrastiveBatch(*(truncate_normalize(t, d, dims)
+                                                  for t in (q_emb, p_emb, n_emb))))
+                      for d in sorted(dims, reverse=True)])
+        assert _tape_nodes(loss) == 85
+
+    def test_sts_step_tape_nodes(self):
+        # one unpadded STS step, built as Trainer._sts_batch_loss does, with MRL
+        # over (16, 32, 64): 64 for the two embeddings, 8 to truncate and
+        # renormalize at 16 and 32, 2 per dim for the cosines, 1 per dim for the
+        # loss and 3 for the mean (105 with the loss as an 8-node chain)
+        enc = Encoder(TOY, seed=0)
+        rng = np.random.default_rng(3)
+        mask = bidirectional_mask(10)
+        ea, eb = (enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(32, 10)), mask)
+                  for _ in range(2))
+        labels = rng.integers(0, 5, size=32).astype(float)
+        dims = TOY.mrl_dims
+        cos = [ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims), truncate_normalize(eb, d, dims)))
+               for d in dims]
+        assert _tape_nodes(_mean([cosent(StsBatch(c, labels)) for c in cos])) == 84
 
     def test_padded_weights_match_row_loop(self):
         mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)

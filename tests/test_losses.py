@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from embedkit import autograd as ag
 from embedkit.autograd import Tensor, grad_check
 from embedkit.losses import (ContrastiveBatch, StsBatch, cosent, info_nce,
-                             info_nce_with_scores, nce_from_scores, next_token_ce)
+                             info_nce_with_scores, next_token_ce)
 
 LOG_1P_EXP_M2 = math.log(1.0 + math.exp(-2.0))     # 0.126928...
 
@@ -22,8 +22,19 @@ def _unit(v):
 
 
 def _log(a):
-    """A ``log`` node: the reference ``log1p``'s gradient is checked against."""
+    """A ``log`` node: the reference CoSENT's ``log1p`` gradient is checked against."""
     return ag._make(np.log(a.data), (a,), lambda g: ag._accumulate(a, g / a.data))
+
+
+def _exp(a):
+    """An ``exp`` node for the reference CoSENT chain."""
+    out = np.exp(a.data)
+    return ag._make(out, (a,), lambda g: ag._accumulate(a, g * out))
+
+
+def _nce(q, p, n, temperature):
+    """The fused InfoNCE loss of plain arrays, which need not be unit vectors."""
+    return float(ag.info_nce_loss(Tensor(q), Tensor(p), Tensor(n), temperature)[0].data)
 
 
 class TestInfoNceValues:
@@ -54,18 +65,24 @@ class TestInfoNceValues:
             assert val >= 0.0
 
     def test_score_shift_invariance(self):
+        # one more coordinate, 1 on the queries and 0.37 on every candidate,
+        # adds 0.37 to every score
         rng = np.random.default_rng(1)
-        pos = Tensor(rng.uniform(-1, 1, 4))
-        cand = Tensor(rng.uniform(-1, 1, (4, 6)))
-        base = float(nce_from_scores(pos, cand, temperature=0.7).data)
-        shifted = float(nce_from_scores(ag.add(pos, 0.37),
-                                        ag.add(cand, 0.37), temperature=0.7).data)
+        q, p = rng.uniform(-1, 1, (2, 4, 5))
+        n = rng.uniform(-1, 1, (4, 2, 5))
+
+        def lift(x, v):
+            return np.concatenate([x, np.full(x.shape[:-1] + (1,), v)], axis=-1)
+
+        base = _nce(q, p, n, 0.7)
+        shifted = _nce(lift(q, 1.0), lift(p, 0.37), lift(n, 0.37), 0.7)
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_strictly_decreasing_in_positive_score(self):
-        cand = Tensor(np.array([[0.2, -0.1, 0.5]]))
-        lo = float(nce_from_scores(Tensor([0.2]), cand, 0.5).data)
-        hi = float(nce_from_scores(Tensor([0.3]), cand, 0.5).data)
+        # one query and D = 1, so each score is the candidate's value
+        neg = np.array([[[0.2], [-0.1], [0.5]]])
+        lo = _nce([[1.0]], [[0.2]], neg, 0.5)
+        hi = _nce([[1.0]], [[0.3]], neg, 0.5)
         assert hi < lo
 
     def test_reports_scores_used(self):
@@ -133,17 +150,16 @@ class TestCosentValues:
         assert val > 0.0
 
     def test_gradient_equal_to_log_of_one_plus_chain(self):
-        # log1p's backward is g / (x + 1), the gradient log(1 + x) gave, bit for bit
+        # the log1p step's backward is g / (x + 1), the gradient log(1 + x) gave, bit for bit
         rng = np.random.default_rng(8)
         cos, labels = rng.uniform(-1, 1, 7), rng.integers(0, 3, 7).astype(float)
         hi, lo = np.where(labels[:, None] > labels[None, :])
-        grads = []
-        for head in (ag.log1p, lambda total: _log(ag.add(total, 1.0))):
-            t = Tensor(cos, requires_grad=True)
-            diffs = ag.sub(ag.index_select(t, 0, lo), ag.index_select(t, 0, hi))
-            ag.backward(head(ag.tensor_sum(ag.exp(ag.mul(diffs, 1.0 / 0.05)))))
-            grads.append(t.grad.tobytes())
-        assert grads[0] == grads[1]
+        t = Tensor(cos, requires_grad=True)
+        ag.backward(cosent(StsBatch(t, labels, tau=0.05)))
+        ref = Tensor(cos, requires_grad=True)
+        diffs = ag.sub(ag.index_select(ref, 0, lo), ag.index_select(ref, 0, hi))
+        ag.backward(_log(ag.add(ag.tensor_sum(_exp(ag.mul(diffs, 1.0 / 0.05))), 1.0)))
+        assert t.grad.tobytes() == ref.grad.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=6),

@@ -12,7 +12,7 @@ import pytest
 from embedkit.autograd import Tensor, no_grad
 from embedkit.checkpoint import save_checkpoint
 from embedkit.cli import main as cli_main
-from embedkit.data import (MockTranslator, LanguageDistribution, Triplet, build_classification,
+from embedkit.data import (MockTranslator, LanguageDistribution, Pair, Triplet, build_classification,
                            build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
                            build_sft_records, synth_corpus, write_dataset, write_text_dataset)
 from embedkit.encoder import Encoder, EncoderConfig
@@ -458,6 +458,30 @@ class TestCli:
         assert cli_main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
                          "--data", str(data)]) == 3
         assert str(data) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,what", [
+        ('{kind: "pair"}', "Expecting property name"),
+        ('{"record":"example","kind":"pear","query":"q","positive":"p"}', "'pear'"),
+        ('{"record":"example","kind":"pair","qury":"q","positive":"p"}', "'qury'"),
+    ], ids=["not-json", "unknown-kind", "unknown-field"])
+    def test_bad_dataset_record_exits_3_naming_file_and_line(self, tmp_path, capsys, line, what):
+        data = tmp_path / "bad.jsonl"
+        write_dataset(data, "pair", [Pair("q", "p")])
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        assert cli_main(["gen-clr", "--input", str(data), "--output", str(tmp_path / "o.jsonl")]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}:3:" in err and what in err
+
+    def test_train_on_empty_lm_file_exits_3_naming_it(self, toy_data, tmp_path, capsys):
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        empty = tmp_path / "lm.jsonl"
+        empty.write_text("")
+        m.data["lm-pretrain"] = str(empty)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"dataset {empty} is empty" in capsys.readouterr().err
 
     def test_unreadable_config_exits_3(self, tmp_path):
         bad = tmp_path / "bad.yaml"
