@@ -49,7 +49,8 @@ def _json_bytes(obj) -> bytes:
 
 def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: dict | None = None,
                     state: dict | None = None):
-    """Write ``path`` atomically: a temporary file beside it is fsynced, then renamed onto it.
+    """Write ``path`` atomically: a temporary file beside it is fsynced, then renamed
+    onto it, and the directory is fsynced so that the rename survives a power loss.
 
     ``state`` goes after the buffers, where only a full read parses it and
     merges its keys into ``extra``.  A write that fails part-way leaves any
@@ -75,6 +76,11 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: di
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read(path, weights_only: bool) -> tuple[dict, dict[str, np.ndarray], dict]:

@@ -3,6 +3,7 @@ per-language embedding-distribution report used to track cross-lingual drift."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,9 +28,15 @@ class RetrievalRun:
 _SEARCH_BLOCK = 256     # query rows ranked at once; bounds memory beyond the score matrix
 
 
-def exact_search(query_vecs: np.ndarray, query_ids: Sequence[str],
-                 corpus_vecs: np.ndarray, corpus_ids: Sequence[str], k: int) -> RetrievalRun:
-    """Top-k by cosine over the whole corpus; ties break by ascending doc id, then corpus order."""
+def top_k(query_vecs: np.ndarray, corpus_vecs: np.ndarray, corpus_ids: Sequence[str],
+          k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k by cosine over the whole corpus as two (n_queries, min(k, N)) arrays.
+
+    ``rows[i]`` holds the corpus rows ranked for query ``i`` and ``scores[i]``
+    their scores: score descending, ties broken by ascending doc id, then by
+    corpus order.  The scores come from one GEMM over the whole corpus, so
+    they do not depend on the block size.
+    """
     q = np.asarray(query_vecs, dtype=np.float64)
     c = np.asarray(corpus_vecs, dtype=np.float64)
     for name, v in (("query", q), ("corpus", c)):
@@ -43,27 +50,47 @@ def exact_search(query_vecs: np.ndarray, query_ids: Sequence[str],
         raise ValueError(f"k must be positive, got {k}")
     k = min(k, n)
     scores = q @ c.T
-    ids = np.array(corpus_ids)
+    # a doc's place in ascending (id, corpus row) order: the whole tie rule in one key
     id_rank = np.empty(n, dtype=np.intp)
-    id_rank[np.argsort(ids, kind="stable")] = np.arange(n)
-    query_ids = list(query_ids)
-    rankings = {}
-    for start in range(0, scores.shape[0], _SEARCH_BLOCK):
+    id_rank[np.argsort(np.array(corpus_ids), kind="stable")] = np.arange(n)
+    top_rows = np.empty((len(q), k), dtype=np.intp)
+    for start in range(0, len(q), _SEARCH_BLOCK):
         block = scores[start:start + _SEARCH_BLOCK]
+        b = len(block)
         # every score >= the k-th largest of its row: the top k plus ties at the cut
         kth = np.partition(block, n - k, axis=1)[:, n - k, None]
-        rows, cols = np.nonzero(block >= kth)
-        vals = block[rows, cols]
+        # (a 2-D nonzero is several times slower than flatnonzero and divmod)
+        hit_rows, hit_cols = np.divmod(np.flatnonzero(block >= kth), n)
+        # candidates left-aligned in a (rows, widest) pad whose slack sorts last
+        counts = np.bincount(hit_rows, minlength=b)
+        slot = np.arange(hit_rows.size) - (np.cumsum(counts) - counts)[hit_rows]
+        cand = np.zeros((b, counts.max()), dtype=np.intp)
+        neg = np.full(cand.shape, np.inf)
+        rank = np.full(cand.shape, n, dtype=np.intp)
+        cand[hit_rows, slot] = hit_cols
+        neg[hit_rows, slot] = -block[hit_rows, hit_cols]
+        rank[hit_rows, slot] = id_rank[hit_cols]
         # lexsort keys: last key is primary
-        order = np.lexsort((id_rank[cols], -vals, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.searchsorted(rows, rows)             # each row's first position
-        keep = np.arange(rows.size) - first < k
-        top_ids = ids[cols[keep]].reshape(-1, k).tolist()
-        top_vals = vals[keep].reshape(-1, k).tolist()
-        for qid, row_ids, row_vals in zip(query_ids[start:start + _SEARCH_BLOCK], top_ids, top_vals):
-            rankings[qid] = list(zip(row_ids, row_vals))
-    return RetrievalRun(rankings=rankings)
+        order = np.lexsort((rank, neg), axis=-1)[:, :k]
+        top_rows[start:start + b] = cand[np.arange(b)[:, None], order]
+    top_scores = scores[np.arange(len(q))[:, None], top_rows]
+    # RetrievalRun's order check, on the arrays
+    ranks = id_rank[top_rows]
+    prev, later = top_scores[:, :-1], top_scores[:, 1:]
+    bad = (later > prev) | ((later == prev) & (ranks[:, 1:] < ranks[:, :-1]))
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"ranking for query row {row} violates (score desc, id asc) order")
+    return top_rows, top_scores
+
+
+def exact_search(query_vecs: np.ndarray, query_ids: Sequence[str],
+                 corpus_vecs: np.ndarray, corpus_ids: Sequence[str], k: int) -> RetrievalRun:
+    """``top_k`` as a ``RetrievalRun``: per query id, the ranked (doc id, score) pairs."""
+    rows, scores = top_k(query_vecs, corpus_vecs, corpus_ids, k)
+    top_ids = np.array(corpus_ids)[rows].tolist()
+    return RetrievalRun(rankings={qid: list(zip(row_ids, row_scores)) for qid, row_ids, row_scores
+                                  in zip(query_ids, top_ids, scores.tolist())})
 
 
 def _queries_with_judgments(run: RetrievalRun) -> list[str]:
@@ -79,27 +106,56 @@ def _queries_with_judgments(run: RetrievalRun) -> list[str]:
     return usable
 
 
+# binary gain at 1-based rank r is 1 / log2(r + 1); the ideal DCG of m relevant
+# docs is the sum of the first m gains, added in rank order
+_GAINS = [1.0 / math.log2(rank + 1) for rank in range(1, 11)]
+_IDEAL = np.array(list(itertools.accumulate(_GAINS, initial=0.0)))
+
+
+def retrieval_metrics(hits: np.ndarray, first_hits: np.ndarray, n_relevant: np.ndarray,
+                      ks: Sequence[int]) -> dict[str, float]:
+    """recall@k for each k in ``ks``, then nDCG@10, each a mean over queries.
+
+    ``hits[i, r]`` is true when the doc at 0-based rank ``r`` of query ``i``
+    is relevant, and ``first_hits[i, r]`` when it is also that id's first
+    occurrence in the ranking; ``n_relevant[i]`` counts the query's distinct
+    relevant ids.  Recall counts distinct relevant ids in the top k; nDCG
+    credits every relevant occurrence in the top 10, its gains summed in rank
+    order.
+    """
+    metrics = {f"recall@{k}": float(np.mean(first_hits[:, :k].sum(axis=1) / n_relevant))
+               for k in ks}
+    dcg = np.zeros(hits.shape[0])
+    for rank, gain in enumerate(_GAINS[:hits.shape[1]]):
+        dcg += hits[:, rank] * gain
+    ideal = _IDEAL[np.minimum(n_relevant, 10)]
+    metrics["ndcg@10"] = float(np.mean(dcg / ideal))
+    return metrics
+
+
+def _run_hits(run: RetrievalRun, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``retrieval_metrics``' inputs for the judged queries of ``run``, to rank ``depth``."""
+    qids = _queries_with_judgments(run)
+    hits = np.zeros((len(qids), depth), dtype=bool)
+    first_hits = np.zeros_like(hits)
+    for i, qid in enumerate(qids):
+        rel, seen = run.judgments[qid], set()
+        for rank, (doc, _) in enumerate(run.rankings[qid][:depth]):
+            if doc in rel:
+                hits[i, rank] = True
+                first_hits[i, rank] = doc not in seen
+                seen.add(doc)
+    return hits, first_hits, np.array([len(run.judgments[qid]) for qid in qids])
+
+
 def recall_at_k(run: RetrievalRun, k: int) -> float:
     """Mean over queries of |relevant among top-k| / |relevant|."""
-    vals = []
-    for qid in _queries_with_judgments(run):
-        rel = run.judgments[qid]
-        top = {doc for doc, _ in run.rankings[qid][:k]}
-        vals.append(len(rel & top) / len(rel))
-    return float(np.mean(vals))
+    return retrieval_metrics(*_run_hits(run, k), ks=(k,))[f"recall@{k}"]
 
 
 def ndcg_at_10(run: RetrievalRun) -> float:
     """Binary-gain nDCG over the top 10 ranks."""
-    vals = []
-    for qid in _queries_with_judgments(run):
-        rel = run.judgments[qid]
-        dcg = sum(1.0 / math.log2(rank + 1)
-                  for rank, (doc, _) in enumerate(run.rankings[qid][:10], start=1)
-                  if doc in rel)
-        ideal = sum(1.0 / math.log2(r + 1) for r in range(1, min(len(rel), 10) + 1))
-        vals.append(dcg / ideal)
-    return float(np.mean(vals))
+    return retrieval_metrics(*_run_hits(run, 10), ks=())["ndcg@10"]
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -29,7 +30,7 @@ from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require
                          save_checkpoint)
 from .data import Pair, Triplet, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
-from .evaluation import exact_search, ndcg_at_10, recall_at_k, spearman
+from .evaluation import retrieval_metrics, spearman, top_k
 from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
 from .masks import AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from .mining import MiningState
@@ -104,28 +105,55 @@ class RunManifest:
     seed: int = 0
 
     def __post_init__(self):
-        order = [STAGE_KINDS.index(s.kind) for s in self.stages]
         if not self.stages:
             raise ValueError("manifest needs at least one stage")
-        if any(a >= b for a, b in zip(order, order[1:])):
-            raise ValueError("stages must appear in pipeline order, each kind at most once")
-        for s in self.stages:
+        order = [STAGE_KINDS.index(s.kind) for s in self.stages]
+        for i, s in enumerate(self.stages):
+            where = f"stage {i} ({s.kind})"
+            if i and order[i - 1] >= order[i]:
+                raise ValueError(f"{where}: stages must appear in pipeline order, "
+                                 "each kind at most once")
             if s.kind not in self.data:
-                raise ValueError(f"manifest is missing data for stage {s.kind!r}")
+                raise ValueError(f"{where}: manifest is missing data for stage {s.kind!r}")
             if s.kind == "supervised":
                 if not isinstance(self.data[s.kind], dict) or not self.data[s.kind]:
-                    raise ValueError("supervised data must map task names to dataset paths")
+                    raise ValueError(f"{where}: supervised data must map task names to dataset paths")
                 bad = set(self.data[s.kind]) - set(SUPERVISED_TASKS)
                 if bad:
-                    raise ValueError(f"unknown supervised tasks: {sorted(bad)}")
+                    raise ValueError(f"{where}: unknown supervised tasks: {sorted(bad)}")
 
     @classmethod
     def from_yaml(cls, path) -> "RunManifest":
+        """Read a manifest; every error it raises names ``path``, and a stage's error its index."""
         import yaml
         path = Path(path)
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
-        base = path.parent
+            try:
+                raw = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                mark = getattr(exc, "problem_mark", None)
+                where = f"{path}:{mark.line + 1}" if mark is not None else str(path)
+                raise ValueError(f"{where}: not valid YAML: "
+                                 f"{getattr(exc, 'problem', None) or exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a manifest must be a YAML mapping, not {type(raw).__name__}")
+        try:
+            return cls._from_raw(raw, path.parent)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    @classmethod
+    def _from_raw(cls, raw: dict, base: Path) -> "RunManifest":
+        for key, kind, name in (("stages", list, "list"), ("data", dict, "mapping"),
+                                ("encoder", dict, "mapping")):
+            if not isinstance(raw.get(key, kind()), kind):
+                raise ValueError(f"{key!r} must be a YAML {name}")
+        stages = []
+        for i, s in enumerate(raw.get("stages", [])):
+            try:
+                stages.append(StageConfig.from_dict(s))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"stage {i}: {exc}") from exc
 
         def resolve(p):
             p = Path(p)
@@ -137,7 +165,7 @@ class RunManifest:
         out = raw.get("output_dir", "runs/out")
         return cls(
             encoder=EncoderConfig.from_dict(raw.get("encoder", {})),
-            stages=[StageConfig.from_dict(s) for s in raw.get("stages", [])],
+            stages=stages,
             data=data,
             output_dir=str(Path(out) if Path(out).is_absolute() else base / out),
             seed=int(raw.get("seed", 0)),
@@ -222,6 +250,14 @@ def _truncate_log(path: Path, start_step: int):
                 if line.endswith("\n") and json.loads(line)["step"] < start_step]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(kept)
+
+
+def _sync(*logs):
+    """Make the open logs durable, so that no checkpoint outlives the records written before it."""
+    for fh in logs:
+        if fh is not None:
+            fh.flush()
+            os.fsync(fh.fileno())
 
 
 def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
@@ -419,9 +455,11 @@ class Trainer:
                                          "task": task, "loss": value, "lr": lr}) + "\n")
                 if cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0 \
                         and step + 1 < cfg.steps:
+                    _sync(metrics_fh, mining_fh)
                     self._save(self.out_dir / f"stage{idx}-step{step + 1}.ckpt",
                                encoder, optimizer, idx, step + 1, mining)
-        self._save(ckpt_path, encoder, optimizer, idx, cfg.steps, mining)
+            _sync(metrics_fh, mining_fh)
+            self._save(ckpt_path, encoder, optimizer, idx, cfg.steps, mining)
         return ckpt_path
 
     # -- per-kind steps: (cfg, encoder, data, rng, step, mining, mining_fh) -> (loss, task)
@@ -580,20 +618,14 @@ def load_encoder(ckpt_path) -> tuple[Encoder, Tokenizer, dict]:
 
 def evaluate_retrieval(encoder: Encoder, tokenizer: Tokenizer, examples: list,
                        ks: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, float]:
-    queries, corpus, judgments = [], [], {}
-    for i, ex in enumerate(examples):
-        qid, did = f"q{i}", f"d{i}"
-        queries.append((qid, ex.query))
-        corpus.append((did, ex.positive))
-        judgments[qid] = {did}
-    qv = embed_texts(encoder, tokenizer, [t for _, t in queries])
-    cv = embed_texts(encoder, tokenizer, [t for _, t in corpus])
-    run = exact_search(qv, [q for q, _ in queries], cv, [d for d, _ in corpus],
-                       k=max(max(ks), 10))
-    run.judgments = judgments
-    metrics = {f"recall@{k}": recall_at_k(run, k) for k in ks}
-    metrics["ndcg@10"] = ndcg_at_10(run)
-    return metrics
+    """recall@k and nDCG@10 of each query's own passage (doc id ``d<i>``) among all passages."""
+    n = len(examples)
+    qv = embed_texts(encoder, tokenizer, [ex.query for ex in examples])
+    cv = embed_texts(encoder, tokenizer, [ex.positive for ex in examples])
+    rows, _ = top_k(qv, cv, [f"d{i}" for i in range(n)], k=max(max(ks), 10))
+    # the doc ids are distinct, so each query's one relevant doc occurs at most once
+    hits = rows == np.arange(n)[:, None]
+    return retrieval_metrics(hits, hits, np.ones(n, dtype=np.intp), ks)
 
 
 def evaluate_sts(encoder: Encoder, tokenizer: Tokenizer, examples: list) -> dict[str, float]:

@@ -4,7 +4,9 @@ full-model gradients."""
 
 import dataclasses
 import json
+import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -390,6 +392,28 @@ class TestCheckpointRoundtrip:
             save_checkpoint(path, {}, {"a": np.ones(3), "b": FailsOnWrite()}, {})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["enc.ckpt"]
+
+    def test_directory_fsynced_after_rename(self, tmp_path, monkeypatch):
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def record_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(st.st_mode), st.st_ino))
+            fsync(fd)
+
+        def record_replace(src, dst):
+            replace(src, dst)
+            events.append(("replace",))
+
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        monkeypatch.setattr(os, "replace", record_replace)
+        path = tmp_path / "run" / "enc.ckpt"
+        save_checkpoint(path, SMALL.to_dict(), Encoder(SMALL, seed=1).export_arrays(), {})
+        directory = os.stat(path.parent).st_ino
+        # the file's data before the rename, the directory entry after it
+        assert events == [("fsync", False, os.stat(path).st_ino), ("replace",),
+                          ("fsync", True, directory)]
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "junk.ckpt"

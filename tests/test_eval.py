@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedkit.evaluation import (RetrievalRun, centroid_analysis, exact_search,
-                                 metric_records, ndcg_at_10, recall_at_k, spearman)
+                                 metric_records, ndcg_at_10, recall_at_k, spearman, top_k)
 
 
 def _run(ranked_ids, relevant):
@@ -40,6 +40,11 @@ class TestRecall:
         with pytest.raises(ValueError):
             recall_at_k(run, 1)
 
+    def test_duplicate_id_counted_once(self):
+        run = _run(["a", "a", "b", "c"], ["a", "b"])
+        assert recall_at_k(run, 2) == 0.5
+        assert recall_at_k(run, 3) == 1.0
+
 
 class TestNdcg:
     def test_relevant_at_rank_1(self):
@@ -57,6 +62,11 @@ class TestNdcg:
         ids = [f"d{i:02d}" for i in range(15)]
         assert ndcg_at_10(_run(ids, ["d00", "d01", "d02"])) == 1.0
         assert ndcg_at_10(_run(ids, ["d00", "d01", "d03"])) < 1.0
+
+    def test_every_occurrence_of_a_relevant_id_gains(self):
+        gain = {rank: 1.0 / math.log2(rank + 1) for rank in (1, 2, 4)}
+        run = _run(["a", "a", "c", "b"], ["a", "b"])
+        assert ndcg_at_10(run) == (gain[1] + gain[2] + gain[4]) / (gain[1] + gain[2])
 
 
 class TestSpearman:
@@ -123,16 +133,14 @@ class TestExactSearch:
             exact_search(np.eye(2)[:1], ["q"], np.eye(2), ["a", "b"], k=0)
 
 
-def _per_query_lexsort(qv, qids, cv, cids, k):
-    """The one-lexsort-per-query ranking that the blocked top-k pass replaced."""
+def _per_query_lexsort(qv, cv, cids, k):
+    """The one-lexsort-per-query ranking that the blocked top-k pass replaced:
+    (n_queries, min(k, N)) corpus rows and their scores."""
     scores = qv @ cv.T
     order_ids = np.array(cids)
     k = min(k, cv.shape[0])
-    rankings = {}
-    for qi, qid in enumerate(qids):
-        order = np.lexsort((order_ids, -scores[qi]))[:k]
-        rankings[qid] = [(str(order_ids[j]), float(scores[qi, j])) for j in order]
-    return rankings
+    rows = np.array([np.lexsort((order_ids, -row))[:k] for row in scores]).reshape(-1, k)
+    return rows, np.take_along_axis(scores, rows, axis=1)
 
 
 def _quantized_unit(rng, n, d, levels):
@@ -156,9 +164,15 @@ def test_exact_search_equals_per_query_lexsort(nq, nc, d, levels, k, dup_ids):
     qv, cv = _quantized_unit(rng, nq, d, levels), _quantized_unit(rng, nc, d, levels)
     qids = [f"q{i}" for i in range(nq)]
     cids = [f"d{rng.integers(0, max(1, nc // 3))}" if dup_ids else f"d{i}" for i in range(nc)]
+    want_rows, want_scores = _per_query_lexsort(qv, cv, cids, k)
+    rows, scores = top_k(qv, cv, cids, k)
+    # corpus rows, not just ids: among duplicate ids, ties fall back to corpus order
+    np.testing.assert_array_equal(rows, want_rows)
+    assert scores.tobytes() == want_scores.tobytes()
     run = exact_search(qv, qids, cv, cids, k)
     # == on ids and float scores: the same ranking, bit for bit
-    assert run.rankings == _per_query_lexsort(qv, qids, cv, cids, k)
+    assert run.rankings == {qid: [(cids[j], s) for j, s in zip(r, sc)]
+                            for qid, r, sc in zip(qids, want_rows.tolist(), want_scores.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +252,40 @@ def test_metrics_match_quadratic_oracles(seed):
     x = rng.normal(size=8)
     y = np.round(rng.normal(size=8), 1)   # rounded to force occasional ties
     assert abs(spearman(x, y) - oracle_spearman(x, y)) <= 1e-12
+
+
+def _per_query_metrics(run, k):
+    """recall@k and nDCG@10 as per-query loops: the reference for the metric kernel's bits."""
+    recall, ndcg = [], []
+    for qid, ranked in run.rankings.items():
+        rel = run.judgments.get(qid)
+        if not rel:
+            continue
+        recall.append(len(rel & {doc for doc, _ in ranked[:k]}) / len(rel))
+        dcg = ideal = 0.0
+        for rank, (doc, _) in enumerate(ranked[:10], start=1):
+            if doc in rel:
+                dcg += 1.0 / math.log2(rank + 1)
+        for rank in range(1, min(len(rel), 10) + 1):
+            ideal += 1.0 / math.log2(rank + 1)
+        ndcg.append(dcg / ideal)
+    return float(np.mean(recall)), float(np.mean(ndcg))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_metric_kernel_bitwise_equals_per_query_loops(seed):
+    # duplicate ids in a ranking, several relevant ids, unjudged queries, and
+    # query counts past numpy's pairwise-summation blocks
+    rng = np.random.default_rng(seed)
+    n_docs, depth = int(rng.integers(3, 30)), int(rng.integers(1, 25))
+    docs = [f"d{i}" for i in range(n_docs)]
+    rankings = {f"q{i}": [(docs[j], float(-r)) for r, j in enumerate(rng.integers(0, n_docs, depth))]
+                for i in range(int(rng.integers(1, 400)))}
+    judgments = {qid: set(rng.choice(docs, size=rng.integers(0, 13))) for qid in rankings}
+    judgments["q0"].add("d0")
+    run = RetrievalRun(rankings=rankings, judgments=judgments)
+    k = int(rng.integers(1, depth + 4))
+    assert (recall_at_k(run, k), ndcg_at_10(run)) == _per_query_metrics(run, k)
 
 
 class TestCentroidAnalysis:

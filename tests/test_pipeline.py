@@ -2,26 +2,34 @@
 round-robin task mixing, determinism, mid-stage resume, and the CLI surface."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+import embedkit
 from embedkit.autograd import Tensor, no_grad
 from embedkit.checkpoint import save_checkpoint
 from embedkit.cli import main as cli_main
 from embedkit.data import (MockTranslator, LanguageDistribution, Pair, Triplet, build_classification,
                            build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
-                           build_sft_records, synth_corpus, write_dataset, write_text_dataset)
+                           build_sft_records, read_dataset, synth_corpus, write_dataset,
+                           write_text_dataset)
 from embedkit.encoder import Encoder, EncoderConfig
+from embedkit.evaluation import exact_search, ndcg_at_10, recall_at_k
 from embedkit.masks import bidirectional_mask, causal_mask
 from embedkit.mining import MiningState
 from embedkit.optim import AdamW, AdamWConfig, warmup_lr
 from embedkit.pipeline import (_SCORE_BUDGET, STAGE_KINDS, SUPERVISED_TASKS, RunManifest,
                                StageConfig, Trainer, _block_rows, _stage_mask, batch_ids,
-                               embed_texts, evaluate_checkpoint)
+                               embed_texts, evaluate_checkpoint, evaluate_retrieval, load_encoder)
 from embedkit.tokenizer import Tokenizer
 
 SMALL_ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -191,6 +199,25 @@ class TestManifest:
         assert back.data == m.data
 
 
+# run as ``python -c _KILL_AFTER_SAVE <checkpoint name> <manifest>``: train, and
+# SIGKILL the process as soon as the named checkpoint has been written
+_KILL_AFTER_SAVE = """
+import os, signal, sys
+from pathlib import Path
+from embedkit import cli, pipeline
+
+save = pipeline.save_checkpoint
+
+def save_then_die(path, *args, **kwargs):
+    save(path, *args, **kwargs)
+    if Path(path).name == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+pipeline.save_checkpoint = save_then_die
+cli.main(["train", "--manifest", sys.argv[2]])
+"""
+
+
 class TestTrainingRuns:
     def test_round_robin_visits_every_task_each_cycle(self, toy_data, tmp_path):
         m = _manifest(toy_data, tmp_path / "run")
@@ -255,6 +282,38 @@ class TestTrainingRuns:
         for name in ("stage3-supervised.metrics.jsonl", "stage3-mining.jsonl"):
             assert (tmp_path / "crashed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
+    @pytest.mark.parametrize("stage,killed_after", [
+        (StageConfig(kind="lm-pretrain", steps=60, batch_size=8, window_len=12, checkpoint_every=20),
+         "stage0-step40.ckpt"),
+        (StageConfig(kind="supervised", steps=12, mrl=True, dhnm=True, triplet_batch_size=3,
+                     sts_batch_size=6, negatives_per_query=3, checkpoint_every=5),
+         "stage0-step10.ckpt"),
+    ], ids=["lm", "supervised-mining"])
+    def test_sigkill_past_checkpoint_then_resume_matches_uninterrupted(
+            self, toy_data, tmp_path, stage, killed_after):
+        data = _manifest(toy_data, tmp_path).data
+
+        def manifest(out):
+            return RunManifest(encoder=SMALL_ENC, stages=[stage],
+                               data={stage.kind: data[stage.kind]}, output_dir=str(out), seed=5)
+
+        Trainer(manifest(tmp_path / "full")).run()
+        yml = tmp_path / "m.yaml"
+        manifest(tmp_path / "killed").to_yaml(yml)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(embedkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        # the process kills itself the moment the checkpoint is on disk: nothing
+        # buffered in Python survives, as with a kill from outside
+        proc = subprocess.run([sys.executable, "-c", _KILL_AFTER_SAVE, killed_after, str(yml)],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        assert cli_main(["train", "--manifest", str(yml),
+                         "--resume", str(tmp_path / "killed" / killed_after)]) == 0
+        full = sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert sorted(p.name for p in (tmp_path / "killed").iterdir()) == full
+        for name in full:
+            assert (tmp_path / "killed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
     def test_stage_without_mining_writes_no_mining_log(self, toy_data, tmp_path):
         Trainer(_manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)).run()
         assert (tmp_path / "run" / "stage3-supervised.metrics.jsonl").exists()
@@ -272,7 +331,6 @@ class TestTrainingRuns:
             assert rec["decision"] in ("keep", "replace")
 
     def test_classification_batches_use_label_texts(self, toy_data):
-        from embedkit.data import read_dataset
         _, examples = read_dataset(toy_data / "cls.jsonl")
         for ex in examples[:10]:
             assert ex.positive.startswith("lab")
@@ -285,6 +343,24 @@ class TestTrainingRuns:
         assert set(metrics) == {"recall@1", "recall@5", "ndcg@10"}
         sts = evaluate_checkpoint(ckpt, toy_data / "sts.jsonl")
         assert "spearman" in sts
+
+        # every third passage repeats the one before it, so scores tie exactly
+        encoder, tokenizer, _ = load_encoder(ckpt)
+        _, examples = read_dataset(toy_data / "retrieval.jsonl")
+        held = [Pair(ex.query, examples[i - 1 if i % 3 == 2 else i].positive)
+                for i, ex in enumerate(examples)]
+        ks = (1, 5, 10, 20)
+        qv = embed_texts(encoder, tokenizer, [ex.query for ex in held])
+        cv = embed_texts(encoder, tokenizer, [ex.positive for ex in held])
+        run = exact_search(qv, [f"q{i}" for i in range(len(held))], cv,
+                           [f"d{i}" for i in range(len(held))], k=20)
+        run.judgments = {f"q{i}": {f"d{i}"} for i in range(len(held))}
+        want = {f"recall@{k}": recall_at_k(run, k) for k in ks}
+        want["ndcg@10"] = ndcg_at_10(run)
+        got = evaluate_retrieval(encoder, tokenizer, held, ks)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        assert 0.0 < got["recall@1"] < 1.0
 
     def test_step_graph_freed_before_next_step(self, toy_data, tmp_path):
         # step N's loss, and with it the whole tape, is gone when step N+1 starts
@@ -482,6 +558,36 @@ class TestCli:
         m.to_yaml(yml)
         assert cli_main(["train", "--manifest", str(yml)]) == 3
         assert f"dataset {empty} is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,what", [
+        ("seed: 1\nstages: [ {kind: lm-pretrain\n", ":3: not valid YAML: expected ',' or '}'"),
+        ("- kind: lm-pretrain\n  steps: 1\n", ": a manifest must be a YAML mapping, not list"),
+        ("data: [lm.jsonl]\n", ": 'data' must be a YAML mapping"),
+    ], ids=["syntax-error", "top-level-list", "data-not-mapping"])
+    def test_yaml_error_exits_3_naming_manifest(self, tmp_path, capsys, text, what):
+        yml = tmp_path / "m.yaml"
+        yml.write_text(text)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"{yml}{what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,what", [
+        (lambda doc: doc["stages"][0].update(bogus=2), "stage 0: unknown stage options: ['bogus']"),
+        (lambda doc: doc["data"]["supervised"].update(ranking="r.jsonl"),
+         "stage 3 (supervised): unknown supervised tasks: ['ranking']"),
+        (lambda doc: doc["stages"].reverse(),
+         "stage 1 (weak-contrastive): stages must appear in pipeline order"),
+        (lambda doc: doc["data"].pop("pair-sft"),
+         "stage 1 (pair-sft): manifest is missing data for stage 'pair-sft'"),
+    ], ids=["stage-option", "supervised-task", "stage-order", "stage-data"])
+    def test_manifest_error_exits_3_naming_manifest_and_stage(self, toy_data, tmp_path, capsys,
+                                                             edit, what):
+        yml = tmp_path / "m.yaml"
+        _manifest(toy_data, tmp_path / "run").to_yaml(yml)
+        doc = yaml.safe_load(yml.read_text())
+        edit(doc)
+        yml.write_text(yaml.safe_dump(doc))
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"{yml}: {what}" in capsys.readouterr().err
 
     def test_unreadable_config_exits_3(self, tmp_path):
         bad = tmp_path / "bad.yaml"
