@@ -1,0 +1,60 @@
+"""Training-step benchmarks: one lm step and its GEMM floor.
+
+The step is what the lm-pretrain stage runs: the default encoder's forward
+over a batch of 32 rows of 16 tokens under the causal mask, the tied-embedding
+logits, the token cross-entropy, ``backward`` and ``AdamW.step``.  The floor
+is the same step's 13 two-D forward GEMMs (q, k, v, o, w1, w2 in each of the
+two layers, then the logits) and their 26 backward GEMMs on bare numpy arrays,
+with no tape around them; the ratio of step to floor is what the tape,
+attention, the norms and the optimizer add.
+"""
+
+import numpy as np
+
+from embedkit import autograd as ag
+from embedkit.encoder import Encoder, EncoderConfig
+from embedkit.losses import next_token_ce
+from embedkit.masks import causal_mask
+from embedkit.optim import AdamW, AdamWConfig
+
+CFG = EncoderConfig()
+BATCH, LENGTH = 32, 16
+
+
+def test_lm_step(benchmark):
+    encoder = Encoder(CFG, seed=0)
+    optimizer = AdamW(encoder.params, AdamWConfig())
+    windows = np.random.default_rng(0).integers(0, CFG.vocab_size, size=(BATCH, LENGTH + 1))
+    mask = causal_mask(LENGTH)
+
+    def step():
+        logits = encoder.lm_logits(encoder.forward_batch(windows[:, :-1], mask))
+        loss = next_token_ce(ag.reshape(logits, (BATCH * LENGTH, CFG.vocab_size)),
+                             windows[:, 1:].reshape(-1))
+        ag.backward(loss)
+        optimizer.step()
+        optimizer.zero_grads()
+        return float(loss.data)
+
+    assert np.isfinite(benchmark(step))
+
+
+def _lm_gemm_shapes() -> list[tuple[int, int]]:
+    """(in, out) of each forward GEMM of an lm step, in forward order."""
+    d, f, kv = CFG.hidden_dim, CFG.ffn_dim, CFG.kv_heads * (CFG.hidden_dim // CFG.heads)
+    return [(d, d), (d, kv), (d, kv), (d, d), (d, f), (f, d)] * CFG.layers + [(d, CFG.vocab_size)]
+
+
+def test_lm_step_gemm_floor(benchmark):
+    rng = np.random.default_rng(0)
+    rows = BATCH * LENGTH
+    operands = [(rng.normal(size=(rows, i)), rng.normal(size=(i, o)), rng.normal(size=(rows, o)))
+                for i, o in _lm_gemm_shapes()]
+
+    def gemms():
+        outs = [x @ w for x, w, _ in operands]
+        for x, w, dy in reversed(operands):
+            outs += [dy @ w.T, x.T @ dy]
+        return outs
+
+    assert len(benchmark(gemms)) == 39

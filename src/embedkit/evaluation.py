@@ -24,6 +24,13 @@ class RetrievalRun:
                 if sb > sa or (sb == sa and b < a):
                     raise ValueError(f"ranking for query {qid!r} violates (score desc, id asc) order")
 
+    @classmethod
+    def _ranked(cls, rankings: dict[str, list[tuple[str, float]]]) -> "RetrievalRun":
+        """A run over rankings whose order ``top_k`` has already checked, without a second walk."""
+        run = cls.__new__(cls)
+        run.rankings, run.judgments = rankings, {}
+        return run
+
 
 _SEARCH_BLOCK = 256     # query rows ranked at once; bounds memory beyond the score matrix
 
@@ -89,8 +96,8 @@ def exact_search(query_vecs: np.ndarray, query_ids: Sequence[str],
     """``top_k`` as a ``RetrievalRun``: per query id, the ranked (doc id, score) pairs."""
     rows, scores = top_k(query_vecs, corpus_vecs, corpus_ids, k)
     top_ids = np.array(corpus_ids)[rows].tolist()
-    return RetrievalRun(rankings={qid: list(zip(row_ids, row_scores)) for qid, row_ids, row_scores
-                                  in zip(query_ids, top_ids, scores.tolist())})
+    return RetrievalRun._ranked({qid: list(zip(row_ids, row_scores)) for qid, row_ids, row_scores
+                                 in zip(query_ids, top_ids, scores.tolist())})
 
 
 def _queries_with_judgments(run: RetrievalRun) -> list[str]:
