@@ -15,7 +15,7 @@ from embedkit import autograd as ag
 from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.losses import next_token_ce
 from embedkit.masks import causal_mask
-from embedkit.optim import AdamW, AdamWConfig
+from embedkit.optim import AdamW
 
 CFG = EncoderConfig()
 BATCH, LENGTH = 32, 16
@@ -23,14 +23,13 @@ BATCH, LENGTH = 32, 16
 
 def test_lm_step(benchmark):
     encoder = Encoder(CFG, seed=0)
-    optimizer = AdamW(encoder.params, AdamWConfig())
+    optimizer = AdamW(encoder.params, 1e-3, 0.001)
     windows = np.random.default_rng(0).integers(0, CFG.vocab_size, size=(BATCH, LENGTH + 1))
     mask = causal_mask(LENGTH)
 
     def step():
         logits = encoder.lm_logits(encoder.forward_batch(windows[:, :-1], mask))
-        loss = next_token_ce(ag.reshape(logits, (BATCH * LENGTH, CFG.vocab_size)),
-                             windows[:, 1:].reshape(-1))
+        loss = next_token_ce(logits, windows[:, 1:])
         ag.backward(loss)
         optimizer.step()
         optimizer.zero_grads()

@@ -12,8 +12,15 @@ Importing the package sets glibc's malloc thresholds for the whole process
 """
 
 import ctypes
+import json
 
 __version__ = "0.1.0"
+
+
+def _dumps(obj) -> str:
+    """The one JSON-line encoding of the datasets, logs and records embedkit writes."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
 
 # (mallopt parameter from glibc's malloc.h, value).  Blocks under 32 MiB come
 # from the heap rather than from fresh mmaps, and the heap keeps up to 32 MiB

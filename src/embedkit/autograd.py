@@ -38,7 +38,7 @@ class ShapeMismatchError(ValueError):
 
 
 class DomainError(ValueError):
-    """Input outside the kernel's domain (zero-vector normalize, division by zero, ...)."""
+    """Input outside the kernel's domain (an L2-normalize of a zero vector)."""
 
 
 class Tensor:
@@ -63,41 +63,8 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def as_tensor(x) -> Tensor:
@@ -173,10 +140,6 @@ def add(a, b) -> Tensor:
     return _make(a.data + b.data, (a, b), backward_fn)
 
 
-def sub(a, b) -> Tensor:
-    return add(a, mul(b, -1.0))
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise(a, b)
@@ -188,20 +151,6 @@ def mul(a, b) -> Tensor:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, (a, b), backward_fn)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a, b)
-    if np.any(b.data == 0.0):
-        raise DomainError("division by zero")
-    out_data = a.data / b.data
-
-    def backward_fn(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out_data, (a, b), backward_fn)
 
 
 def _swap_last2(x: np.ndarray) -> np.ndarray:
@@ -372,16 +321,6 @@ def rmsnorm(x, gain) -> Tensor:
     return _make(out_data, (x, gain), backward_fn)
 
 
-def tensor_sum(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.asarray(a.data.sum())
-
-    def backward_fn(g):
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def sum_lastdim(a, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.sum(axis=-1, keepdims=keepdims)
@@ -420,7 +359,7 @@ def index_select(a, axis: int, indices) -> Tensor:
 def cross_entropy_lastdim(a, targets) -> Tensor:
     """Mean over leading positions of ``logsumexp(a[..., :]) - a[..., target]``; one node.
 
-    The ops and their order are those of the chain logsumexp, pick, ``sub``,
+    The ops and their order are those of the chain logsumexp, pick, subtract,
     mean, so loss and gradient match it bit for bit.
     One (N, V) buffer holds ``exp(a - max)`` and then, in place, the gradient.
     """
@@ -439,7 +378,7 @@ def cross_entropy_lastdim(a, targets) -> Tensor:
     s = e.sum(axis=-1)
     lse = np.log(s) + m[:, 0]
     n = idx.size
-    out_data = np.asarray((lse - x[rows, cols]).reshape(idx.shape).mean())
+    out_data = np.asarray((lse - x[rows, cols]).mean())
 
     def backward_fn(g):
         gn = g / n

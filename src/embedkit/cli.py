@@ -11,18 +11,15 @@ before numpy loads).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+
+from . import _dumps
 
 EXIT_OK = 0
 EXIT_CONFIG = 3
 EXIT_MISSING = 4
 EXIT_RUNTIME = 5
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def _apply_thread_env():

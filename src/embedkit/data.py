@@ -21,6 +21,8 @@ from typing import Optional, Protocol, Sequence, Union
 
 import numpy as np
 
+from . import _dumps
+
 logger = logging.getLogger(__name__)
 
 LANG_STRIDE = 1000
@@ -146,14 +148,6 @@ def quality_filter(pairs: Sequence[Pair], scorer: ScorerClient, threshold: float
         else:
             report.dropped_by_source[p.source] = report.dropped_by_source.get(p.source, 0) + 1
     return report
-
-
-class ConstantScorer:
-    def __init__(self, value: float = 1.0):
-        self.value = value
-
-    def score(self, query: str, passage: str) -> float:
-        return self.value
 
 
 class OverlapScorer:
@@ -443,10 +437,6 @@ def build_sts(corpus: SynthCorpus, n_pairs: int, lang: Optional[str] = None,
 # ---------------------------------------------------------------------------
 # dataset files
 # ---------------------------------------------------------------------------
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
 
 def _texts_of(e: TrainingExample) -> list[str]:
     if isinstance(e, ScoredPair):

@@ -134,10 +134,10 @@ class Encoder:
         if ids.ndim != 2:
             raise ValueError(f"expected (batch, length) ids, got shape {ids.shape}")
         self._validate_ids(ids)
-        bsz, length = ids.shape
+        length = ids.shape[1]
         cfg = self.cfg
 
-        x = ag.reshape(ag.index_select(self.params["embed"], 0, ids.reshape(-1)), (bsz, length, cfg.hidden_dim))
+        x = ag.index_select(self.params["embed"], 0, ids)
         x = ag.add(x, self.positions[:length])
 
         weights = self._mask_weights(mask, length, lengths)

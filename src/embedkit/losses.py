@@ -100,13 +100,13 @@ def cosent(batch: StsBatch) -> Tensor:
 
 
 def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy of (L, V) logits against shifted-by-one target ids."""
+    """Mean cross-entropy of (..., V) logits against shifted-by-one target ids of shape (...)."""
     logits = ag.as_tensor(logits)
     targets = np.asarray(targets, dtype=np.intp)
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be (positions, vocab), got {logits.shape}")
-    if targets.shape != (logits.shape[0],):
-        raise ValueError(f"targets shape {targets.shape} does not match positions {logits.shape[0]}")
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
-        raise ValueError(f"target id out of range for vocab {logits.shape[1]}")
+    if logits.ndim < 2:
+        raise ValueError(f"logits must be (..., positions, vocab), got {logits.shape}")
+    if targets.shape != logits.shape[:-1]:
+        raise ValueError(f"targets shape {targets.shape} does not match positions {logits.shape[:-1]}")
+    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[-1]):
+        raise ValueError(f"target id out of range for vocab {logits.shape[-1]}")
     return ag.cross_entropy_lastdim(logits, targets)

@@ -9,7 +9,6 @@ causal) to 1 (all-ones) over the course of a stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,8 +51,6 @@ class AttentionMask:
     n: int
     l: int
     entries: np.ndarray
-    provenance: str
-    schedule: Optional[ScheduleState] = None
 
     def __post_init__(self):
         if self.entries.shape != (self.n, self.n):
@@ -70,13 +67,13 @@ class AttentionMask:
 def causal_mask(n: int) -> AttentionMask:
     if n < 1:
         raise ValueError("mask size must be >= 1")
-    return AttentionMask(n=n, l=n, entries=np.tril(np.ones((n, n))), provenance="causal")
+    return AttentionMask(n=n, l=n, entries=np.tril(np.ones((n, n))))
 
 
 def bidirectional_mask(n: int) -> AttentionMask:
     if n < 1:
         raise ValueError("mask size must be >= 1")
-    return AttentionMask(n=n, l=n, entries=np.ones((n, n)), provenance="bidirectional")
+    return AttentionMask(n=n, l=n, entries=np.ones((n, n)))
 
 
 def build_soft_mask(state: ScheduleState, n: int, l: int | None = None) -> AttentionMask:
@@ -94,7 +91,7 @@ def build_soft_mask(state: ScheduleState, n: int, l: int | None = None) -> Atten
     j = np.arange(1, n + 1, dtype=np.float64)[None, :]
     upper_vals = np.minimum(alpha * l / i, 1.0)
     entries = np.where(j > i, upper_vals, 1.0)
-    return AttentionMask(n=n, l=l, entries=entries, provenance="soft", schedule=state)
+    return AttentionMask(n=n, l=l, entries=entries)
 
 
 def mask_numerical_rank(mask, eps: float = 1e-8) -> int:

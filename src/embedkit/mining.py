@@ -68,12 +68,6 @@ def decide_scores(s0: float, s_cur: float, is_initial: bool, mode: str = "absolu
     return Decision.KEEP
 
 
-def decide(slot: NegativeSlotState, is_initial: bool, mode: str = "absolute") -> Decision:
-    if slot.s0 is None or slot.s_cur is None:
-        raise ValueError(f"slot ({slot.query_id}, {slot.slot_index}) has no cached scores")
-    return decide_scores(slot.s0, slot.s_cur, is_initial, mode)
-
-
 @dataclass
 class ReplacementEvent:
     query_id: str
@@ -129,7 +123,7 @@ class MiningState:
                 slot.first_step_seen = step
             slot.s_cur = float(value)
             slot.last_cached_step = step
-            d = decide(slot, is_initial=is_initial, mode=self.mode)
+            d = decide_scores(slot.s0, slot.s_cur, is_initial, self.mode)
             if d is Decision.REPLACE:
                 slot.flagged = True
                 self._flagged.add(key)

@@ -2,25 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autograd import Tensor
 
-
-@dataclass
-class AdamWConfig:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.001
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class AdamW:
-    def __init__(self, params: dict[str, Tensor], cfg: AdamWConfig):
-        self.cfg = cfg
+    def __init__(self, params: dict[str, Tensor], lr: float, weight_decay: float):
+        self.lr = lr
+        self.weight_decay = weight_decay
         self.params = params
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in sorted(params.items())}
@@ -28,12 +22,11 @@ class AdamW:
 
     def step(self, lr: float | None = None):
         """One update; None gradients count as zero, non-finite gradients abort."""
-        cfg = self.cfg
-        lr = cfg.lr if lr is None else lr
+        lr = self.lr if lr is None else lr
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - cfg.beta1 ** t
-        bc2 = 1.0 - cfg.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name in sorted(self.params):
             p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -41,12 +34,12 @@ class AdamW:
                 raise ArithmeticError(f"non-finite gradient in parameter {name!r}")
             m = self.m[name]
             v = self.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
-            p.data -= lr * (update + cfg.weight_decay * p.data)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            p.data -= lr * (update + self.weight_decay * p.data)
 
     def zero_grads(self):
         for p in self.params.values():

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import autograd as ag
+from . import _dumps, autograd as ag
 from .autograd import Tensor
 from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
                          save_checkpoint)
@@ -34,7 +34,7 @@ from .evaluation import retrieval_metrics, spearman, top_k
 from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
 from .masks import AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from .mining import MiningState
-from .optim import AdamW, AdamWConfig, warmup_lr
+from .optim import AdamW, warmup_lr
 from .tokenizer import PAD_ID, Tokenizer
 
 # per stage kind, in pipeline order: the Trainer method that computes one
@@ -90,6 +90,8 @@ class StageConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "StageConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"a stage must be a mapping, not {type(d).__name__}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown stage options: {sorted(unknown)}")
@@ -187,10 +189,6 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
 
 def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Tokenize and right-pad to the batch maximum; lengths omitted when uniform."""
@@ -389,8 +387,7 @@ class Trainer:
             start = resume_step if idx == resume_stage else 0
             if start >= cfg.steps:
                 continue
-            optimizer = AdamW(encoder.params,
-                              AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay))
+            optimizer = AdamW(encoder.params, cfg.lr, cfg.weight_decay)
             mining = None
             if idx == resume_stage and opt_arrays:
                 optimizer.load_state(opt_arrays, opt_step_count)
@@ -474,9 +471,7 @@ class Trainer:
         batch = windows[_draw(rng, len(windows), cfg.batch_size)]
         inputs, targets = batch[:, :-1], batch[:, 1:]
         states = encoder.forward_batch(inputs, _stage_mask(cfg, step, inputs.shape[1]))
-        logits = encoder.lm_logits(states)
-        bsz, length, vocab = logits.shape
-        return next_token_ce(ag.reshape(logits, (bsz * length, vocab)), targets.reshape(-1)), "lm"
+        return next_token_ce(encoder.lm_logits(states), targets), "lm"
 
     def _contrastive_step(self, cfg: StageConfig, encoder: Encoder, pairs: list,
                           rng: np.random.Generator, step: int, mining, mining_fh) -> tuple[Tensor, str]:
@@ -564,8 +559,7 @@ class Trainer:
         p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
         n_emb = None
         if k > 0:
-            n_emb = ag.reshape(ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k)),
-                               (bsz, k, self.manifest.encoder.hidden_dim))
+            n_emb = ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k))
 
         dims = self._mrl_dims(cfg)
         widest_first = [info_nce_with_scores(ContrastiveBatch(

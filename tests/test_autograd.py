@@ -16,6 +16,19 @@ def _cosine(u, v):
     return ag.sum_lastdim(ag.mul(ag.l2_normalize(u), ag.l2_normalize(v)))
 
 
+def _sum(a):
+    """A whole-array sum node: the scalar loss that ``backward`` and ``grad_check`` take."""
+    def backward_fn(g):
+        ag._accumulate(a, np.broadcast_to(g, a.shape))
+
+    return ag._make(np.asarray(a.data.sum()), (a,), backward_fn)
+
+
+def _sub(a, b):
+    """``a - b`` in a reference chain, as ``add`` and ``mul`` build it."""
+    return ag.add(a, ag.mul(b, -1.0))
+
+
 class TestForwardValues:
     def test_matmul_ones(self):
         out = ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
@@ -27,7 +40,7 @@ class TestForwardValues:
 
     def test_cosine_orthogonal(self):
         out = _cosine(Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))
-        assert out.item() == 0.0
+        assert float(out.data) == 0.0
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -50,7 +63,7 @@ class TestForwardValues:
 class TestBackwardValues:
     def test_square_sum(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        backward(ag.tensor_sum(ag.mul(x, x)))
+        backward(_sum(ag.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_cosine_grad_vanishes_at_identical_vectors(self):
@@ -64,28 +77,28 @@ class TestBackwardValues:
         w = rng.normal(size=(5, 4))
 
         def f(t):
-            return ag.tensor_sum(_log(ag.softmax_lastdim(ag.matmul(t, Tensor(w)))))
+            return _sum(_log(ag.softmax_lastdim(ag.matmul(t, Tensor(w)))))
 
         assert grad_check(f, rng.normal(size=(3, 5)), h=1e-6) < 1e-6
 
     def test_grad_accumulates_over_reuse(self):
         x = Tensor([3.0], requires_grad=True)
-        backward(ag.tensor_sum(ag.add(ag.mul(x, x), x)))
+        backward(_sum(ag.add(ag.mul(x, x), x)))
         np.testing.assert_allclose(x.grad, [7.0])
 
 
 def _unary_cases():
     return {
-        "relu": lambda t: ag.tensor_sum(ag.mul(ag.relu(t), t)),
-        "softmax": lambda t: ag.tensor_sum(ag.mul(ag.softmax_lastdim(t), t)),
-        "l2_normalize": lambda t: ag.tensor_sum(ag.mul(ag.l2_normalize(t), t)),
-        "sum_lastdim": lambda t: ag.tensor_sum(ag.mul(ag.sum_lastdim(t, keepdims=True), t)),
-        "reshape_permute": lambda t: ag.tensor_sum(
+        "relu": lambda t: _sum(ag.mul(ag.relu(t), t)),
+        "softmax": lambda t: _sum(ag.mul(ag.softmax_lastdim(t), t)),
+        "l2_normalize": lambda t: _sum(ag.mul(ag.l2_normalize(t), t)),
+        "sum_lastdim": lambda t: _sum(ag.mul(ag.sum_lastdim(t, keepdims=True), t)),
+        "reshape_permute": lambda t: _sum(
             ag.mul(ag.reshape(ag.permute(t, (1, 0)), (2, 6)), np.arange(12.0).reshape(2, 6))),
         # constant operands: scalars, a suffix row and a trailing column, on either side
-        "const_operands": lambda t: ag.tensor_sum(ag.mul(
+        "const_operands": lambda t: _sum(ag.mul(
             ag.add(np.arange(3.0), ag.mul(-2.0, ag.add(t, 1.5))), np.linspace(1.0, 2.0, 4)[:, None])),
-        "sub_neg": lambda t: ag.tensor_sum(ag.mul(ag.sub(1.5, -t), ag.sub(t, np.arange(3.0)))),
+        "sub_neg": lambda t: _sum(ag.mul(_sub(1.5, ag.mul(t, -1.0)), _sub(t, np.arange(3.0)))),
     }
 
 
@@ -98,12 +111,11 @@ def test_kernels_match_finite_differences(seed):
         err = grad_check(f, x, h=1e-6)
         assert err < 1e-4, f"{name} gradient off by {err} at seed {seed}"
     b = rng.normal(size=(3, 5))
-    assert grad_check(lambda t: ag.tensor_sum(ag.matmul(t, Tensor(b))), x, h=1e-6) < 1e-4
+    assert grad_check(lambda t: _sum(ag.matmul(t, Tensor(b))), x, h=1e-6) < 1e-4
     c = rng.normal(size=(4, 3))
     for name, f2 in {
-        "add": lambda t: ag.tensor_sum(ag.mul(ag.add(t, Tensor(c)), t)),
-        "mul": lambda t: ag.tensor_sum(ag.mul(t, Tensor(c))),
-        "div": lambda t: ag.tensor_sum(ag.div(t, Tensor(np.abs(c) + 1.0))),
+        "add": lambda t: _sum(ag.mul(ag.add(t, Tensor(c)), t)),
+        "mul": lambda t: _sum(ag.mul(t, Tensor(c))),
     }.items():
         err = grad_check(f2, x, h=1e-6)
         assert err < 1e-4, f"{name} gradient off by {err} at seed {seed}"
@@ -111,8 +123,8 @@ def test_kernels_match_finite_differences(seed):
     assert grad_check(lambda t: ag.mul(ag.cross_entropy_lastdim(t, idx), 3.0),
                       x, h=1e-6) < 1e-4
     sel = rng.integers(0, 4, size=6)
-    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.index_select(t, 0, sel),
-                                                     np.arange(18.0).reshape(6, 3))),
+    assert grad_check(lambda t: _sum(ag.mul(ag.index_select(t, 0, sel),
+                                            np.arange(18.0).reshape(6, 3))),
                       x, h=1e-6) < 1e-4
 
 
@@ -135,8 +147,17 @@ def _composed_attention(q, k, v, weights, heads):
     w = np.broadcast_to(weights if weights.ndim == 2 else weights[:, None], scores.shape)
     probs = ag.softmax_lastdim(ag.add(scores, np.where(w > 0.0, 0.0, -np.inf)))
     weighted = ag.mul(probs, w)
-    ctx = ag.matmul(ag.div(weighted, ag.sum_lastdim(weighted, keepdims=True)), v)
+    ctx = ag.matmul(_div(weighted, ag.sum_lastdim(weighted, keepdims=True)), v)
     return ag.reshape(ag.permute(ctx, (0, 2, 1, 3)), (bsz, length, width))
+
+
+def _div(a, b):
+    """The ``div`` node of the composed attention chain."""
+    def backward_fn(g):
+        ag._accumulate(a, ag._unbroadcast(g / b.data, a.shape))
+        ag._accumulate(b, ag._unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+
+    return ag._make(a.data / b.data, (a, b), backward_fn)
 
 
 def _attention_with_multiply(q, k, v, w, heads, g):
@@ -217,7 +238,7 @@ class TestAttention:
             def f(t, name=name):
                 ops = {n: (t if n == name else Tensor(a)) for n, a in args.items()}
                 out = ag.attention(ops["q"], ops["k"], ops["v"], w, kv * group)
-                return ag.tensor_sum(ag.mul(out, r))
+                return _sum(ag.mul(out, r))
 
             err = grad_check(f, args[name], h=1e-6)
             assert err < 1e-8, f"d/d{name} off by {err} ({kind}, group {group})"
@@ -237,8 +258,8 @@ class TestAttention:
         assert fused.shape == (bsz, length, heads * dh)
         assert fused.data.tobytes() == composed.data.tobytes()
         r = rng.normal(size=fused.shape)
-        backward(ag.tensor_sum(ag.mul(fused, r)))
-        backward(ag.tensor_sum(ag.mul(composed, r)))
+        backward(_sum(ag.mul(fused, r)))
+        backward(_sum(ag.mul(composed, r)))
         for t, t_ref in zip(ts, ref):
             assert t.grad.shape == t.shape
             np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-12, atol=1e-14)
@@ -258,7 +279,7 @@ class TestAttention:
         ts = [Tensor(a, requires_grad=True) for a in qkv]
         out = ag.attention(*ts, w, kv * group)
         r = rng.normal(size=out.shape)
-        backward(ag.tensor_sum(ag.mul(out, r)))
+        backward(_sum(ag.mul(out, r)))
         want, grads = _attention_with_multiply(*qkv, w, kv * group, r)
         assert out.data.tobytes() == want.tobytes()
         for t, g in zip(ts, grads):
@@ -307,8 +328,8 @@ def test_rmsnorm_matches_finite_differences():
     x = rng.normal(size=(2, 3, 6))
     gain = rng.normal(size=6)
     r = rng.normal(size=x.shape)
-    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.rmsnorm(t, Tensor(gain)), r)), x) < 1e-8
-    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.rmsnorm(Tensor(x), t), r)), gain) < 1e-8
+    assert grad_check(lambda t: _sum(ag.mul(ag.rmsnorm(t, Tensor(gain)), r)), x) < 1e-8
+    assert grad_check(lambda t: _sum(ag.mul(ag.rmsnorm(Tensor(x), t), r)), gain) < 1e-8
 
 
 def test_rmsnorm_bitwise_equal_to_composed_chain():
@@ -416,7 +437,7 @@ def test_cross_entropy_bitwise_equal_to_composed_chain(shape):
     for lse in (_logsumexp, _composed_logsumexp):
         out = {}
         for name, f in (("fused", ag.cross_entropy_lastdim),
-                        ("chain", lambda t, i: _mean(ag.sub(lse(t), _gather_lastdim(t, i))))):
+                        ("chain", lambda t, i: _mean(_sub(lse(t), _gather_lastdim(t, i))))):
             t = Tensor(x, requires_grad=True)
             loss = f(t, idx)
             ag.backward(loss)
@@ -465,14 +486,14 @@ def _chain_info_nce(q, p, n, temperature):
         cand, neg = _concat_lastdim(cand, neg_t), neg_t.data
     inv_t = 1.0 / temperature
     lse = _logsumexp(ag.mul(cand, inv_t))
-    return ag.tensor_sum(ag.sub(lse, ag.mul(pos, inv_t))), pos.data, neg
+    return ag.sum_lastdim(_sub(lse, ag.mul(pos, inv_t))), pos.data, neg
 
 
 def _chain_cosent(c, labels, tau):
     """The 8-node CoSENT chain ``cosent_loss`` replaced, kept as its reference."""
     hi, lo = np.where(labels[:, None] > labels[None, :])
-    diffs = ag.sub(ag.index_select(c, 0, lo), ag.index_select(c, 0, hi))
-    return _log1p(ag.tensor_sum(_exp(ag.mul(diffs, 1.0 / tau))))
+    diffs = _sub(ag.index_select(c, 0, lo), ag.index_select(c, 0, hi))
+    return _log1p(ag.sum_lastdim(_exp(ag.mul(diffs, 1.0 / tau))))
 
 
 def _info_nce_mrl(op, w, xs):
@@ -558,12 +579,31 @@ def test_index_select_backward_equal_to_add_at(axis):
         out = ag.index_select(x, axis, idx)
         g = rng.normal(size=out.shape)
         g.reshape(-1)[::5] = -0.0
-        backward(ag.tensor_sum(ag.mul(out, g)))
+        backward(_sum(ag.mul(out, g)))
         buf = np.zeros(shape)
         ax = axis % len(shape)
         np.add.at(np.moveaxis(buf, ax, 0), idx,
                   np.moveaxis(g, tuple(range(ax, ax + idx.ndim)), tuple(range(idx.ndim))))
         assert x.grad.tobytes() == buf.tobytes()
+
+
+def test_index_select_2d_indices_bitwise_equal_to_flat_then_reshape():
+    # the embedding gather and the triplet negatives take (B, L) indices in one
+    # node, where a flat gather used to be reshaped: output and gradient bytes
+    # must not move, duplicate indices included
+    rng = np.random.default_rng(31)
+    for shape, idx_shape in [((512, 64), (32, 16)), ((36, 64), (4, 7)), ((5, 3), (2, 9))]:
+        x = rng.normal(size=shape)
+        idx = rng.integers(0, shape[0], size=idx_shape)
+        g = rng.normal(size=idx_shape + shape[1:])
+        out = {}
+        for name, f in (("2-d", lambda t: ag.index_select(t, 0, idx)),
+                        ("flat", lambda t: ag.reshape(ag.index_select(t, 0, idx.reshape(-1)), g.shape))):
+            t = Tensor(x, requires_grad=True)
+            y = f(t)
+            backward(_sum(ag.mul(y, g)))
+            out[name] = (y.data.tobytes(), t.grad.tobytes())
+        assert out["2-d"] == out["flat"], (shape, idx_shape)
 
 
 def _reference_backward(loss):
@@ -591,7 +631,7 @@ def test_backward_frees_graph_and_keeps_leaf_grads():
         w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         h = ag.softmax_lastdim(ag.matmul(x, w))
-        loss = ag.add(ag.cross_entropy_lastdim(h, np.array([0, 3, 1])), ag.tensor_sum(ag.mul(h, h)))
+        loss = ag.add(ag.cross_entropy_lastdim(h, np.array([0, 3, 1])), _sum(ag.mul(h, h)))
         return loss, (w, x)
 
     loss, leaves = graph(29)
@@ -618,19 +658,19 @@ def test_matmul_batched_input_against_shared_weight():
     rng = np.random.default_rng(23)
     a, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 2))
     r = rng.normal(size=(3, 4, 2))
-    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.matmul(Tensor(a), t), r)), b) < 1e-8
-    assert grad_check(lambda t: ag.tensor_sum(ag.mul(ag.matmul(t, Tensor(b)), r)), a) < 1e-8
+    assert grad_check(lambda t: _sum(ag.mul(ag.matmul(Tensor(a), t), r)), b) < 1e-8
+    assert grad_check(lambda t: _sum(ag.mul(ag.matmul(t, Tensor(b)), r)), a) < 1e-8
 
 
 def test_broadcast_suffix_and_trailing_expansion():
     a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
     bias = Tensor(np.arange(4.0), requires_grad=True)
-    backward(ag.tensor_sum(ag.add(a, bias)))
+    backward(_sum(ag.add(a, bias)))
     np.testing.assert_array_equal(bias.grad, np.full(4, 6.0))
 
     col = Tensor(np.ones((2, 3, 1)), requires_grad=True)
     a2 = Tensor(np.ones((2, 3, 4)), requires_grad=True)
-    backward(ag.tensor_sum(ag.mul(a2, col)))
+    backward(_sum(ag.mul(a2, col)))
     np.testing.assert_array_equal(col.grad, np.full((2, 3, 1), 4.0))
 
 
@@ -658,7 +698,7 @@ class TestErrors:
 
     def test_backward_twice_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = ag.tensor_sum(ag.mul(x, x))
+        loss = _sum(ag.mul(x, x))
         backward(loss)
         with pytest.raises(RuntimeError, match="already"):
             backward(loss)
@@ -668,13 +708,13 @@ class TestErrors:
         # through it would silently stop there
         x = Tensor([1.0, 2.0], requires_grad=True)
         shared = ag.mul(x, x)
-        backward(ag.tensor_sum(shared))
+        backward(_sum(shared))
         with pytest.raises(RuntimeError, match="freed"):
-            backward(ag.tensor_sum(ag.mul(shared, 2.0)))
+            backward(_sum(ag.mul(shared, 2.0)))
 
     def test_grad_check_reports_nonfinite_coordinate(self):
         def f(t):
-            return ag.tensor_sum(_log(t))
+            return _sum(_log(t))
 
         with np.errstate(invalid="ignore"), pytest.raises(ArithmeticError, match="coordinate 1"):
             grad_check(f, np.array([1.0, 1e-7]), h=1e-6)
@@ -701,7 +741,7 @@ class TestNoGrad:
             with ag.no_grad():
                 assert not ag.mul(x, x).requires_grad
             assert not ag.mul(x, x).requires_grad
-        out = ag.tensor_sum(ag.mul(x, x))
+        out = _sum(ag.mul(x, x))
         backward(out)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
@@ -710,4 +750,4 @@ def test_grad_check_linear_function_is_exact():
     # fd of a linear function is h-independent; a large step avoids cancellation noise
     for seed in range(5):
         x = np.random.default_rng(seed).normal(size=(3, 3))
-        assert grad_check(ag.tensor_sum, x, h=0.25) < 1e-12
+        assert grad_check(_sum, x, h=0.25) < 1e-12

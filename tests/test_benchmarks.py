@@ -1,14 +1,18 @@
 """Every benchmark function in ``benchmarks/`` runs once, untimed, with a
 pass-through stand-in for pytest-benchmark's ``benchmark`` fixture, so that
-an API change that breaks a benchmark fails here, without pytest-benchmark."""
+an API change that breaks a benchmark fails here, without pytest-benchmark.
+Every embedkit name that ``perfbench/`` wraps by name must resolve, for the
+same reason."""
 
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARKS = ROOT / "benchmarks"
 
 
 def _benchmark_functions():
@@ -41,3 +45,37 @@ def test_benchmark_runs_once(fn):
 
     fn(benchmark=benchmark, **_first_params(fn))
     assert len(timed) == 1
+
+
+def _perfbench():
+    """``perfbench/bench.py`` as it is; it imports ``spans`` from its own directory."""
+    here = str(ROOT / "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_bench", ROOT / "perfbench" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # its dataclasses look their module up
+    sys.path.insert(0, here)
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(here)
+        del sys.modules[spec.name]
+    return module
+
+
+def _missing(name: str) -> bool:
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"embedkit.{module}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            return True
+        obj = getattr(obj, attr)
+    return not callable(obj)
+
+
+def test_perfbench_names_resolve():
+    # perfbench's clock and tracer look these names up with getattr on
+    # embedkit's modules, so deleting one would fail every benchmark run
+    bench = _perfbench()
+    names = set(bench.CLOCK_POINTS) | set(bench.CLOCK_OPS) | set(bench.HOOKS)
+    assert names
+    assert [n for n in sorted(names) if _missing(n)] == []

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from embedkit.data import (CommandTranslator, ConstantScorer, LanguageDistribution,
+from embedkit.data import (CommandTranslator, LanguageDistribution,
                            MockTranslator, OverlapScorer, Pair, RawRecord, ScoredPair,
                            TRANSLATION_LANGUAGE_WEIGHTS, Triplet, build_classification,
                            build_sts, build_triplets, default_translation_languages,
@@ -47,6 +47,14 @@ class _FixedScorer:
         return v
 
 
+class _ConstantScorer:
+    def __init__(self, value: float = 1.0):
+        self.value = value
+
+    def score(self, query, passage):
+        return self.value
+
+
 class TestQualityFilter:
     def test_boundary_inclusive_at_threshold(self):
         pairs = [Pair("a", "x", source="s"), Pair("b", "y", source="s"), Pair("c", "z", source="t")]
@@ -57,7 +65,7 @@ class TestQualityFilter:
 
     def test_constant_scorer_keeps_everything(self):
         pairs = [Pair(f"q{i}", "p") for i in range(5)]
-        report = quality_filter(pairs, ConstantScorer(1.0))
+        report = quality_filter(pairs, _ConstantScorer(1.0))
         assert len(report.kept) == 5 and report.total_dropped == 0
 
     def test_scorer_failure_drops_and_counts(self):
@@ -73,7 +81,7 @@ class TestQualityFilter:
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
-            quality_filter([], ConstantScorer(), threshold=1.5)
+            quality_filter([], _ConstantScorer(), threshold=1.5)
 
 
 class TestLanguageDistribution:

@@ -257,52 +257,54 @@ def _tape_nodes(loss) -> int:
 class TestTape:
     def test_lm_step_tape_nodes(self):
         # one lm step of the default two-layer encoder, built as Trainer._lm_step
-        # does: 3 embedding nodes, 12 per layer, the final norm and 4 for the
+        # does: 2 embedding nodes, 12 per layer, the final norm and 3 for the
         # loss.  The unfused attention and norm chains recorded 86 nodes, the
-        # 5-node logsumexp chain 56, the 5-node cross-entropy chain 52, and the
-        # head split and merge around the attention op 48
+        # 5-node logsumexp chain 56, the 5-node cross-entropy chain 52, the
+        # head split and merge around the attention op 48, and the reshapes
+        # that flattened the gathered embeddings and the logits 32
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(0).integers(2, TOY.vocab_size, size=(4, 12))
         states = enc.forward_batch(ids[:, :-1], causal_mask(11))
-        logits = ag.reshape(enc.lm_logits(states), (4 * 11, TOY.vocab_size))
-        assert _tape_nodes(next_token_ce(logits, ids[:, 1:].reshape(-1))) == 32
+        assert _tape_nodes(next_token_ce(enc.lm_logits(states), ids[:, 1:])) == 30
 
     def test_weak_contrastive_step_tape_nodes(self):
         # one unpadded in-batch InfoNCE step, built as Trainer._contrastive_step
-        # does: 32 nodes per mean-pooled embedding and 1 for the loss (106 with
+        # does: 31 nodes per mean-pooled embedding and 1 for the loss (106 with
         # the head split and merge around the attention op, 74 with the loss
-        # as a 10-node chain)
+        # as a 10-node chain, 65 with a reshape after the embedding gather)
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(1).integers(2, TOY.vocab_size, size=(2, 8, 10))
         mask = build_soft_mask(ScheduleState("linear", 3, 10), 10)
         q, p = (enc.embed_batch(x, mask) for x in ids)
-        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 65
+        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 63
 
     def test_supervised_triplet_step_tape_nodes(self):
         # one unpadded triplet step, built as Trainer._triplet_batch_loss does, with
-        # MRL over (16, 32, 64) and 7 negatives: 64 for the two embeddings, 3 to
+        # MRL over (16, 32, 64) and 7 negatives: 62 for the two embeddings, 2 to
         # cut positives and negatives from the passage batch, 12 to truncate and
         # renormalize at 16 and 32, 1 per dim for the loss and 3 for the mean
-        # (124 with the loss as a 14-node chain)
+        # (124 with the loss as a 14-node chain, 85 with a reshape after each
+        # embedding gather and after the negatives' gather)
         enc = Encoder(TOY, seed=0)
-        bsz, k, dim = 4, 7, TOY.hidden_dim
+        bsz, k = 4, 7
         rng = np.random.default_rng(2)
         mask = bidirectional_mask(10)
         q_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz, 10)), mask)
         all_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz + bsz * k, 10)), mask)
         p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
-        n_emb = ag.reshape(ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k)), (bsz, k, dim))
+        n_emb = ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k))
         dims = TOY.mrl_dims
         loss = _mean([info_nce(ContrastiveBatch(*(truncate_normalize(t, d, dims)
                                                   for t in (q_emb, p_emb, n_emb))))
                       for d in sorted(dims, reverse=True)])
-        assert _tape_nodes(loss) == 85
+        assert _tape_nodes(loss) == 82
 
     def test_sts_step_tape_nodes(self):
         # one unpadded STS step, built as Trainer._sts_batch_loss does, with MRL
-        # over (16, 32, 64): 64 for the two embeddings, 8 to truncate and
+        # over (16, 32, 64): 62 for the two embeddings, 8 to truncate and
         # renormalize at 16 and 32, 2 per dim for the cosines, 1 per dim for the
-        # loss and 3 for the mean (105 with the loss as an 8-node chain)
+        # loss and 3 for the mean (105 with the loss as an 8-node chain, 84 with
+        # a reshape after each embedding gather)
         enc = Encoder(TOY, seed=0)
         rng = np.random.default_rng(3)
         mask = bidirectional_mask(10)
@@ -312,7 +314,7 @@ class TestTape:
         dims = TOY.mrl_dims
         cos = [ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims), truncate_normalize(eb, d, dims)))
                for d in dims]
-        assert _tape_nodes(_mean([cosent(StsBatch(c, labels)) for c in cos])) == 84
+        assert _tape_nodes(_mean([cosent(StsBatch(c, labels)) for c in cos])) == 82
 
     def test_padded_weights_match_row_loop(self):
         mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)

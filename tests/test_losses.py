@@ -157,8 +157,8 @@ class TestCosentValues:
         t = Tensor(cos, requires_grad=True)
         ag.backward(cosent(StsBatch(t, labels, tau=0.05)))
         ref = Tensor(cos, requires_grad=True)
-        diffs = ag.sub(ag.index_select(ref, 0, lo), ag.index_select(ref, 0, hi))
-        ag.backward(_log(ag.add(ag.tensor_sum(_exp(ag.mul(diffs, 1.0 / 0.05))), 1.0)))
+        diffs = ag.add(ag.index_select(ref, 0, lo), ag.mul(ag.index_select(ref, 0, hi), -1.0))
+        ag.backward(_log(ag.add(ag.sum_lastdim(_exp(ag.mul(diffs, 1.0 / 0.05))), 1.0)))
         assert t.grad.tobytes() == ref.grad.tobytes()
 
     @settings(max_examples=100, deadline=None)
@@ -193,6 +193,29 @@ class TestNextTokenCe:
     def test_target_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             next_token_ce(Tensor(np.zeros((2, 4))), np.array([0, 4]))
+
+    def test_targets_must_match_leading_shape(self):
+        with pytest.raises(ValueError, match="does not match"):
+            next_token_ce(Tensor(np.zeros((2, 3, 4))), np.zeros(6, dtype=int))
+        with pytest.raises(ValueError, match="vocab"):
+            next_token_ce(Tensor(np.zeros(4)), np.zeros((), dtype=int))
+
+    @pytest.mark.parametrize("shape", [(32, 16, 512), (4, 11, 512), (3, 5, 7)])
+    def test_batched_logits_bitwise_equal_to_flattened_call(self, shape):
+        # the lm step passes its (B, L, V) logits as they are, where it used to
+        # flatten them to (B*L, V): loss and gradient bytes must not move
+        rng = np.random.default_rng(9)
+        x = 4.0 * rng.normal(size=shape)
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        out = {}
+        for name, f in (("batched", lambda t: next_token_ce(t, targets)),
+                        ("flat", lambda t: next_token_ce(ag.reshape(t, (-1, shape[-1])),
+                                                         targets.reshape(-1)))):
+            t = Tensor(x, requires_grad=True)
+            loss = f(t)
+            ag.backward(ag.mul(loss, 0.37))
+            out[name] = (loss.data.tobytes(), t.grad.tobytes())
+        assert out["batched"] == out["flat"]
 
 
 GRAD_SEEDS = list(range(50))

@@ -91,9 +91,9 @@ class TestSoftMask:
 
     def test_invalid_entries_rejected(self):
         with pytest.raises(ValueError):
-            AttentionMask(n=2, l=2, entries=np.array([[1.0, 2.0], [1.0, 1.0]]), provenance="soft")
+            AttentionMask(n=2, l=2, entries=np.array([[1.0, 2.0], [1.0, 1.0]]))
         with pytest.raises(ValueError):
-            AttentionMask(n=2, l=2, entries=np.array([[1.0, 0.0], [0.5, 1.0]]), provenance="soft")
+            AttentionMask(n=2, l=2, entries=np.array([[1.0, 0.0], [0.5, 1.0]]))
 
     @settings(max_examples=200, deadline=None)
     @given(kind=st.sampled_from(["linear", "accelerating", "decelerating"]),

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedkit.mining import (Decision, MiningState, NegativePool, NegativeSlotState,
-                             decide, decide_scores)
+from embedkit.mining import Decision, MiningState, NegativePool, decide_scores
 
 
 class TestDecideWorkedCases:
@@ -45,8 +44,11 @@ class TestDecideWorkedCases:
             decide_scores(0.5, 0.5, False, mode="fuzzy")
 
     def test_decide_uses_slot_scores(self):
-        slot = NegativeSlotState("q", 0, "n", s0=0.8, s_cur=0.6)
-        assert decide(slot, is_initial=False) is Decision.REPLACE
+        # cache_scores decides from the slot's first and latest scores: 0.8 then 0.6
+        ms = MiningState()
+        ms.register_query("q", ["n"], [])
+        assert ms.cache_scores(0, [("q", 0, 0.8)])[0]["decision"] == Decision.KEEP.value
+        assert ms.cache_scores(1, [("q", 0, 0.6)])[0]["decision"] == Decision.REPLACE.value
 
     @settings(max_examples=300, deadline=None)
     @given(s0=st.floats(0.0, 1.0), s_cur=st.floats(0.0, 1.0), init=st.booleans())

@@ -26,7 +26,7 @@ from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.evaluation import exact_search, ndcg_at_10, recall_at_k
 from embedkit.masks import bidirectional_mask, causal_mask
 from embedkit.mining import MiningState
-from embedkit.optim import AdamW, AdamWConfig, warmup_lr
+from embedkit.optim import AdamW, warmup_lr
 from embedkit.pipeline import (_SCORE_BUDGET, STAGE_KINDS, SUPERVISED_TASKS, RunManifest,
                                StageConfig, Trainer, _block_rows, _stage_mask, batch_ids,
                                embed_texts, evaluate_checkpoint, evaluate_retrieval, load_encoder)
@@ -39,14 +39,14 @@ SMALL_ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=
 class TestAdamW:
     def test_zero_gradient_zero_decay_leaves_params(self):
         p = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-        opt = AdamW(p, AdamWConfig(lr=0.1, weight_decay=0.0))
+        opt = AdamW(p, 0.1, 0.0)
         p["w"].grad = np.zeros(2)
         opt.step()
         np.testing.assert_array_equal(p["w"].data, [1.0, -2.0])
 
     def test_descends_on_quadratic(self):
         p = {"x": Tensor(np.array([1.0]), requires_grad=True)}
-        opt = AdamW(p, AdamWConfig(lr=0.1, weight_decay=0.0))
+        opt = AdamW(p, 0.1, 0.0)
         p["x"].grad = 2.0 * p["x"].data
         opt.step()
         assert 0.0 < float(p["x"].data[0]) < 1.0
@@ -54,7 +54,7 @@ class TestAdamW:
     def test_converges_on_convex_quadratic(self):
         target = np.array([0.3, -1.2, 2.0])
         p = {"x": Tensor(np.ones(3), requires_grad=True)}
-        opt = AdamW(p, AdamWConfig(lr=0.1, weight_decay=0.0))
+        opt = AdamW(p, 0.1, 0.0)
         for _ in range(200):
             p["x"].grad = 2.0 * (p["x"].data - target)
             opt.step()
@@ -62,18 +62,18 @@ class TestAdamW:
 
     def test_nonfinite_gradient_aborts(self):
         p = {"x": Tensor(np.ones(2), requires_grad=True)}
-        opt = AdamW(p, AdamWConfig())
+        opt = AdamW(p, 1e-3, 0.001)
         p["x"].grad = np.array([1.0, np.nan])
         with pytest.raises(ArithmeticError, match="non-finite"):
             opt.step()
 
     def test_state_roundtrip(self):
         p = {"x": Tensor(np.ones(2), requires_grad=True)}
-        opt = AdamW(p, AdamWConfig(lr=0.05))
+        opt = AdamW(p, 0.05, 0.001)
         p["x"].grad = np.array([0.5, -0.5])
         opt.step()
         arrays = opt.export_state()
-        opt2 = AdamW({"x": Tensor(p["x"].data.copy(), requires_grad=True)}, AdamWConfig(lr=0.05))
+        opt2 = AdamW({"x": Tensor(p["x"].data.copy(), requires_grad=True)}, 0.05, 0.001)
         opt2.load_state(arrays, opt.step_count)
         assert opt2.step_count == 1
         np.testing.assert_array_equal(opt2.m["x"], opt.m["x"])
@@ -572,13 +572,16 @@ class TestCli:
 
     @pytest.mark.parametrize("edit,what", [
         (lambda doc: doc["stages"][0].update(bogus=2), "stage 0: unknown stage options: ['bogus']"),
+        # "- lm-pretrain": a string, whose letters were read as unknown options
+        (lambda doc: doc["stages"].__setitem__(0, "lm-pretrain"),
+         "stage 0: a stage must be a mapping, not str"),
         (lambda doc: doc["data"]["supervised"].update(ranking="r.jsonl"),
          "stage 3 (supervised): unknown supervised tasks: ['ranking']"),
         (lambda doc: doc["stages"].reverse(),
          "stage 1 (weak-contrastive): stages must appear in pipeline order"),
         (lambda doc: doc["data"].pop("pair-sft"),
          "stage 1 (pair-sft): manifest is missing data for stage 'pair-sft'"),
-    ], ids=["stage-option", "supervised-task", "stage-order", "stage-data"])
+    ], ids=["stage-option", "stage-not-mapping", "supervised-task", "stage-order", "stage-data"])
     def test_manifest_error_exits_3_naming_manifest_and_stage(self, toy_data, tmp_path, capsys,
                                                              edit, what):
         yml = tmp_path / "m.yaml"
