@@ -503,8 +503,21 @@ def _read_records(path, parse, task: Optional[str] = None) -> tuple[dict, list]:
     return header, out
 
 
-def read_dataset(path) -> tuple[dict, list[TrainingExample]]:
-    return _read_records(path, example_from_record)
+def read_dataset(path, check=None) -> tuple[dict, list[TrainingExample]]:
+    """The header and examples of a dataset file.
+
+    ``check``, when given, is called on each example as it is read; a
+    ValueError it raises is reported at the record's ``path:line``.
+    """
+    if check is None:
+        return _read_records(path, example_from_record)
+
+    def parse(record):
+        example = example_from_record(record)
+        check(example)
+        return example
+
+    return _read_records(path, parse)
 
 
 def write_text_dataset(path, texts: Sequence[str], extra: Optional[dict] = None):

@@ -28,7 +28,7 @@ from . import _dumps, autograd as ag
 from .autograd import Tensor
 from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
                          save_checkpoint)
-from .data import Pair, Triplet, read_dataset, read_header, read_text_dataset
+from .data import Pair, ScoredPair, Triplet, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import retrieval_metrics, spearman, top_k
 from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
@@ -203,6 +203,38 @@ def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optio
     return ids, (None if lens.min() == width else lens)
 
 
+def _embedded_texts(example, negatives: Optional[int] = 0) -> tuple[str, ...]:
+    """The texts of ``example`` that get embedded: of a triplet's negatives the first ``negatives``, all for None."""
+    if isinstance(example, ScoredPair):
+        return example.text_a, example.text_b
+    if isinstance(example, Triplet):
+        return (example.query, example.positive, *example.negatives[:negatives])
+    return example.query, example.positive
+
+
+def _text_check(tokenizer: Tokenizer, max_len: int, texts_of):
+    """A ``read_dataset`` check: each text ``texts_of(example)`` yields must encode to 1-``max_len`` tokens.
+
+    The encoder refuses any other text only when a batch reaches it; checked
+    as the dataset is read, the error names the record's ``path:line``.
+    Each distinct text is encoded once.
+    """
+    seen: set[str] = set()
+
+    def check(example):
+        for text in texts_of(example):
+            if text in seen:
+                continue
+            n = len(tokenizer.encode(text))
+            if n < 1:
+                raise ValueError("cannot encode an empty text")
+            if n > max_len:
+                raise ValueError(f"text of {n} tokens exceeds max_len {max_len}")
+            seen.add(text)
+
+    return check
+
+
 # texts padded to one width together in inference
 _PAD_GROUP = 128
 # bytes of float64 attention scores one inference block may hold: rows x heads x width^2 x 8
@@ -311,14 +343,21 @@ class Trainer:
 
     def _load_stage_data(self, cfg: StageConfig):
         path = self.manifest.data[cfg.kind]
+        max_len = self.manifest.encoder.max_len
         if cfg.kind == "supervised":
-            return {task: read_dataset(path[task])[1] for task in SUPERVISED_TASKS if task in path}
+            # mining embeds every negative; without it a step draws the first negatives_per_query
+            k = None if cfg.dhnm else cfg.negatives_per_query
+            check = _text_check(self.tokenizer, max_len, lambda e: _embedded_texts(e, k))
+            return {task: read_dataset(path[task], check)[1] for task in SUPERVISED_TASKS if task in path}
         if cfg.kind == "lm-pretrain":
             seqs = [self.tokenizer.encode(t) for t in read_text_dataset(path)[1]]
+        elif cfg.kind == "weak-contrastive":
+            kept = (Pair, Triplet)
+            check = _text_check(self.tokenizer, max_len,
+                                lambda e: _embedded_texts(e) if isinstance(e, kept) else ())
+            return [e for e in read_dataset(path, check)[1] if isinstance(e, kept)]
         else:
             _, examples = read_dataset(path)
-            if cfg.kind == "weak-contrastive":
-                return [e for e in examples if isinstance(e, (Pair, Triplet))]
             seqs = [self.tokenizer.encode(e.query) + self.tokenizer.encode(e.positive)
                     for e in examples]
         return self._pack_windows(seqs, cfg.window_len)
@@ -632,7 +671,8 @@ def evaluate_sts(encoder: Encoder, tokenizer: Tokenizer, examples: list) -> dict
 
 def evaluate_checkpoint(ckpt_path, dataset_path, ks: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, float]:
     encoder, tokenizer, _ = load_encoder(ckpt_path)
-    header, examples = read_dataset(dataset_path)
+    header, examples = read_dataset(
+        dataset_path, _text_check(tokenizer, encoder.cfg.max_len, _embedded_texts))
     if not examples:
         raise ValueError(f"dataset {dataset_path} has no examples to evaluate")
     if header["task"] == "sts":

@@ -285,7 +285,7 @@ class TestAttention:
         for t, g in zip(ts, grads):
             assert t.grad.tobytes() == g.tobytes()
 
-    @pytest.mark.parametrize("length", [1, 2, 7, 24, 64])
+    @pytest.mark.parametrize("length", [1, 2, 7, 8, 24, 64])
     @pytest.mark.parametrize("rows", [1, 96, 8192])
     def test_rowmax_equals_np_max(self, length, rows):
         rng = np.random.default_rng(length)
@@ -295,6 +295,39 @@ class TestAttention:
         m = ag._rowmax(x)
         assert m.shape == (rows, 1)
         assert m.tobytes() == np.max(x, axis=-1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    def test_lane_tree_path_bitwise_equal_to_np_sum_path(self, kind, monkeypatch):
+        # 32 rows x 8 heads x 8 queries: past _LANE_MIN_ROWS, so _rowsum takes the lane tree
+        rng = np.random.default_rng(48)
+        bsz, kv, heads, dh, length = 32, 2, 8, 4, 8
+        assert bsz * heads * length >= ag._LANE_MIN_ROWS
+        qkv = _qkv(rng, bsz, length, heads, kv, dh)
+        w = _attention_weights(kind, bsz, length)
+        r = rng.normal(size=qkv[0].shape)
+
+        def run():
+            ts = [Tensor(a, requires_grad=True) for a in qkv]
+            out = ag.attention(*ts, w, heads)
+            backward(_sum(ag.mul(out, r)))
+            return [out.data] + [t.grad for t in ts]
+
+        lanes = run()
+        monkeypatch.setattr(ag, "_LANE_MIN_ROWS", 1 << 60)   # np.sum for every row sum
+        for got, want in zip(lanes, run()):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ATTENTION_KINDS)
+    def test_no_grad_forward_bitwise_equal_to_tracked(self, kind):
+        rng = np.random.default_rng(50)
+        bsz, kv, heads, dh, length = 32, 2, 8, 4, 8
+        qkv = _qkv(rng, bsz, length, heads, kv, dh)
+        w = _attention_weights(kind, bsz, length)
+        tracked = ag.attention(*(Tensor(a, requires_grad=True) for a in qkv), w, heads)
+        with ag.no_grad():
+            untracked = ag.attention(*(Tensor(a, requires_grad=True) for a in qkv), w, heads)
+        assert tracked.requires_grad and not untracked.requires_grad
+        assert untracked.data.tobytes() == tracked.data.tobytes()
 
     def test_zero_weight_keys_get_no_probability(self):
         rng = np.random.default_rng(5)
@@ -720,7 +753,72 @@ class TestErrors:
             grad_check(f, np.array([1.0, 1e-7]), h=1e-6)
 
 
+def _rows_to_sum(rng, rows, width):
+    """Rows that pin the summation order: magnitudes from 1e-300 to 1e300 mixed
+    within a row, rows of cancelling values, and rows of exact zeros as masked
+    keys leave them, of -0.0, and of both signs of zero."""
+    x = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-300, 301, size=(rows, width))
+    x[rows // 2:] = rng.normal(size=(rows - rows // 2, width)) * 1e6
+    x[rows // 2::2, width // 2:] = -x[rows // 2::2, :width - width // 2][:, ::-1]
+    x[0] = 0.0
+    x[1] = -0.0
+    x[2, ::2], x[2, 1::2] = -0.0, 0.0
+    x[3, ::3] = 0.0
+    x[4, 1::2] = -0.0
+    return x
+
+
+class TestRowReductions:
+    """``_rowsum`` and ``_rowmax`` return numpy's own bits.  On rows of 8,
+    ``_rowsum`` replays numpy 2.x's pairwise summation order, so a numpy whose
+    order differs must fail here rather than move embeddings and training runs
+    in their last bits."""
+
+    @pytest.mark.parametrize("rows", [ag._LANE_MIN_ROWS - 1, ag._LANE_MIN_ROWS])
+    @pytest.mark.parametrize("width", [7, 8, 9])
+    def test_rowsum_equals_np_sum(self, rows, width):
+        # one row count on each side of the lane tree's threshold, and the widths around it
+        x = _rows_to_sum(np.random.default_rng(rows + width), rows, width)
+        got = ag._rowsum(x)
+        assert got.shape == (rows, 1)
+        assert got.tobytes() == x.sum(axis=-1, keepdims=True).tobytes(), (
+            f"numpy {np.__version__} sums {rows} rows of {width} values in another order "
+            "than autograd._rowsum replays")
+
+    def test_rowsum_on_attention_shaped_buffers(self):
+        # (B, KV, G*L, L) as attention holds its probabilities, and a strided view
+        rng = np.random.default_rng(61)
+        x = np.exp(rng.normal(size=(16, 2, 32, 8)))
+        x[..., 5:] = 0.0
+        assert ag._rowsum(x).tobytes() == x.sum(axis=-1, keepdims=True).tobytes()
+        view = _rows_to_sum(rng, 2048, 16)[:, ::2]
+        assert ag._rowsum(view).tobytes() == view.sum(axis=-1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("width", [7, 8, 9])
+    def test_rowmax_equals_np_max_on_signed_zeros_and_extremes(self, width):
+        x = _rows_to_sum(np.random.default_rng(62), 64, width)
+        x[5::3, ::4] = -np.inf
+        x[6] = -np.inf
+        assert ag._rowmax(x).tobytes() == x.max(axis=-1, keepdims=True).tobytes()
+
+
 class TestNoGrad:
+    @pytest.mark.parametrize("shape,gain_shape", [((32, 8, 16), (16,)), ((4, 6), (4, 6)),
+                                                  ((3, 5), (2, 3, 5))])
+    def test_rmsnorm_without_tape_bitwise_equal_to_tracked(self, shape, gain_shape):
+        rng = np.random.default_rng(70)
+        x, gain = rng.normal(size=shape), rng.normal(size=gain_shape)
+        tracked = ag.rmsnorm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True))
+        with ag.no_grad():
+            untracked = ag.rmsnorm(Tensor(x, requires_grad=True), Tensor(gain, requires_grad=True))
+        constants = ag.rmsnorm(Tensor(x), gain)          # no tracked operand: no tape either
+        assert tracked.requires_grad and not untracked.requires_grad
+        for out in (untracked, constants):
+            assert out.shape == tracked.shape
+            assert out.data.tobytes() == tracked.data.tobytes()
+        with ag.no_grad(), pytest.raises(DomainError):
+            ag.rmsnorm(Tensor(np.zeros(shape)), gain)
+
     def test_ops_record_no_graph(self):
         x = Tensor(np.arange(1.0, 7.0).reshape(2, 3), requires_grad=True)
         with ag.no_grad():

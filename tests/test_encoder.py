@@ -341,6 +341,24 @@ class TestNoGradInference:
         assert untracked._parents == ()
         assert untracked.data.tobytes() == tracked.data.tobytes()
 
+    @pytest.mark.parametrize("mask_kind", ["causal", "soft", "bidirectional"])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_embed_batch_without_tape_at_lane_tree_sizes(self, mask_kind, padded, monkeypatch):
+        # 64 texts x 4 heads x 8 tokens: attention's row sums take the lane tree
+        enc = Encoder(SMALL, seed=5)
+        ids = np.random.default_rng(6).integers(2, SMALL.vocab_size, size=(64, 8))
+        lengths = np.arange(64) % 8 + 1 if padded else None
+        mask = {"causal": causal_mask(8), "bidirectional": bidirectional_mask(8),
+                "soft": build_soft_mask(ScheduleState("linear", 2, 5), 8)}[mask_kind]
+        assert 64 * SMALL.heads * 8 >= ag._LANE_MIN_ROWS
+        tracked = enc.embed_batch(ids, mask, lengths)
+        with ag.no_grad():
+            untracked = enc.embed_batch(ids, mask, lengths)
+            monkeypatch.setattr(ag, "_LANE_MIN_ROWS", 1 << 60)   # np.sum for every row sum
+            summed = enc.embed_batch(ids, mask, lengths)
+        assert untracked.data.tobytes() == tracked.data.tobytes()
+        assert untracked.data.tobytes() == summed.data.tobytes()
+
 
 class TestCheckpointRoundtrip:
     def test_exact_roundtrip(self, tmp_path):

@@ -549,6 +549,60 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"{data}:3:" in err and what in err
 
+    @pytest.mark.parametrize("text,what", [
+        (" ".join(["a"] * 40), "text of 40 tokens exceeds max_len 32"),
+        ("", "cannot encode an empty text"),
+    ], ids=["over-long", "empty"])
+    def test_eval_of_text_the_encoder_refuses_exits_3_naming_file_and_line(
+            self, tmp_path, capsys, text, what):
+        data = tmp_path / "heldout.jsonl"
+        write_dataset(data, "pair", [Pair("a", "a"), Pair(text, "a"), Pair("a", "a")])
+        assert cli_main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
+                         "--data", str(data)]) == 3
+        err = capsys.readouterr().err
+        assert f"{data}:3:" in err and what in err
+
+    @pytest.mark.parametrize("kind,text,what", [
+        ("weak-contrastive", " ".join(["t1"] * 40), "text of 40 tokens exceeds max_len 32"),
+        ("weak-contrastive", "", "cannot encode an empty text"),
+        ("retrieval", " ".join(["t1"] * 40), "text of 40 tokens exceeds max_len 32"),
+    ], ids=["weak-over-long", "weak-empty", "supervised-negative-over-long"])
+    def test_train_on_text_the_encoder_refuses_exits_3_naming_file_and_line(
+            self, toy_data, tmp_path, capsys, kind, text, what):
+        # checked when the stage reads its data, not when a step first draws the text
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4)
+        bad = tmp_path / f"{kind}.jsonl"
+        if kind == "retrieval":
+            _, examples = read_dataset(m.data["supervised"]["retrieval"])
+            examples[1].negatives[-1] = text
+            m.data["supervised"]["retrieval"] = str(bad)
+        else:
+            _, examples = read_dataset(m.data[kind])
+            examples[1].positive = text
+            m.data[kind] = str(bad)
+        write_dataset(bad, "pair" if kind != "retrieval" else kind, examples)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:3:" in err and what in err
+
+    @pytest.mark.parametrize("index,code", [(0, 3), (-1, 0)], ids=["drawn", "never-drawn"])
+    def test_train_without_mining_checks_only_the_negatives_a_step_draws(
+            self, toy_data, tmp_path, capsys, index, code):
+        # without DHNM a step embeds a triplet's first negatives_per_query negatives only
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        _, examples = read_dataset(m.data["supervised"]["retrieval"])
+        assert len(examples[1].negatives) > m.stages[-1].negatives_per_query
+        examples[1].negatives[index] = " ".join(["t1"] * 40)
+        bad = tmp_path / "retrieval.jsonl"
+        write_dataset(bad, "retrieval", examples)
+        m.data["supervised"]["retrieval"] = str(bad)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == code
+        assert (f"{bad}:3:" in capsys.readouterr().err) == bool(code)
+
     def test_train_on_empty_lm_file_exits_3_naming_it(self, toy_data, tmp_path, capsys):
         m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
         empty = tmp_path / "lm.jsonl"
