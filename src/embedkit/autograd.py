@@ -326,17 +326,27 @@ def attention(q, k, v, weights, heads: int) -> Tensor:
     return _make(out_data, (q, k, v), backward_fn)
 
 
-def l2_normalize(a) -> Tensor:
-    """Normalize along the last axis to unit Euclidean norm."""
+def l2_normalize(a, width: int | None = None) -> Tensor:
+    """Normalize along the last axis to unit Euclidean norm; with ``width``, only ``a[..., :width]``.
+
+    A prefix's gradient is added into zeros of ``a``'s shape (``0.0 + -0.0``
+    is ``+0.0``), so it is bitwise that of an ``index_select`` of the prefix.
+    """
     a = as_tensor(a)
-    norms = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
+    x = a.data if width is None else a.data[..., :width]
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise DomainError("cannot L2-normalize a zero vector")
-    out_data = a.data / norms
+    out_data = x / norms
 
     def backward_fn(g):
         inner = (g * out_data).sum(axis=-1, keepdims=True)
-        _accumulate(a, (g - out_data * inner) / norms)
+        gx = (g - out_data * inner) / norms
+        if width is not None:
+            full = np.zeros(a.shape)
+            full[..., :width] += gx
+            gx = full
+        _accumulate(a, gx)
 
     return _make(out_data, (a,), backward_fn)
 
@@ -383,6 +393,24 @@ def sum_lastdim(a, keepdims: bool = False) -> Tensor:
         _accumulate(a, np.broadcast_to(g, a.shape))
 
     return _make(out_data, (a,), backward_fn)
+
+
+def pool(states, rows, scale) -> Tensor:
+    """Weighted sum over positions as one node: ``(states * rows[..., None]).sum(axis=1) * scale[:, None]``.
+
+    ``states`` is (B, L, D), ``rows`` (B, L) position weights (0/1 to select
+    positions) and ``scale`` (B,); the output is (B, D).  Shapes are not
+    checked here: ``encoder.pool_states`` builds rows and scale from the states.
+    """
+    s = as_tensor(states)
+    rows = np.asarray(rows, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    out_data = (s.data * rows[..., None]).sum(axis=1) * scale[:, None]
+
+    def backward_fn(g):
+        _accumulate(s, (g * scale[:, None])[:, None, :] * rows[..., None])
+
+    return _make(out_data, (s,), backward_fn)
 
 
 def index_select(a, axis: int, indices) -> Tensor:
@@ -516,16 +544,6 @@ def cosent_loss(cosines, labels, tau: float) -> Tensor:
                     + np.bincount(hi, weights=-gd, minlength=size))
 
     return _make(np.log1p(total), (c,), backward_fn)
-
-
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    out_data = a.data.reshape(shape)
-
-    def backward_fn(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(out_data, (a,), backward_fn)
 
 
 def permute(a, axes) -> Tensor:

@@ -33,6 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _dumps
+
 MAGIC = b"EMKP"
 VERSION = 2
 _PREFIX = struct.Struct("<4sIQ")      # magic, version, header length
@@ -40,11 +42,6 @@ _PREFIX = struct.Struct("<4sIQ")      # magic, version, header length
 
 class CheckpointError(ValueError):
     pass
-
-
-def _json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":")).encode("utf-8")
 
 
 def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: dict | None = None,
@@ -56,10 +53,10 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: di
     merges its keys into ``extra``.  A write that fails part-way leaves any
     previous checkpoint at ``path`` intact.
     """
-    state_bytes = _json_bytes(state) if state else b""
+    state_bytes = _dumps(state).encode("utf-8") if state else b""
     entries = [{"name": k, "shape": list(np.asarray(arrays[k]).shape)} for k in sorted(arrays)]
-    header = _json_bytes({"config": config, "extra": extra or {}, "arrays": entries,
-                          "state_bytes": len(state_bytes)})
+    header = _dumps({"config": config, "extra": extra or {}, "arrays": entries,
+                     "state_bytes": len(state_bytes)}).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")

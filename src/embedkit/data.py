@@ -438,12 +438,13 @@ def build_sts(corpus: SynthCorpus, n_pairs: int, lang: Optional[str] = None,
 # dataset files
 # ---------------------------------------------------------------------------
 
-def _texts_of(e: TrainingExample) -> list[str]:
+def _texts_of(e: TrainingExample, negatives: Optional[int] = None) -> tuple[str, ...]:
+    """The texts of ``e``: of a triplet's negatives the first ``negatives``, all for None."""
     if isinstance(e, ScoredPair):
-        return [e.text_a, e.text_b]
+        return e.text_a, e.text_b
     if isinstance(e, Triplet):
-        return [e.query, e.positive, *e.negatives]
-    return [e.query, e.positive]
+        return (e.query, e.positive, *e.negatives[:negatives])
+    return e.query, e.positive
 
 
 def write_dataset(path, task: str, examples: Sequence[TrainingExample],

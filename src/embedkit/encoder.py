@@ -9,6 +9,10 @@ multiplies the fractional weights onto the resulting probabilities, and
 renormalizes each row to sum to one.  With an all-zero upper triangle
 this is exactly causal attention; with all-ones weights it is exactly
 bidirectional attention; scheduled masks interpolate between the two.
+
+A sentence embedding is a ``pool`` node over the final states, mean or
+last-token, then an ``l2_normalize``; a nested Matryoshka dim is one
+``l2_normalize`` of the embedding's prefix.
 """
 
 from __future__ import annotations
@@ -167,25 +171,20 @@ class Encoder:
 
 
 def pool_states(states: Tensor, mode: str, lengths: Optional[np.ndarray] = None) -> Tensor:
-    """Reduce (B, L, D) token states to (B, D) unit-norm sentence vectors."""
-    bsz, length, dim = states.shape
+    """Reduce (B, L, D) token states to (B, D) unit-norm sentence vectors; ``lengths`` None is full length.
+
+    Mean pooling weighs each row's first ``lengths`` positions by 1/length,
+    last-token pooling takes position ``lengths - 1``.
+    """
+    bsz, length, _ = states.shape
+    lengths = np.full(bsz, length) if lengths is None else np.asarray(lengths)
     if mode == "mean":
-        if lengths is None:
-            summed = ag.sum_lastdim(ag.permute(states, (0, 2, 1)))
-            pooled = ag.mul(summed, 1.0 / length)
-        else:
-            valid = (np.arange(length)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
-            masked = ag.mul(states, valid[:, :, None])
-            summed = ag.sum_lastdim(ag.permute(masked, (0, 2, 1)))
-            pooled = ag.mul(summed, (1.0 / np.asarray(lengths, dtype=np.float64))[:, None])
+        rows, scale = np.arange(length) < lengths[:, None], 1.0 / lengths
     elif mode == "last-token":
-        last = (np.asarray(lengths) - 1 if lengths is not None
-                else np.full(bsz, length - 1, dtype=np.intp))
-        flat = np.arange(bsz) * length + np.asarray(last, dtype=np.intp)
-        pooled = ag.index_select(ag.reshape(states, (bsz * length, dim)), 0, flat)
+        rows, scale = np.arange(length) == lengths[:, None] - 1, np.ones(bsz)
     else:
         raise ValueError(f"unknown pooling mode {mode!r}")
-    return ag.l2_normalize(pooled)
+    return ag.l2_normalize(ag.pool(states, rows, scale))
 
 
 def truncate_normalize(embeddings: Tensor, d: int, dims: Sequence[int]) -> Tensor:
@@ -196,7 +195,7 @@ def truncate_normalize(embeddings: Tensor, d: int, dims: Sequence[int]) -> Tenso
         raise ValueError(f"target dim {d} exceeds active dim {embeddings.shape[-1]}")
     if d == embeddings.shape[-1]:
         return embeddings
-    return ag.l2_normalize(ag.index_select(embeddings, -1, np.arange(d)))
+    return ag.l2_normalize(embeddings, width=d)
 
 
 __all__ = [

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +28,7 @@ from . import _dumps, autograd as ag
 from .autograd import Tensor
 from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
                          save_checkpoint)
-from .data import Pair, ScoredPair, Triplet, read_dataset, read_header, read_text_dataset
+from .data import Pair, Triplet, _texts_of, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import retrieval_metrics, spearman, top_k
 from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
@@ -57,10 +57,7 @@ class StageConfig:
     lr: float = 1e-3
     mask_policy: str = ""            # defaults per kind; "soft" only in weak-contrastive
     mask_schedule: str = "linear"
-    mask_l: Optional[int] = None
     temperature: float = 0.05
-    cosent_tau: float = 0.05
-    loss_mix: dict = field(default_factory=dict)
     negatives_per_query: int = 7
     mrl: bool = False
     dhnm: bool = False
@@ -203,15 +200,6 @@ def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optio
     return ids, (None if lens.min() == width else lens)
 
 
-def _embedded_texts(example, negatives: Optional[int] = 0) -> tuple[str, ...]:
-    """The texts of ``example`` that get embedded: of a triplet's negatives the first ``negatives``, all for None."""
-    if isinstance(example, ScoredPair):
-        return example.text_a, example.text_b
-    if isinstance(example, Triplet):
-        return (example.query, example.positive, *example.negatives[:negatives])
-    return example.query, example.positive
-
-
 def _text_check(tokenizer: Tokenizer, max_len: int, texts_of):
     """A ``read_dataset`` check: each text ``texts_of(example)`` yields must encode to 1-``max_len`` tokens.
 
@@ -298,7 +286,7 @@ def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
     if cfg.mask_policy == "bidirectional" or cfg.steps == 1:
         return bidirectional_mask(n)
     state = ScheduleState(kind=cfg.mask_schedule, t=step, tau_steps=cfg.steps - 1)
-    return build_soft_mask(state, n, cfg.mask_l)
+    return build_soft_mask(state, n)
 
 
 def _step_rng(manifest_seed: int, stage_seed: int, stage_index: int, step: int) -> np.random.Generator:
@@ -347,14 +335,14 @@ class Trainer:
         if cfg.kind == "supervised":
             # mining embeds every negative; without it a step draws the first negatives_per_query
             k = None if cfg.dhnm else cfg.negatives_per_query
-            check = _text_check(self.tokenizer, max_len, lambda e: _embedded_texts(e, k))
+            check = _text_check(self.tokenizer, max_len, lambda e: _texts_of(e, k))
             return {task: read_dataset(path[task], check)[1] for task in SUPERVISED_TASKS if task in path}
         if cfg.kind == "lm-pretrain":
             seqs = [self.tokenizer.encode(t) for t in read_text_dataset(path)[1]]
         elif cfg.kind == "weak-contrastive":
             kept = (Pair, Triplet)
             check = _text_check(self.tokenizer, max_len,
-                                lambda e: _embedded_texts(e) if isinstance(e, kept) else ())
+                                lambda e: _texts_of(e, 0) if isinstance(e, kept) else ())
             return [e for e in read_dataset(path, check)[1] if isinstance(e, kept)]
         else:
             _, examples = read_dataset(path)
@@ -562,15 +550,10 @@ class Trainer:
                          mining: Optional[MiningState], mining_fh) -> tuple[Tensor, str]:
         tasks = [t for t in SUPERVISED_TASKS if t in datasets]
         task = tasks[step % len(tasks)]
-        weight = float(cfg.loss_mix.get(task, 1.0))
         if task == "sts":
-            loss = self._sts_batch_loss(cfg, encoder, datasets[task], rng, step)
-        else:
-            loss = self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step,
-                                            task, mining, mining_fh)
-        if weight != 1.0:
-            loss = ag.mul(loss, weight)
-        return loss, task
+            return self._sts_batch_loss(cfg, encoder, datasets[task], rng, step), task
+        return self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step,
+                                        task, mining, mining_fh), task
 
     def _sts_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                         rng: np.random.Generator, step: int) -> Tensor:
@@ -581,7 +564,7 @@ class Trainer:
         dims = self._mrl_dims(cfg)
         cos = [ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims),
                                      truncate_normalize(eb, d, dims))) for d in dims]
-        return _mean([cosent(StsBatch(c, labels, tau=cfg.cosent_tau)) for c in cos])  # ascending dims
+        return _mean([cosent(StsBatch(c, labels)) for c in cos])  # ascending dims
 
     def _triplet_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                             rng: np.random.Generator, step: int, task: str,
@@ -672,7 +655,7 @@ def evaluate_sts(encoder: Encoder, tokenizer: Tokenizer, examples: list) -> dict
 def evaluate_checkpoint(ckpt_path, dataset_path, ks: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, float]:
     encoder, tokenizer, _ = load_encoder(ckpt_path)
     header, examples = read_dataset(
-        dataset_path, _text_check(tokenizer, encoder.cfg.max_len, _embedded_texts))
+        dataset_path, _text_check(tokenizer, encoder.cfg.max_len, lambda e: _texts_of(e, 0)))
     if not examples:
         raise ValueError(f"dataset {dataset_path} has no examples to evaluate")
     if header["task"] == "sts":

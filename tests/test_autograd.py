@@ -29,6 +29,14 @@ def _sub(a, b):
     return ag.add(a, ag.mul(b, -1.0))
 
 
+def _reshape(a, shape):
+    """The ``reshape`` node of the reference chains (it left ``autograd`` with its last caller)."""
+    def backward_fn(g):
+        ag._accumulate(a, g.reshape(a.shape))
+
+    return ag._make(a.data.reshape(shape), (a,), backward_fn)
+
+
 class TestForwardValues:
     def test_matmul_ones(self):
         out = ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2))))
@@ -94,7 +102,7 @@ def _unary_cases():
         "l2_normalize": lambda t: _sum(ag.mul(ag.l2_normalize(t), t)),
         "sum_lastdim": lambda t: _sum(ag.mul(ag.sum_lastdim(t, keepdims=True), t)),
         "reshape_permute": lambda t: _sum(
-            ag.mul(ag.reshape(ag.permute(t, (1, 0)), (2, 6)), np.arange(12.0).reshape(2, 6))),
+            ag.mul(_reshape(ag.permute(t, (1, 0)), (2, 6)), np.arange(12.0).reshape(2, 6))),
         # constant operands: scalars, a suffix row and a trailing column, on either side
         "const_operands": lambda t: _sum(ag.mul(
             ag.add(np.arange(3.0), ag.mul(-2.0, ag.add(t, 1.5))), np.linspace(1.0, 2.0, 4)[:, None])),
@@ -126,6 +134,12 @@ def test_kernels_match_finite_differences(seed):
     assert grad_check(lambda t: _sum(ag.mul(ag.index_select(t, 0, sel),
                                             np.arange(18.0).reshape(6, 3))),
                       x, h=1e-6) < 1e-4
+    width = int(rng.integers(1, 4))
+    assert grad_check(lambda t: _sum(ag.mul(ag.l2_normalize(t, width), c[:, :width])),
+                      x, h=1e-6) < 1e-4
+    rows, scale = rng.integers(0, 2, size=(2, 4)), rng.uniform(0.1, 1.0, size=2)
+    assert grad_check(lambda t: _sum(ag.mul(ag.pool(t, rows, scale), c[:2])),
+                      rng.normal(size=(2, 4, 3)), h=1e-6) < 1e-4
 
 
 def _composed_attention(q, k, v, weights, heads):
@@ -138,7 +152,7 @@ def _composed_attention(q, k, v, weights, heads):
     kv = k.shape[-1] // dh
 
     def split(t, n):
-        return ag.permute(ag.reshape(t, (bsz, length, n, dh)), (0, 2, 1, 3))
+        return ag.permute(_reshape(t, (bsz, length, n, dh)), (0, 2, 1, 3))
 
     q, k, v = split(q, heads), split(k, kv), split(v, kv)
     group = np.repeat(np.arange(kv), heads // kv)
@@ -148,7 +162,7 @@ def _composed_attention(q, k, v, weights, heads):
     probs = ag.softmax_lastdim(ag.add(scores, np.where(w > 0.0, 0.0, -np.inf)))
     weighted = ag.mul(probs, w)
     ctx = ag.matmul(_div(weighted, ag.sum_lastdim(weighted, keepdims=True)), v)
-    return ag.reshape(ag.permute(ctx, (0, 2, 1, 3)), (bsz, length, width))
+    return _reshape(ag.permute(ctx, (0, 2, 1, 3)), (bsz, length, width))
 
 
 def _div(a, b):
@@ -515,7 +529,7 @@ def _chain_info_nce(q, p, n, temperature):
     cand = ag.matmul(q, ag.permute(p, (1, 0)))
     neg = np.zeros((bsz, 0))
     if n is not None and n.shape[1] > 0:
-        neg_t = ag.reshape(ag.matmul(n, ag.reshape(q, (bsz, dim, 1))), (bsz, n.shape[1]))
+        neg_t = _reshape(ag.matmul(n, _reshape(q, (bsz, dim, 1))), (bsz, n.shape[1]))
         cand, neg = _concat_lastdim(cand, neg_t), neg_t.data
     inv_t = 1.0 / temperature
     lse = _logsumexp(ag.mul(cand, inv_t))
@@ -631,7 +645,7 @@ def test_index_select_2d_indices_bitwise_equal_to_flat_then_reshape():
         g = rng.normal(size=idx_shape + shape[1:])
         out = {}
         for name, f in (("2-d", lambda t: ag.index_select(t, 0, idx)),
-                        ("flat", lambda t: ag.reshape(ag.index_select(t, 0, idx.reshape(-1)), g.shape))):
+                        ("flat", lambda t: _reshape(ag.index_select(t, 0, idx.reshape(-1)), g.shape))):
             t = Tensor(x, requires_grad=True)
             y = f(t)
             backward(_sum(ag.mul(y, g)))

@@ -20,6 +20,7 @@ from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_norma
 from embedkit.losses import ContrastiveBatch, StsBatch, cosent, info_nce, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from embedkit.pipeline import _mean
+from test_autograd import _reshape, _sum
 
 TOY = EncoderConfig()
 SMALL = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -221,6 +222,90 @@ class TestMrlTruncate:
         np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
+def _chain_pool(states, mode, lengths=None):
+    """``pool_states`` as generic nodes, as it was built before the ``pool`` op."""
+    bsz, length, dim = states.shape
+    if mode == "mean":
+        if lengths is None:
+            pooled = ag.mul(ag.sum_lastdim(ag.permute(states, (0, 2, 1))), 1.0 / length)
+        else:
+            valid = (np.arange(length)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
+            summed = ag.sum_lastdim(ag.permute(ag.mul(states, valid[:, :, None]), (0, 2, 1)))
+            pooled = ag.mul(summed, (1.0 / np.asarray(lengths, dtype=np.float64))[:, None])
+    else:
+        last = np.asarray(lengths) - 1 if lengths is not None else np.full(bsz, length - 1)
+        flat = np.arange(bsz) * length + np.asarray(last, dtype=np.intp)
+        pooled = ag.index_select(_reshape(states, (bsz * length, dim)), 0, flat)
+    return ag.l2_normalize(pooled)
+
+
+def _chain_truncate(emb, d, dims):
+    """``truncate_normalize`` as it was built before the prefix ``l2_normalize``: a gather of ``arange(d)``."""
+    return emb if d == emb.shape[-1] else ag.l2_normalize(ag.index_select(emb, -1, np.arange(d)))
+
+
+class TestFusedPoolingAndTruncation:
+    """The ``pool`` node and the prefix ``l2_normalize`` against the chains they replaced."""
+
+    @pytest.mark.parametrize("mode", ["mean", "last-token"])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_pool_states_equals_chain(self, mode, padded):
+        rng = np.random.default_rng(41)
+        states = rng.normal(size=(6, 11, 64))
+        lengths = np.array([11, 1, 5, 10, 7, 3]) if padded else None
+        g = rng.normal(size=(6, 64))
+        out = {}
+        for name, pool in (("op", pool_states), ("chain", _chain_pool)):
+            t = Tensor(states, requires_grad=True)
+            y = pool(t, mode, lengths)
+            ag.backward(_sum(ag.mul(y, g)))
+            out[name] = y.data, t.grad
+        assert out["op"][0].tobytes() == out["chain"][0].tobytes()
+        # equal in value: last-token gives -0.0 where the gather's scatter gave +0.0
+        np.testing.assert_array_equal(out["op"][1], out["chain"][1])
+
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_truncation_equals_gather_chain_bitwise(self, d):
+        rng = np.random.default_rng(42)
+        emb = rng.normal(size=(36, 64))
+        g = rng.normal(size=(36, d))
+        g[0] = -0.0     # a zero gradient row: -0.0 out of the normalize, +0.0 after the scatter
+        out = {}
+        for name, trunc in (("op", truncate_normalize), ("chain", _chain_truncate)):
+            t = Tensor(emb, requires_grad=True)
+            y = trunc(t, d, TOY.mrl_dims)
+            ag.backward(_sum(ag.mul(y, g)))
+            out[name] = y.data.tobytes(), t.grad.tobytes()
+        assert out["op"] == out["chain"]
+
+    @pytest.mark.parametrize("pooling", ["mean", "last-token"])
+    def test_mrl_triplet_step_gradients_equal_chain(self, pooling):
+        # a padded MRL triplet step as Trainer._triplet_batch_loss builds it:
+        # every parameter gradient is bitwise the chains', signs of zero included
+        enc = Encoder(dataclasses.replace(TOY, pooling=pooling), seed=0)
+        bsz, k = 4, 3
+        rng = np.random.default_rng(43)
+        ids = rng.integers(2, TOY.vocab_size, size=(bsz + bsz * (k + 1), 9))
+        lengths = rng.integers(1, 10, size=len(ids))
+        lengths[0] = 9
+        mask = bidirectional_mask(9)
+        grads = {}
+        for name, pool, trunc in (("op", pool_states, truncate_normalize),
+                                  ("chain", _chain_pool, _chain_truncate)):
+            q_emb = pool(enc.forward_batch(ids[:bsz], mask, lengths[:bsz]), pooling, lengths[:bsz])
+            all_emb = pool(enc.forward_batch(ids[bsz:], mask, lengths[bsz:]), pooling, lengths[bsz:])
+            p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
+            n_emb = ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k))
+            loss = _mean([info_nce(ContrastiveBatch(*(trunc(t, d, TOY.mrl_dims)
+                                                      for t in (q_emb, p_emb, n_emb))))
+                          for d in sorted(TOY.mrl_dims, reverse=True)])
+            ag.backward(loss)
+            grads[name] = {n: p.grad.tobytes() for n, p in enc.params.items()}
+            for p in enc.params.values():
+                p.grad = None
+        assert grads["op"] == grads["chain"]
+
+
 class TestEncoderGradients:
     @pytest.mark.parametrize("seed", range(5))
     def test_full_model_matches_finite_differences(self, seed):
@@ -269,22 +354,24 @@ class TestTape:
 
     def test_weak_contrastive_step_tape_nodes(self):
         # one unpadded in-batch InfoNCE step, built as Trainer._contrastive_step
-        # does: 31 nodes per mean-pooled embedding and 1 for the loss (106 with
+        # does: 29 nodes per mean-pooled embedding and 1 for the loss (106 with
         # the head split and merge around the attention op, 74 with the loss
-        # as a 10-node chain, 65 with a reshape after the embedding gather)
+        # as a 10-node chain, 65 with a reshape after the embedding gather, 63
+        # with pooling as a permute, sum and scale)
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(1).integers(2, TOY.vocab_size, size=(2, 8, 10))
         mask = build_soft_mask(ScheduleState("linear", 3, 10), 10)
         q, p = (enc.embed_batch(x, mask) for x in ids)
-        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 63
+        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 59
 
     def test_supervised_triplet_step_tape_nodes(self):
         # one unpadded triplet step, built as Trainer._triplet_batch_loss does, with
-        # MRL over (16, 32, 64) and 7 negatives: 62 for the two embeddings, 2 to
-        # cut positives and negatives from the passage batch, 12 to truncate and
+        # MRL over (16, 32, 64) and 7 negatives: 58 for the two embeddings, 2 to
+        # cut positives and negatives from the passage batch, 6 to truncate and
         # renormalize at 16 and 32, 1 per dim for the loss and 3 for the mean
         # (124 with the loss as a 14-node chain, 85 with a reshape after each
-        # embedding gather and after the negatives' gather)
+        # embedding gather and after the negatives' gather, 82 with pooling as
+        # a permute, sum and scale and each truncation as a gather)
         enc = Encoder(TOY, seed=0)
         bsz, k = 4, 7
         rng = np.random.default_rng(2)
@@ -297,14 +384,15 @@ class TestTape:
         loss = _mean([info_nce(ContrastiveBatch(*(truncate_normalize(t, d, dims)
                                                   for t in (q_emb, p_emb, n_emb))))
                       for d in sorted(dims, reverse=True)])
-        assert _tape_nodes(loss) == 82
+        assert _tape_nodes(loss) == 72
 
     def test_sts_step_tape_nodes(self):
         # one unpadded STS step, built as Trainer._sts_batch_loss does, with MRL
-        # over (16, 32, 64): 62 for the two embeddings, 8 to truncate and
+        # over (16, 32, 64): 58 for the two embeddings, 4 to truncate and
         # renormalize at 16 and 32, 2 per dim for the cosines, 1 per dim for the
         # loss and 3 for the mean (105 with the loss as an 8-node chain, 84 with
-        # a reshape after each embedding gather)
+        # a reshape after each embedding gather, 82 with pooling as a permute,
+        # sum and scale and each truncation as a gather)
         enc = Encoder(TOY, seed=0)
         rng = np.random.default_rng(3)
         mask = bidirectional_mask(10)
@@ -314,7 +402,7 @@ class TestTape:
         dims = TOY.mrl_dims
         cos = [ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims), truncate_normalize(eb, d, dims)))
                for d in dims]
-        assert _tape_nodes(_mean([cosent(StsBatch(c, labels)) for c in cos])) == 82
+        assert _tape_nodes(_mean([cosent(StsBatch(c, labels)) for c in cos])) == 74
 
     def test_padded_weights_match_row_loop(self):
         mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)

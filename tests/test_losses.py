@@ -12,6 +12,7 @@ from embedkit import autograd as ag
 from embedkit.autograd import Tensor, grad_check
 from embedkit.losses import (ContrastiveBatch, StsBatch, cosent, info_nce,
                              info_nce_with_scores, next_token_ce)
+from test_autograd import _reshape
 
 LOG_1P_EXP_M2 = math.log(1.0 + math.exp(-2.0))     # 0.126928...
 
@@ -209,7 +210,7 @@ class TestNextTokenCe:
         targets = rng.integers(0, shape[-1], size=shape[:-1])
         out = {}
         for name, f in (("batched", lambda t: next_token_ce(t, targets)),
-                        ("flat", lambda t: next_token_ce(ag.reshape(t, (-1, shape[-1])),
+                        ("flat", lambda t: next_token_ce(_reshape(t, (-1, shape[-1])),
                                                          targets.reshape(-1)))):
             t = Tensor(x, requires_grad=True)
             loss = f(t)

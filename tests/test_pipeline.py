@@ -217,6 +217,30 @@ pipeline.save_checkpoint = save_then_die
 cli.main(["train", "--manifest", sys.argv[2]])
 """
 
+# run as ``python -c _TRAIN_REPORTING_BLAS_THREADS <manifest>``: train, then print
+# the thread count OpenBLAS reports (null where it cannot be asked) as the last line
+_TRAIN_REPORTING_BLAS_THREADS = """
+import ctypes, json, sys
+from embedkit import cli
+
+code = cli.main(["train", "--manifest", sys.argv[1]])
+threads = None
+try:
+    with open("/proc/self/maps") as fh:
+        libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+except OSError:
+    libs = []
+for lib in libs:
+    for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                "openblas_get_num_threads"):
+        fn = getattr(ctypes.CDLL(lib), sym, None)
+        if fn is not None and threads is None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            threads = fn()
+print(json.dumps({"blas_threads": threads}))
+sys.exit(code)
+"""
+
 
 class TestTrainingRuns:
     def test_round_robin_visits_every_task_each_cycle(self, toy_data, tmp_path):
@@ -313,6 +337,35 @@ class TestTrainingRuns:
         assert sorted(p.name for p in (tmp_path / "killed").iterdir()) == full
         for name in full:
             assert (tmp_path / "killed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+    def test_run_directory_bitwise_equal_on_one_and_two_blas_threads(self, toy_data, tmp_path):
+        # the default encoder, so that the GEMMs are large enough for OpenBLAS to
+        # split; four stages with mining and a mid-stage checkpoint
+        m = _manifest(toy_data, tmp_path)
+        m.encoder = EncoderConfig()
+        # EMBEDKIT_THREADS only fills the BLAS variables a child does not inherit
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(embedkit.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH", "")])
+        reported = []
+        for threads in ("1", "2"):
+            m.output_dir = str(tmp_path / f"threads{threads}")
+            yml = tmp_path / f"m{threads}.yaml"
+            m.to_yaml(yml)
+            proc = subprocess.run([sys.executable, "-c", _TRAIN_REPORTING_BLAS_THREADS, str(yml)],
+                                  env={**env, "EMBEDKIT_THREADS": threads}, capture_output=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            reported.append(json.loads(proc.stdout.decode().splitlines()[-1])["blas_threads"])
+        if reported[0] is not None and len(os.sched_getaffinity(0)) >= 2:
+            assert reported == [1, 2]
+        one, two = tmp_path / "threads1", tmp_path / "threads2"
+        names = sorted(p.name for p in one.iterdir())
+        assert "stage3-step5.ckpt" in names and "stage3-mining.jsonl" in names
+        assert sorted(p.name for p in two.iterdir()) == names
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
     def test_stage_without_mining_writes_no_mining_log(self, toy_data, tmp_path):
         Trainer(_manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)).run()
@@ -626,6 +679,9 @@ class TestCli:
 
     @pytest.mark.parametrize("edit,what", [
         (lambda doc: doc["stages"][0].update(bogus=2), "stage 0: unknown stage options: ['bogus']"),
+        # a removed option is refused like any unknown one
+        (lambda doc: doc["stages"][3].update(loss_mix={"sts": 0.5}),
+         "stage 3: unknown stage options: ['loss_mix']"),
         # "- lm-pretrain": a string, whose letters were read as unknown options
         (lambda doc: doc["stages"].__setitem__(0, "lm-pretrain"),
          "stage 0: a stage must be a mapping, not str"),
@@ -635,7 +691,7 @@ class TestCli:
          "stage 1 (weak-contrastive): stages must appear in pipeline order"),
         (lambda doc: doc["data"].pop("pair-sft"),
          "stage 1 (pair-sft): manifest is missing data for stage 'pair-sft'"),
-    ], ids=["stage-option", "stage-not-mapping", "supervised-task", "stage-order", "stage-data"])
+    ], ids=["stage-option", "removed-stage-option", "stage-not-mapping", "supervised-task", "stage-order", "stage-data"])
     def test_manifest_error_exits_3_naming_manifest_and_stage(self, toy_data, tmp_path, capsys,
                                                              edit, what):
         yml = tmp_path / "m.yaml"
