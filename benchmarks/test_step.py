@@ -1,4 +1,4 @@
-"""Training-step benchmarks: one lm step and its GEMM floor.
+"""Training-step benchmarks: one lm step, its GEMM floor and its tracked ``rmsnorm``.
 
 The step is what the lm-pretrain stage runs: the default encoder's forward
 over a batch of 32 rows of 16 tokens under the causal mask, the tied-embedding
@@ -6,7 +6,9 @@ logits, the token cross-entropy, ``backward`` and ``AdamW.step``.  The floor
 is the same step's 13 two-D forward GEMMs (q, k, v, o, w1, w2 in each of the
 two layers, then the logits) and their 26 backward GEMMs on bare numpy arrays,
 with no tape around them; the ratio of step to floor is what the tape,
-attention, the norms and the optimizer add.
+attention, the norms and the optimizer add.  The ``rmsnorm`` benchmark times
+one of those norms, tracked, forward and backward, on the step's (32, 16, 64)
+activations.
 """
 
 import numpy as np
@@ -36,6 +38,20 @@ def test_lm_step(benchmark):
         return float(loss.data)
 
     assert np.isfinite(benchmark(step))
+
+
+def test_rmsnorm_forward_backward_lm_batch(benchmark):
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=(BATCH, LENGTH, CFG.hidden_dim))
+    gain0 = rng.normal(size=CFG.hidden_dim)
+    g = rng.normal(size=x0.shape)
+
+    def step():
+        x, gain = (ag.Tensor(a, requires_grad=True) for a in (x0, gain0))
+        ag.rmsnorm(x, gain)._backward(g)
+        return x.grad
+
+    assert benchmark(step).shape == x0.shape
 
 
 def _lm_gemm_shapes() -> list[tuple[int, int]]:

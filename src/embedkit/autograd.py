@@ -85,14 +85,9 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _records(parents) -> bool:
-    """Whether an op on ``parents`` records a tape node (some operand tracked, outside ``no_grad``)."""
-    return _grad_enabled and any(p.requires_grad for p in parents)
-
-
 def _make(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _records(parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -210,40 +205,38 @@ def softmax_lastdim(a) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
-# ``_rowsum`` replays numpy's order on rows of 8 values once there are at
-# least this many rows: there numpy's cost per row dominates.  Measured on a
-# 2-vCPU x86 host: 20 -> 9-13 us at 1024 rows of 8, 151 -> 39 us at 8192;
-# at 128-256 rows it is no faster.
-_LANE_MIN_ROWS = 1024
-
-
 def _lane_tree(op, x: np.ndarray) -> np.ndarray:
-    """``op`` reduced over the 8 columns of ``x`` in numpy 2.x's pairwise order.
+    """``op`` reduced over the 8 columns of ``x`` as ``((c0,c1),(c2,c3)),((c4,c5),(c6,c7))``.
 
-    numpy's unrolled loop takes a row of 8 values as eight lanes and
-    combines them as ``((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))``; this replays
-    that as three whole-array ops on column slices.
+    Three whole-array ops on column slices in place of one reduction per row.
     """
     x = op(x[..., 0::2], x[..., 1::2])
     x = op(x[..., 0::2], x[..., 1::2])
     return op(x[..., :1], x[..., 1:])
 
 
-def _rowsum(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1, keepdims=True)``, bit for bit.
+def _rowdot(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Sums over the last axis of ``a``, or of ``a * b`` (same shape), kept as (..., 1).
 
-    numpy reduces a short last axis row by row, which costs more than the
-    values; on many rows of 8 this takes the lane tree instead.
+    einsum's own loop reduces each row by itself, in an order set by the row's
+    width alone, so a row's sum depends only on its values: not on the other
+    rows, their count, or the buffer's offset and alignment.  An embedding
+    thus keeps its bits in any row block.  Strided rows are copied first, as
+    einsum sums them in another order.  It is 3-4x faster than numpy's
+    per-row ``sum`` on rows of 8-24 values; without ``optimize`` no BLAS call
+    is made (a GEMV against ones is faster still, but not row-local).
     """
-    if x.shape[-1] != 8 or x.size < _LANE_MIN_ROWS * 8:
-        return x.sum(axis=-1, keepdims=True)
-    s = _lane_tree(np.add, x)
-    s += 0.0  # numpy adds the row's total to its identity: a row of -0.0 sums to +0.0
-    return s
+    n = a.shape[-1]
+    a2 = np.ascontiguousarray(a).reshape(-1, n)
+    if b is None:
+        s = np.einsum("ij->i", a2)
+    else:
+        s = np.einsum("ij,ij->i", a2, np.ascontiguousarray(b).reshape(-1, n))
+    return s.reshape(a.shape[:-1] + (1,))
 
 
 def _rowmax(x: np.ndarray) -> np.ndarray:
-    """``x.max(axis=-1, keepdims=True)``, bit for bit.
+    """``x.max(axis=-1, keepdims=True)``, bit for bit (max is exact in any order).
 
     numpy reduces a short last axis row by row, which costs more than the
     values; a loop of ``np.maximum`` over the columns into one (..., 1)
@@ -296,7 +289,7 @@ def attention(q, k, v, weights, heads: int) -> Tensor:
     # so that sharing k and v is a reshape and their gradients sum inside one GEMM
     qg = split(q.data, heads).reshape(bsz, kv, group * length, dh)
     kh, vh = split(k.data, kv), split(v.data, kv)
-    p = np.matmul(qg, _swap_last2(kh))
+    p = np.matmul(qg, np.ascontiguousarray(_swap_last2(kh)))  # 2x faster than on the strided view
     p5 = p.reshape(bsz, kv, group, length, length)
     w5 = w if w.ndim == 2 else w[:, None, None]
     p *= scale
@@ -305,10 +298,9 @@ def attention(q, k, v, weights, heads: int) -> Tensor:
         np.copyto(p5, -np.inf, where=zero)
     p -= _rowmax(p)
     np.exp(p, out=p)
-    p /= _rowsum(p)
     if not (zero | (w5 == 1.0)).all():  # 0/1 weights: the -inf offset already zeroed them
         p5 *= w5
-    p /= _rowsum(p)  # always: skipping it for 0/1 weights changes bits
+    p *= 1.0 / _rowdot(p)
     out_data = merge(np.matmul(p, vh).reshape(bsz, heads, length, dh), q)
 
     def backward_fn(g):
@@ -317,7 +309,7 @@ def attention(q, k, v, weights, heads: int) -> Tensor:
             _accumulate(v, merge(np.matmul(_swap_last2(p), g), v))
         if q.requires_grad or k.requires_grad:
             ds = np.matmul(g, _swap_last2(vh))
-            ds -= _rowsum(ds * p)
+            ds -= _rowdot(ds, p)
             ds *= p
             ds *= scale
             _accumulate(q, merge(np.matmul(ds, kh).reshape(bsz, heads, length, dh), q))
@@ -352,33 +344,24 @@ def l2_normalize(a, width: int | None = None) -> Tensor:
 
 
 def rmsnorm(x, gain) -> Tensor:
-    """``x / rms(x) * gain`` along the last axis, computed as ``l2_normalize(x) * sqrt(D) * gain``.
-
-    Without a tape, and when the output has ``x``'s shape, it is built in one
-    buffer, in place, by the same operations in the same order, so it is
-    bitwise the tracked forward's.
-    """
+    """``x / rms(x) * gain`` along the last axis, computed as ``x * (1 / |x|) * (sqrt(D) * gain)``."""
     x, gain = as_tensor(x), as_tensor(gain)
     _check_elementwise(x, gain)
-    squares = x.data * x.data
-    norms = np.sqrt(squares.sum(axis=-1, keepdims=True))
+    norms = np.sqrt(_rowdot(x.data, x.data))
     if np.any(norms == 0.0):
         raise DomainError("cannot L2-normalize a zero vector")
     c = float(np.sqrt(x.shape[-1]))
-    if not _records((x, gain)) and np.broadcast_shapes(x.shape, gain.shape) == x.shape:
-        out = np.divide(x.data, norms, out=squares)
-        out *= c
-        out *= gain.data
-        return Tensor(out)
-    unit = x.data / norms
-    scaled = unit * c
-    out_data = scaled * gain.data
+    inv = 1.0 / norms
+    unit = x.data * inv
+    cg = c * gain.data
+    out_data = unit * cg
 
     def backward_fn(g):
-        _accumulate(gain, _unbroadcast(g * scaled, gain.shape))
-        gu = g * gain.data * c
-        inner = (gu * unit).sum(axis=-1, keepdims=True)
-        _accumulate(x, (gu - unit * inner) / norms)
+        _accumulate(gain, _unbroadcast(g * unit, gain.shape) * c)
+        a = _unbroadcast(g * cg, unit.shape)  # d loss / d unit: a broader gain's leading axes summed
+        a -= unit * _rowdot(a, unit)
+        a *= inv
+        _accumulate(x, a)
 
     return _make(out_data, (x, gain), backward_fn)
 

@@ -431,21 +431,20 @@ class TestNoGradInference:
 
     @pytest.mark.parametrize("mask_kind", ["causal", "soft", "bidirectional"])
     @pytest.mark.parametrize("padded", [False, True])
-    def test_embed_batch_without_tape_at_lane_tree_sizes(self, mask_kind, padded, monkeypatch):
-        # 64 texts x 4 heads x 8 tokens: attention's row sums take the lane tree
+    def test_embed_batch_without_tape_at_lane_tree_sizes(self, mask_kind, padded):
+        # 64 texts x 4 heads x 8 tokens: attention's 8-key row max takes the lane
+        # tree, and each text's embedding keeps its bits in a block of 23 texts
         enc = Encoder(SMALL, seed=5)
         ids = np.random.default_rng(6).integers(2, SMALL.vocab_size, size=(64, 8))
         lengths = np.arange(64) % 8 + 1 if padded else None
         mask = {"causal": causal_mask(8), "bidirectional": bidirectional_mask(8),
                 "soft": build_soft_mask(ScheduleState("linear", 2, 5), 8)}[mask_kind]
-        assert 64 * SMALL.heads * 8 >= ag._LANE_MIN_ROWS
         tracked = enc.embed_batch(ids, mask, lengths)
         with ag.no_grad():
             untracked = enc.embed_batch(ids, mask, lengths)
-            monkeypatch.setattr(ag, "_LANE_MIN_ROWS", 1 << 60)   # np.sum for every row sum
-            summed = enc.embed_batch(ids, mask, lengths)
+            block = enc.embed_batch(ids[5:28], mask, None if lengths is None else lengths[5:28])
         assert untracked.data.tobytes() == tracked.data.tobytes()
-        assert untracked.data.tobytes() == summed.data.tobytes()
+        assert block.data.tobytes() == untracked.data[5:28].tobytes()
 
 
 class TestCheckpointRoundtrip:
