@@ -3,8 +3,8 @@ CoSENT nodes, called through ``embedkit.losses`` as the trainer calls them.
 
 Shapes follow the default toy manifest at its full width of 64: a
 weak-contrastive batch is 32 pairs with in-batch negatives only, a
-supervised triplet batch is 4 queries with 7 negatives each, and an STS
-batch is 32 scored pairs.
+supervised triplet batch is 4 queries against a passage batch of their 4
+positives and 7 negatives each, and an STS batch is 32 scored pairs.
 """
 
 import numpy as np
@@ -20,8 +20,8 @@ def _unit(rng, *shape):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _info_nce_step(q, p, n):
-    leaves = [None if a is None else ag.Tensor(a, requires_grad=True) for a in (q, p, n)]
+def _info_nce_step(q, passages):
+    leaves = [ag.Tensor(a, requires_grad=True) for a in (q, passages)]
     loss, _, _ = info_nce_with_scores(ContrastiveBatch(*leaves, temperature=0.05))
     ag.backward(loss)
     return leaves[0].grad
@@ -29,13 +29,14 @@ def _info_nce_step(q, p, n):
 
 def test_info_nce_weak_32_pairs(benchmark):
     rng = np.random.default_rng(0)
-    grad = benchmark(_info_nce_step, _unit(rng, 32), _unit(rng, 32), None)
+    grad = benchmark(_info_nce_step, _unit(rng, 32), _unit(rng, 32))
     assert grad.shape == (32, DIM)
 
 
 def test_info_nce_supervised_4_queries_7_negatives(benchmark):
     rng = np.random.default_rng(1)
-    grad = benchmark(_info_nce_step, _unit(rng, 4), _unit(rng, 4), _unit(rng, 4, 7))
+    # 4 positives, then 7 negatives for each query: the rows the old layout drew
+    grad = benchmark(_info_nce_step, _unit(rng, 4), _unit(rng, 4 * (1 + 7)))
     assert grad.shape == (4, DIM)
 
 

@@ -1,6 +1,7 @@
-"""Training-step benchmarks: one lm step, its GEMM floor and its tracked ``rmsnorm``.
+"""Training-step benchmarks: one lm step, its GEMM floor and its tracked ``rmsnorm``;
+one weak-contrastive and one supervised triplet step.
 
-The step is what the lm-pretrain stage runs: the default encoder's forward
+The lm step is what the lm-pretrain stage runs: the default encoder's forward
 over a batch of 32 rows of 16 tokens under the causal mask, the tied-embedding
 logits, the token cross-entropy, ``backward`` and ``AdamW.step``.  The floor
 is the same step's 13 two-D forward GEMMs (q, k, v, o, w1, w2 in each of the
@@ -9,15 +10,27 @@ with no tape around them; the ratio of step to floor is what the tape,
 attention, the norms and the optimizer add.  The ``rmsnorm`` benchmark times
 one of those norms, tracked, forward and backward, on the step's (32, 16, 64)
 activations.
+
+The two small-batch steps run through ``Trainer``'s own step methods at the
+default toy manifest's shapes, on a synthetic corpus written as
+``scripts/make_toy_data.py`` writes it: 32 pairs under the scheduled mask half
+way through the weak-contrastive stage, and 4 retrieval queries with 7
+negatives each, MRL over (16, 32, 64), without mining.  Each is the step's
+forward, ``backward`` and ``AdamW.step`` on the same batch every round.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from embedkit import autograd as ag
+from embedkit.data import build_triplets, synth_corpus, write_dataset
 from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.losses import next_token_ce
 from embedkit.masks import causal_mask
 from embedkit.optim import AdamW
+from embedkit.pipeline import RunManifest, StageConfig, Trainer
 
 CFG = EncoderConfig()
 BATCH, LENGTH = 32, 16
@@ -73,3 +86,42 @@ def test_lm_step_gemm_floor(benchmark):
         return outs
 
     assert len(benchmark(gemms)) == 39
+
+
+def _trainer_step(benchmark, stage: StageConfig, method: str, step: int):
+    """Time ``Trainer.<method>`` at ``step`` of ``stage``, then ``backward`` and ``AdamW.step``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = synth_corpus(16, 8, languages=("aa", "bb"), seed=0)
+        write_dataset(tmp / "pairs.jsonl", "pair", corpus.pairs, languages=corpus.languages)
+        write_dataset(tmp / "retrieval.jsonl", "retrieval",
+                      build_triplets(corpus, lang="aa", pool_size=16, seed=1), languages=("aa",))
+        data = {"weak-contrastive": str(tmp / "pairs.jsonl"),
+                "supervised": {"retrieval": str(tmp / "retrieval.jsonl")}}
+        trainer = Trainer(RunManifest(encoder=CFG, stages=[stage], data=data,
+                                      output_dir=str(tmp / "run")))
+        examples = trainer._load_stage_data(stage)
+        encoder = Encoder(CFG, seed=0)
+        optimizer = AdamW(encoder.params, stage.lr, stage.weight_decay)
+        step_fn = getattr(trainer, method)
+
+        def one_step():
+            loss, _ = step_fn(stage, encoder, examples, np.random.default_rng(step), step, None, None)
+            ag.backward(loss)
+            optimizer.step()
+            optimizer.zero_grads()
+            return float(loss.data)
+
+        assert np.isfinite(benchmark(one_step))
+
+
+def test_weak_contrastive_step(benchmark):
+    stage = StageConfig(kind="weak-contrastive", steps=500, batch_size=32, lr=5e-4,
+                        mask_policy="soft", mask_schedule="linear")
+    _trainer_step(benchmark, stage, "_contrastive_step", step=250)
+
+
+def test_supervised_triplet_step(benchmark):
+    stage = StageConfig(kind="supervised", steps=1000, lr=1e-3, mrl=True,
+                        triplet_batch_size=4, negatives_per_query=7)
+    _trainer_step(benchmark, stage, "_supervised_step", step=0)

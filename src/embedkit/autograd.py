@@ -453,31 +453,27 @@ def cross_entropy_lastdim(a, targets) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
-def info_nce_loss(q, p, negatives, temperature: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+def info_nce_loss(q, passages, temperature: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """Summed InfoNCE of (B, D) queries as one node: (loss, (B,) positive scores, (B, K) negative scores).
 
-    Row i's candidates are ``q_i . p_j`` for every in-batch positive j, then
-    ``q_i . n_ik`` for its K negatives (``negatives`` is (B, K, D) or None), and
-    its loss is ``logsumexp(candidates / T) - q_i . p_i / T``.  The ops and
-    their order are those of the chain sum_lastdim(mul), matmul(permute),
-    reshape(matmul(reshape)), concat, scale, logsumexp, sub, sum, and each
-    operand's gradient terms are summed in the order that chain's backward
-    added them, so loss, scores and gradients match it bit for bit.  Shapes
-    are not checked here: ``losses.ContrastiveBatch`` validates them.
+    ``passages`` is (B·(1+K), D): rows 0..B-1 are the positives, row B + i·K + j is
+    query i's j-th negative.  Row i's candidates are ``q_i . p_j`` for every positive j,
+    then its K negatives, and its loss is ``logsumexp(candidates / T) - q_i . p_i / T``.
+    The ops and their order are those of the chain sum_lastdim(mul), matmul(permute),
+    reshape(matmul(reshape)), concat, scale, logsumexp, sub, sum on the positives and
+    negatives that two row gathers cut from ``passages``, with each operand's gradient
+    terms summed in that chain's order, so loss, scores and gradients match it bit for
+    bit.  ``losses.ContrastiveBatch`` validates the shapes.
     """
-    q, p = as_tensor(q), as_tensor(p)
-    n = None if negatives is None or negatives.shape[1] == 0 else as_tensor(negatives)
+    q, passages = as_tensor(q), as_tensor(passages)
     bsz, dim = q.shape
+    p = passages.data[:bsz]
+    n = passages.data[bsz:].reshape(bsz, -1, dim)
     inv_t = 1.0 / temperature
-    pos = (q.data * p.data).sum(axis=-1)
+    pos = (q.data * p).sum(axis=-1)
     qr = q.data.reshape(bsz, dim, 1)
-    cand = np.matmul(q.data, p.data.T)
-    if n is None:
-        neg = np.zeros((bsz, 0))
-    else:
-        neg = np.matmul(n.data, qr).reshape(bsz, -1)
-        cand = np.concatenate([cand, neg], axis=-1)
-    x = cand * inv_t
+    neg = np.matmul(n, qr).reshape(bsz, -1)
+    x = np.concatenate([np.matmul(q.data, p.T), neg], axis=-1) * inv_t
     m = np.max(x, axis=-1, keepdims=True)
     e = np.exp(x - m)
     s = e.sum(axis=-1)
@@ -487,20 +483,16 @@ def info_nce_loss(q, p, negatives, temperature: float) -> tuple[Tensor, np.ndarr
         g = np.broadcast_to(g, (bsz,))
         gc = np.expand_dims(g / s, -1) * e * inv_t  # d loss / d candidates
         gin = gc[:, :bsz]
-        gneg = None if n is None else gc[:, bsz:].reshape(bsz, -1, 1)
+        gneg = gc[:, bsz:].reshape(bsz, -1, 1)
         gpos = np.expand_dims(-g * inv_t, -1)
         if q.requires_grad:
-            gq = np.matmul(gin, p.data)
-            if n is not None:
-                gq = gq + np.matmul(_swap_last2(n.data), gneg).reshape(q.shape)
-            _accumulate(q, gq + gpos * p.data)
-        if p.requires_grad:
-            _accumulate(p, np.matmul(q.data.T, gin).T + gpos * q.data)
-        if n is not None and n.requires_grad:
-            _accumulate(n, np.matmul(gneg, _swap_last2(qr)))
+            gq = np.matmul(gin, p) + np.matmul(_swap_last2(n), gneg).reshape(q.shape)
+            _accumulate(q, gq + gpos * p)
+        if passages.requires_grad:
+            gn = np.matmul(gneg, _swap_last2(qr)).reshape(-1, dim)
+            _accumulate(passages, np.concatenate([np.matmul(q.data.T, gin).T + gpos * q.data, gn]))
 
-    # parents in this order make backward's traversal reach p, q, then n, as the chain's did
-    return _make(out_data, (q, p) if n is None else (n, q, p), backward_fn), pos, neg
+    return _make(out_data, (q, passages), backward_fn), pos, neg
 
 
 def cosent_loss(cosines, labels, tau: float) -> Tensor:

@@ -169,24 +169,23 @@ def cmd_grad_check(args) -> int:
 
     for seed in range(args.cases):
         rng = np.random.default_rng(seed)
-        pos = rng.normal(size=(4, 8))
-        pos /= np.linalg.norm(pos, axis=-1, keepdims=True)
-        neg = rng.normal(size=(4, 3, 8))
-        neg /= np.linalg.norm(neg, axis=-1, keepdims=True)
+        passages = rng.normal(size=(16, 8))     # 4 positives, then 3 negatives for each of 4 queries
+        passages /= np.linalg.norm(passages, axis=-1, keepdims=True)
         raw = rng.normal(size=(4, 8))
-        err = grad_check(lambda t: info_nce(ContrastiveBatch(
-            ag.l2_normalize(t), Tensor(pos), Tensor(neg), temperature=0.5)), raw, h=args.step)
-        report("info_nce", seed, err)
-
         cos = rng.uniform(-0.9, 0.9, 6)
         labels = rng.integers(0, 3, 6).astype(float)
-        err = grad_check(lambda t: cosent(StsBatch(t, labels, tau=0.05)), cos, h=args.step)
-        report("cosent", seed, err)
-
         logits = rng.normal(size=(4, 8))
         targets = rng.integers(0, 8, 4)
-        err = grad_check(lambda t: next_token_ce(t, targets), logits, h=args.step)
-        report("next_token_ce", seed, err)
+        checks = {
+            "info_nce": (lambda t: info_nce(ContrastiveBatch(
+                ag.l2_normalize(t), Tensor(passages), temperature=0.5)), raw),
+            "info_nce_passages": (lambda t: info_nce(ContrastiveBatch(
+                ag.l2_normalize(raw), ag.l2_normalize(t), temperature=0.5)), passages),
+            "cosent": (lambda t: cosent(StsBatch(t, labels, tau=0.05)), cos),
+            "next_token_ce": (lambda t: next_token_ce(t, targets), logits),
+        }
+        for name, (f, x) in checks.items():
+            report(name, seed, grad_check(f, x, h=args.step))
 
     cfg = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
                         vocab_size=24, max_len=8, mrl_dims=(8, 16))

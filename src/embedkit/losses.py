@@ -1,10 +1,12 @@
 """Training objectives: InfoNCE with in-batch negatives, CoSENT, next-token CE.
 
-InfoNCE treats, for each query i, the set {own positive} + {all other
-in-batch positives} + {row-i explicit negatives} as softmax candidates
-over cosine/temperature logits; the positive sits inside the denominator,
-so the loss is non-negative and is exactly 0 for a single pair with no
-negatives.
+InfoNCE scores B queries against one passage batch of B·(1+K) rows, laid
+out as the trainer embeds it: rows 0..B-1 are the positives, and row
+B + i·K + j is query i's j-th explicit negative.  For query i the softmax
+candidates over cosine/temperature logits are {own positive} + {all other
+in-batch positives} + {its own K negatives}; the positive sits inside the
+denominator, so the loss is non-negative and is exactly 0 for a single pair
+with no negatives.
 
 CoSENT sums exp((cos_low - cos_high) / tau) over every pair of examples
 whose ground-truth similarity labels are strictly ordered, inside
@@ -19,7 +21,6 @@ Each loss is one autograd node with a hand-written backward (``info_nce_loss``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,43 +36,34 @@ def _check_normalized(name: str, data: np.ndarray, atol: float = 1e-6):
 
 @dataclass
 class ContrastiveBatch:
-    """Queries (B, D), positives (B, D), optional explicit negatives (B, K, D)."""
+    """Queries (B, D) and their (B·(1+K), D) passages: B positives, then each query's K negatives."""
 
     queries: Tensor
-    positives: Tensor
-    negatives: Optional[Tensor] = None
+    passages: Tensor
     temperature: float = 0.05
 
     def __post_init__(self):
         self.queries = ag.as_tensor(self.queries)
-        self.positives = ag.as_tensor(self.positives)
-        if self.negatives is not None:
-            self.negatives = ag.as_tensor(self.negatives)
+        self.passages = ag.as_tensor(self.passages)
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
-        q, p = self.queries, self.positives
+        q, p = self.queries, self.passages
         if q.ndim != 2 or q.shape[0] < 1:
             raise ValueError(f"queries must be a non-empty (B, D) matrix, got {q.shape}")
-        if p.shape != q.shape:
-            raise ValueError(f"positives shape {p.shape} does not match queries {q.shape}")
-        if self.negatives is not None:
-            n = self.negatives
-            if n.ndim != 3 or n.shape[0] != q.shape[0] or n.shape[2] != q.shape[1]:
-                raise ValueError(f"negatives shape {n.shape} incompatible with queries {q.shape}")
+        if p.ndim != 2 or p.shape[1] != q.shape[1] or p.shape[0] < q.shape[0] \
+                or p.shape[0] % q.shape[0]:
+            raise ValueError(f"passages shape {p.shape} is not (B·(1+K), D) for queries {q.shape}")
         _check_normalized("query", q.data)
-        _check_normalized("positive", p.data)
-        if self.negatives is not None:
-            _check_normalized("negative", self.negatives.data)
+        _check_normalized("passage", p.data)
 
 
 def info_nce(batch: ContrastiveBatch) -> Tensor:
-    loss, _, _ = info_nce_with_scores(batch)
-    return loss
+    return info_nce_with_scores(batch)[0]
 
 
 def info_nce_with_scores(batch: ContrastiveBatch) -> tuple[Tensor, np.ndarray, np.ndarray]:
     """InfoNCE loss plus the (B,) positive and (B, K) negative cosines it used."""
-    return ag.info_nce_loss(batch.queries, batch.positives, batch.negatives, batch.temperature)
+    return ag.info_nce_loss(batch.queries, batch.passages, batch.temperature)
 
 
 @dataclass

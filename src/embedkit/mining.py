@@ -144,12 +144,9 @@ class MiningState:
             slot = self.slots[key]
             pool = self.pools[slot.query_id]
             nxt = pool.draw()
-            if nxt is None:
-                events.append(ReplacementEvent(slot.query_id, slot.slot_index,
-                                               slot.negative_id, None, exhausted=True))
-            else:
-                events.append(ReplacementEvent(slot.query_id, slot.slot_index,
-                                               slot.negative_id, nxt, exhausted=False))
+            events.append(ReplacementEvent(slot.query_id, slot.slot_index, slot.negative_id, nxt,
+                                           exhausted=nxt is None))
+            if nxt is not None:
                 slot.negative_id = nxt
                 slot.s0 = None          # new negative's first cached score becomes its S0
                 slot.s_cur = None

@@ -16,6 +16,7 @@ reproduces the uninterrupted run bit for bit.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, asdict
@@ -31,9 +32,10 @@ from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require
 from .data import Pair, Triplet, _texts_of, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import retrieval_metrics, spearman, top_k
-from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
-from .masks import AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
-from .mining import MiningState
+from .losses import ContrastiveBatch, StsBatch, cosent, info_nce, info_nce_with_scores, next_token_ce
+from .masks import (SCHEDULE_KINDS, AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask,
+                    causal_mask)
+from .mining import MODES as MINING_MODES, MiningState
 from .optim import AdamW, warmup_lr
 from .tokenizer import PAD_ID, Tokenizer
 
@@ -73,26 +75,47 @@ class StageConfig:
     def __post_init__(self):
         if self.kind not in STAGE_KINDS:
             raise ValueError(f"unknown stage kind {self.kind!r}; expected one of {STAGE_KINDS}")
-        if self.steps < 1:
-            raise ValueError("stage needs at least one step")
+        if self.warmup_frac is None:
+            self.warmup_frac = 0.05 if self.kind == "lm-pretrain" else 0.02
         allowed = _KINDS[self.kind][1]
         self.mask_policy = self.mask_policy or allowed[0]
         if self.mask_policy not in allowed:
             raise ValueError(f"mask policy {self.mask_policy!r} not allowed in {self.kind} "
                              f"(allowed: {allowed})")
+        for what, ok, names in _STAGE_VALUES:
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
         if self.dhnm and self.kind != "supervised":
             raise ValueError("dynamic hard negative mining is only allowed in the supervised stage")
-        if self.warmup_frac is None:
-            self.warmup_frac = 0.05 if self.kind == "lm-pretrain" else 0.02
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StageConfig":
+    def check_options(cls, d: dict):
+        """Refuse a manifest stage that is not a mapping or names an unknown option."""
         if not isinstance(d, dict):
             raise ValueError(f"a stage must be a mapping, not {type(d).__name__}")
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown stage options: {sorted(unknown)}")
-        return cls(**d)
+
+
+def _number(v, kind=numbers.Real) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+# every StageConfig value but kind and mask_policy, by the check it must pass
+_STAGE_VALUES = (
+    ("an integer >= 1", lambda v: _number(v, numbers.Integral) and v >= 1,
+     ("steps", "batch_size", "triplet_batch_size", "sts_batch_size", "window_len")),
+    ("an integer >= 0", lambda v: _number(v, numbers.Integral) and v >= 0,
+     ("negatives_per_query", "checkpoint_every", "seed")),
+    ("a number > 0", lambda v: _number(v) and v > 0, ("lr", "temperature")),
+    ("a number >= 0", lambda v: _number(v) and v >= 0, ("weight_decay",)),
+    ("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1, ("warmup_frac",)),
+    ("true or false", lambda v: isinstance(v, bool), ("mrl", "dhnm")),
+    (f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS, ("mask_schedule",)),
+    (f"one of {MINING_MODES}", lambda v: v in MINING_MODES, ("dhnm_mode",)),
+)
 
 
 @dataclass
@@ -120,6 +143,8 @@ class RunManifest:
                 bad = set(self.data[s.kind]) - set(SUPERVISED_TASKS)
                 if bad:
                     raise ValueError(f"{where}: unknown supervised tasks: {sorted(bad)}")
+            elif isinstance(self.data[s.kind], dict):
+                raise ValueError(f"{where}: {s.kind} data must be one dataset path, not a mapping")
 
     @classmethod
     def from_yaml(cls, path) -> "RunManifest":
@@ -149,10 +174,13 @@ class RunManifest:
                 raise ValueError(f"{key!r} must be a YAML {name}")
         stages = []
         for i, s in enumerate(raw.get("stages", [])):
+            where = f"stage {i}"
             try:
-                stages.append(StageConfig.from_dict(s))
+                StageConfig.check_options(s)
+                where += f" ({s.get('kind')})"
+                stages.append(StageConfig(**s))
             except (ValueError, TypeError) as exc:
-                raise ValueError(f"stage {i}: {exc}") from exc
+                raise ValueError(f"{where}: {exc}") from exc
 
         def resolve(p):
             p = Path(p)
@@ -505,9 +533,7 @@ class Trainer:
         chosen = [pairs[i] for i in _draw(rng, len(pairs), cfg.batch_size)]
         q_emb = self._embed(cfg, encoder, [p.query for p in chosen], step)
         p_emb = self._embed(cfg, encoder, [p.positive for p in chosen], step)
-        loss, _, _ = info_nce_with_scores(
-            ContrastiveBatch(q_emb, p_emb, temperature=cfg.temperature))
-        return loss, "pairs"
+        return info_nce(ContrastiveBatch(q_emb, p_emb, temperature=cfg.temperature)), "pairs"
 
     def _init_mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict) -> MiningState:
         """Rank each query's candidate negatives with the incoming (seed) encoder.
@@ -572,25 +598,18 @@ class Trainer:
         chosen = [examples[i] for i in _draw(rng, len(examples), cfg.triplet_batch_size)]
         negatives = [self._triplet_negatives(cfg, mining, task, ex) for ex in chosen]
         k = min(len(n) for n in negatives)
-        negatives = [n[:k] for n in negatives]
 
         q_emb = self._embed(cfg, encoder, [e.query for e in chosen], step)
-        passages = [e.positive for e in chosen] + [n for negs in negatives for n in negs]
-        all_emb = self._embed(cfg, encoder, passages, step)
-        bsz = len(chosen)
-        p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
-        n_emb = None
-        if k > 0:
-            n_emb = ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k))
+        passages = [e.positive for e in chosen] + [n for negs in negatives for n in negs[:k]]
+        p_emb = self._embed(cfg, encoder, passages, step)
 
         dims = self._mrl_dims(cfg)
         widest_first = [info_nce_with_scores(ContrastiveBatch(
             truncate_normalize(q_emb, d, dims), truncate_normalize(p_emb, d, dims),
-            truncate_normalize(n_emb, d, dims) if n_emb is not None else None,
             temperature=cfg.temperature)) for d in sorted(dims, reverse=True)]
         loss = _mean([loss_d for loss_d, _, _ in widest_first])
 
-        if mining is not None and k > 0:
+        if mining is not None:
             full_neg_scores = widest_first[0][2]
             scored = [(f"{task}:{ex.uid}", slot, float(full_neg_scores[b, slot]))
                       for b, ex in enumerate(chosen) for slot in range(k)]

@@ -97,8 +97,9 @@ def test_criterion_3_gradient_fidelity():
         neg = rng.normal(size=(4, 3, 8))
         neg /= np.linalg.norm(neg, axis=-1, keepdims=True)
         raw = rng.normal(size=(4, 8))
+        passages = np.concatenate([pos, neg.reshape(12, 8)])    # 4 positives, then 3 negatives each
         worst["info_nce"] = max(worst["info_nce"], grad_check(
-            lambda t: info_nce(ContrastiveBatch(ag.l2_normalize(t), Tensor(pos), Tensor(neg),
+            lambda t: info_nce(ContrastiveBatch(ag.l2_normalize(t), Tensor(passages),
                                                 temperature=0.5)), raw, h=1e-6))
 
         cos = rng.uniform(-0.9, 0.9, 6)
@@ -144,13 +145,13 @@ def test_criterion_3_gradient_fidelity():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_loss_hand_values():
+    # one query: its positive, then its negative(s)
     nce_single = float(info_nce(ContrastiveBatch(
-        Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]), Tensor([[[-1.0, 0.0]]]),
-        temperature=1.0)).data)
+        Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [-1.0, 0.0]]), temperature=1.0)).data)
     m = 7
-    cand = np.tile([[0.0, 1.0]], (m - 1, 1))[None, :, :]
+    cand = np.tile([[0.0, 1.0]], (m, 1))    # the positive and m - 1 negatives, all at cosine 0
     nce_uniform = float(info_nce(ContrastiveBatch(
-        Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), Tensor(cand), temperature=1.0)).data)
+        Tensor([[1.0, 0.0]]), Tensor(cand), temperature=1.0)).data)
     cos_equal = float(cosent(StsBatch(Tensor([0.4, 0.4]), np.array([1.0, 0.0]), tau=0.05)).data)
 
     expect = math.log(1.0 + math.exp(-2.0))

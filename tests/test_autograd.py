@@ -549,16 +549,23 @@ def _chain_cosent(c, labels, tau):
     return _log1p(ag.sum_lastdim(_exp(ag.mul(diffs, 1.0 / tau))))
 
 
-def _info_nce_mrl(op, w, xs):
-    """Queries, positives and negatives projected by one shared weight ``w``, scored
-    at its full width and at half of it and averaged, as the supervised stage does."""
+def _info_nce_mrl(fused, w, xs):
+    """Queries and a (B·(1+K), D) passage batch projected by one shared weight ``w``,
+    scored at its full width and at half of it and averaged, as the supervised stage
+    does: fused, the passage batch goes to ``info_nce_loss`` as it is; as the chain,
+    two row gathers cut it into positives and (B, K, D) negatives first, each then
+    truncated on its own, as the supervised stage did before."""
     dim = w.shape[1]
-    q, p, n = (ag.l2_normalize(ag.matmul(Tensor(x), w)) for x in xs)
+    q, passages = (ag.l2_normalize(ag.matmul(Tensor(x), w)) for x in xs)
+    bsz = q.shape[0]
+    operands = (q, passages) if fused else (
+        q, ag.index_select(passages, 0, np.arange(bsz)),
+        ag.index_select(passages, 0, np.arange(bsz, passages.shape[0]).reshape(bsz, -1)))
     terms, scores = [], []
     for d in sorted({dim, max(1, dim // 2)}, reverse=True):
         cut = [t if d == dim else ag.l2_normalize(ag.index_select(t, -1, np.arange(d)))
-               for t in (q, p, n)]
-        loss, pos, neg = op(*cut, 0.05)
+               for t in operands]
+        loss, pos, neg = (ag.info_nce_loss if fused else _chain_info_nce)(*cut, 0.05)
         terms.append(loss)
         scores += [pos, neg]
     total = terms[0]
@@ -568,32 +575,37 @@ def _info_nce_mrl(op, w, xs):
 
 
 def test_info_nce_bitwise_equal_to_chain():
-    # three operands through one weight, two widths and an upstream gradient:
-    # loss, scores and the weight's gradient must not move in the last bit
+    # queries and passages through one weight, two widths and an upstream gradient:
+    # loss, scores and the weight's gradient must not move in the last bit, also
+    # with no negatives (K = 0) and when one query's negatives repeat another
+    # query's positive and negatives row for row
     rng = np.random.default_rng(40)
-    for _ in range(200):
-        bsz, dim, k = rng.integers(1, 9), rng.integers(2, 65), rng.integers(0, 8)
+    cases = [(rng.integers(1, 9), rng.integers(2, 65), rng.integers(0, 8), False)
+             for _ in range(200)]
+    cases += [(1, 16, 0, False), (6, 33, 0, False), (2, 8, 3, True), (5, 64, 7, True)]
+    for bsz, dim, k, duplicate in cases:
         raw = rng.normal(size=(dim, dim))
-        xs = [rng.normal(size=(bsz, dim)), rng.normal(size=(bsz, dim)),
-              rng.normal(size=(bsz, k, dim))]
+        xs = [rng.normal(size=(bsz, dim)), rng.normal(size=(bsz * (1 + k), dim))]
+        if duplicate:
+            # query 0's negatives: query 1's positive, then its first k - 1 negatives
+            xs[1][bsz:bsz + k] = xs[1][[1] + list(range(bsz + k, bsz + 2 * k - 1))]
         out = []
-        for op in (ag.info_nce_loss, _chain_info_nce):
+        for fused in (True, False):
             w = Tensor(raw, requires_grad=True)
-            loss, scores = _info_nce_mrl(op, w, xs)
+            loss, scores = _info_nce_mrl(fused, w, xs)
             backward(ag.mul(loss, 0.37))
             out.append([loss.data.tobytes(), w.grad.tobytes()] + [a.tobytes() for a in scores])
-        assert out[0] == out[1], (bsz, dim, k)
+        assert out[0] == out[1], (bsz, dim, k, duplicate)
 
 
 @pytest.mark.parametrize("bsz,k", [(4, 0), (4, 3), (1, 0), (1, 5)])
 def test_info_nce_matches_finite_differences(bsz, k):
     rng = np.random.default_rng(41 + k)
-    args = {"q": rng.normal(size=(bsz, 6)), "p": rng.normal(size=(bsz, 6)),
-            "n": rng.normal(size=(bsz, k, 6))}
-    for name in args if k else ("q", "p"):
+    args = {"q": rng.normal(size=(bsz, 6)), "passages": rng.normal(size=(bsz * (1 + k), 6))}
+    for name in args:
         def f(t, name=name):
             ops = {a: (t if a == name else Tensor(v)) for a, v in args.items()}
-            return ag.info_nce_loss(ops["q"], ops["p"], ops["n"], 0.5)[0]
+            return ag.info_nce_loss(ops["q"], ops["passages"], 0.5)[0]
 
         err = grad_check(f, args[name])
         assert err < 1e-8, f"d/d{name} off by {err} (B {bsz}, K {k})"

@@ -20,7 +20,7 @@ from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_norma
 from embedkit.losses import ContrastiveBatch, StsBatch, cosent, info_nce, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from embedkit.pipeline import _mean
-from test_autograd import _reshape, _sum
+from test_autograd import _chain_info_nce, _reshape, _sum
 
 TOY = EncoderConfig()
 SMALL = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -280,8 +280,10 @@ class TestFusedPoolingAndTruncation:
 
     @pytest.mark.parametrize("pooling", ["mean", "last-token"])
     def test_mrl_triplet_step_gradients_equal_chain(self, pooling):
-        # a padded MRL triplet step as Trainer._triplet_batch_loss builds it:
-        # every parameter gradient is bitwise the chains', signs of zero included
+        # a padded MRL triplet step as Trainer._triplet_batch_loss builds it, the
+        # passage batch scored as it is embedded: every parameter gradient is
+        # bitwise that of the chains, with the positives and negatives cut from
+        # the batch by two gathers and truncated apart, signs of zero included
         enc = Encoder(dataclasses.replace(TOY, pooling=pooling), seed=0)
         bsz, k = 4, 3
         rng = np.random.default_rng(43)
@@ -294,11 +296,15 @@ class TestFusedPoolingAndTruncation:
                                   ("chain", _chain_pool, _chain_truncate)):
             q_emb = pool(enc.forward_batch(ids[:bsz], mask, lengths[:bsz]), pooling, lengths[:bsz])
             all_emb = pool(enc.forward_batch(ids[bsz:], mask, lengths[bsz:]), pooling, lengths[bsz:])
-            p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
-            n_emb = ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k))
-            loss = _mean([info_nce(ContrastiveBatch(*(trunc(t, d, TOY.mrl_dims)
-                                                      for t in (q_emb, p_emb, n_emb))))
-                          for d in sorted(TOY.mrl_dims, reverse=True)])
+            operands = (q_emb, all_emb) if name == "op" else (
+                q_emb, ag.index_select(all_emb, 0, np.arange(bsz)),
+                ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k)))
+            terms = []
+            for d in sorted(TOY.mrl_dims, reverse=True):
+                cut = [trunc(t, d, TOY.mrl_dims) for t in operands]
+                terms.append(info_nce(ContrastiveBatch(*cut)) if name == "op"
+                             else _chain_info_nce(*cut, 0.05)[0])
+            loss = _mean(terms)
             ag.backward(loss)
             grads[name] = {n: p.grad.tobytes() for n, p in enc.params.items()}
             for p in enc.params.values():
@@ -366,25 +372,24 @@ class TestTape:
 
     def test_supervised_triplet_step_tape_nodes(self):
         # one unpadded triplet step, built as Trainer._triplet_batch_loss does, with
-        # MRL over (16, 32, 64) and 7 negatives: 58 for the two embeddings, 2 to
-        # cut positives and negatives from the passage batch, 6 to truncate and
-        # renormalize at 16 and 32, 1 per dim for the loss and 3 for the mean
-        # (124 with the loss as a 14-node chain, 85 with a reshape after each
-        # embedding gather and after the negatives' gather, 82 with pooling as
-        # a permute, sum and scale and each truncation as a gather)
+        # MRL over (16, 32, 64) and 7 negatives: 58 for the two embeddings, 4 to
+        # truncate and renormalize the queries and the passage batch at 16 and 32,
+        # 1 per dim for the loss and 3 for the mean (124 with the loss as a 14-node
+        # chain, 85 with a reshape after each embedding gather and after the
+        # negatives' gather, 82 with pooling as a permute, sum and scale and each
+        # truncation as a gather, 72 with 2 gathers that cut the positives and
+        # negatives from the passage batch, each then truncated on its own)
         enc = Encoder(TOY, seed=0)
         bsz, k = 4, 7
         rng = np.random.default_rng(2)
         mask = bidirectional_mask(10)
         q_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz, 10)), mask)
-        all_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz + bsz * k, 10)), mask)
-        p_emb = ag.index_select(all_emb, 0, np.arange(bsz))
-        n_emb = ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k))
+        p_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz + bsz * k, 10)), mask)
         dims = TOY.mrl_dims
         loss = _mean([info_nce(ContrastiveBatch(*(truncate_normalize(t, d, dims)
-                                                  for t in (q_emb, p_emb, n_emb))))
+                                                  for t in (q_emb, p_emb))))
                       for d in sorted(dims, reverse=True)])
-        assert _tape_nodes(loss) == 72
+        assert _tape_nodes(loss) == 68
 
     def test_sts_step_tape_nodes(self):
         # one unpadded STS step, built as Trainer._sts_batch_loss does, with MRL

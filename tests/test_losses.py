@@ -33,23 +33,29 @@ def _exp(a):
     return ag._make(out, (a,), lambda g: ag._accumulate(a, g * out))
 
 
+def _passages(p, n):
+    """The (B·(1+K), D) passage batch of (B, D) positives and (B, K, D) negatives."""
+    p = np.asarray(p, dtype=np.float64)
+    return np.concatenate([p, np.asarray(n, dtype=np.float64).reshape(-1, p.shape[-1])])
+
+
 def _nce(q, p, n, temperature):
     """The fused InfoNCE loss of plain arrays, which need not be unit vectors."""
-    return float(ag.info_nce_loss(Tensor(q), Tensor(p), Tensor(n), temperature)[0].data)
+    return float(ag.info_nce_loss(Tensor(q), Tensor(_passages(p, n)), temperature)[0].data)
 
 
 class TestInfoNceValues:
     def test_single_pair_with_antipodal_negative(self):
-        batch = ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]),
-                                 Tensor([[[-1.0, 0.0]]]), temperature=1.0)
+        batch = ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [-1.0, 0.0]]),
+                                 temperature=1.0)
         assert float(info_nce(batch).data) == pytest.approx(LOG_1P_EXP_M2, abs=1e-9)
 
     @pytest.mark.parametrize("m", [2, 5, 9])
     def test_uniform_candidates_give_log_m(self, m):
         # one query, m candidates all at the same cosine
         cand = np.tile([[0.0, 1.0]], (m - 1, 1))[None, :, :]
-        batch = ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]),
-                                 Tensor(cand), temperature=1.0)
+        batch = ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor(_passages([[0.0, 1.0]], cand)),
+                                 temperature=1.0)
         assert float(info_nce(batch).data) == pytest.approx(math.log(m), abs=1e-9)
 
     def test_single_pair_no_negatives_is_zero(self):
@@ -62,7 +68,7 @@ class TestInfoNceValues:
             q = _unit(rng.normal(size=(5, 6)))
             p = _unit(rng.normal(size=(5, 6)))
             n = _unit(rng.normal(size=(5, 3, 6)))
-            val = float(info_nce(ContrastiveBatch(Tensor(q), Tensor(p), Tensor(n))).data)
+            val = float(info_nce(ContrastiveBatch(Tensor(q), Tensor(_passages(p, n)))).data)
             assert val >= 0.0
 
     def test_score_shift_invariance(self):
@@ -90,7 +96,7 @@ class TestInfoNceValues:
         rng = np.random.default_rng(2)
         q, p = _unit(rng.normal(size=(3, 4))), _unit(rng.normal(size=(3, 4)))
         n = _unit(rng.normal(size=(3, 2, 4)))
-        _, pos, neg = info_nce_with_scores(ContrastiveBatch(Tensor(q), Tensor(p), Tensor(n)))
+        _, pos, neg = info_nce_with_scores(ContrastiveBatch(Tensor(q), Tensor(_passages(p, n))))
         np.testing.assert_allclose(pos, (q * p).sum(-1), atol=1e-12)
         np.testing.assert_allclose(neg, np.einsum("bkd,bd->bk", n, q), atol=1e-12)
 
@@ -101,9 +107,16 @@ class TestInfoNceValues:
     def test_nan_embeddings_rejected(self):
         with pytest.raises(ValueError, match="query embeddings must be L2-normalized"):
             ContrastiveBatch(Tensor([[np.nan, 0.0]]), Tensor([[1.0, 0.0]]))
-        with pytest.raises(ValueError, match="negative embeddings must be L2-normalized"):
-            ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]),
-                             Tensor([[[0.0, 1.0], [np.nan, np.nan]]]))
+        with pytest.raises(ValueError, match="passage embeddings must be L2-normalized"):
+            ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0], [np.nan, np.nan]]))
+
+    @pytest.mark.parametrize("rows,width", [(5, 2), (1, 2), (4, 3)],
+                             ids=["rows-not-multiple-of-B", "fewer-rows-than-B", "width"])
+    def test_passages_not_in_layout_rejected(self, rows, width):
+        # B = 2 queries take 2·(1+K) passages of their width
+        passages = np.tile(np.eye(width)[:1], (rows, 1))
+        with pytest.raises(ValueError, match=r"passages shape .* is not \(B·\(1\+K\), D\)"):
+            ContrastiveBatch(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor(passages))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -230,8 +243,21 @@ def test_info_nce_gradient_matches_finite_differences(seed):
     raw = rng.normal(size=(4, 8))
 
     def f(t):
-        return info_nce(ContrastiveBatch(ag.l2_normalize(t), Tensor(pos), Tensor(neg),
+        return info_nce(ContrastiveBatch(ag.l2_normalize(t), Tensor(_passages(pos, neg)),
                                          temperature=0.5))
+
+    assert grad_check(f, raw, h=1e-6) < 1e-4
+
+
+@pytest.mark.parametrize("seed", GRAD_SEEDS)
+def test_info_nce_passage_gradient_matches_finite_differences(seed):
+    # the passage batch's gradient, positives and negatives alike, with the queries constant
+    rng = np.random.default_rng(seed)
+    queries = _unit(rng.normal(size=(4, 8)))
+    raw = rng.normal(size=(4 + 4 * 3, 8))
+
+    def f(t):
+        return info_nce(ContrastiveBatch(Tensor(queries), ag.l2_normalize(t), temperature=0.5))
 
     assert grad_check(f, raw, h=1e-6) < 1e-4
 

@@ -105,7 +105,7 @@ class TestStageConfig:
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown stage options"):
-            StageConfig.from_dict({"kind": "supervised", "steps": 5, "learning_rate": 0.1})
+            StageConfig.check_options({"kind": "supervised", "steps": 5, "learning_rate": 0.1})
 
     def test_seven_negatives_default(self):
         assert StageConfig(kind="supervised", steps=5).negatives_per_query == 7
@@ -113,6 +113,21 @@ class TestStageConfig:
     def test_batch_size_defaults(self):
         cfg = StageConfig(kind="supervised", steps=5)
         assert cfg.triplet_batch_size == 4 and cfg.sts_batch_size == 32
+
+    def test_values_at_their_bounds_accepted(self):
+        StageConfig(kind="supervised", steps=1, batch_size=1, triplet_batch_size=1,
+                    sts_batch_size=1, window_len=1, negatives_per_query=0, checkpoint_every=0,
+                    seed=0, weight_decay=0, warmup_frac=1, lr=1, temperature=1e-9,
+                    dhnm_mode="literal")
+        StageConfig(kind="lm-pretrain", steps=1, warmup_frac=0.0)
+
+    @pytest.mark.parametrize("option,value", [
+        ("steps", 1.0), ("batch_size", True), ("seed", -1), ("weight_decay", -0.1),
+        ("warmup_frac", 1.5), ("lr", float("nan")), ("temperature", "0.05"), ("mrl", 1),
+    ])
+    def test_value_of_wrong_type_or_range_rejected(self, option, value):
+        with pytest.raises(ValueError, match=f"^{option} must be "):
+            StageConfig(**{"kind": "supervised", "steps": 5, option: value})
 
 
 class TestStageMask:
@@ -562,7 +577,9 @@ class TestCli:
     def test_grad_check_passes(self, capsys):
         assert cli_main(["grad-check", "--cases", "2"]) == 0
         recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
-        assert len(recs) == 8 and all(r["ok"] is True for r in recs)
+        assert len(recs) == 10 and all(r["ok"] is True for r in recs)
+        assert [r["target"] for r in recs[:4]] == ["info_nce", "info_nce_passages", "cosent",
+                                                   "next_token_ce"]
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -701,6 +718,36 @@ class TestCli:
         yml.write_text(yaml.safe_dump(doc))
         assert cli_main(["train", "--manifest", str(yml)]) == 3
         assert f"{yml}: {what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,edit,what", [
+        (2, lambda s, d: s.update(mask_schedule="cosine"), "mask_schedule must be one of"),
+        (3, lambda s, d: s.update(dhnm_mode="fuzzy"), "dhnm_mode must be one of"),
+        (0, lambda s, d: s.update(batch_size=0), "batch_size must be an integer >= 1, not 0"),
+        (3, lambda s, d: s.update(triplet_batch_size=0), "triplet_batch_size must be an integer >= 1"),
+        (1, lambda s, d: s.update(window_len=0), "window_len must be an integer >= 1"),
+        (3, lambda s, d: s.update(negatives_per_query=-1), "negatives_per_query must be an integer >= 0"),
+        (3, lambda s, d: s.update(checkpoint_every=-5), "checkpoint_every must be an integer >= 0"),
+        (1, lambda s, d: s.update(lr=-1), "lr must be a number > 0, not -1"),
+        (2, lambda s, d: s.update(temperature=0), "temperature must be a number > 0, not 0"),
+        (0, lambda s, d: s.update(steps=True), "steps must be an integer >= 1, not True"),
+        (0, lambda s, d: d.update({"lm-pretrain": {"text": "lm.jsonl"}}),
+         "lm-pretrain data must be one dataset path, not a mapping"),
+    ], ids=["mask-schedule", "dhnm-mode", "batch-size", "triplet-batch-size", "window-len",
+            "negatives-per-query", "checkpoint-every", "lr", "temperature", "steps-bool",
+            "data-mapping"])
+    def test_bad_stage_value_exits_3_before_any_stage_runs(self, toy_data, tmp_path, capsys,
+                                                           stage, edit, what):
+        # refused as the manifest is read, naming the stage, not when its stage starts
+        out = tmp_path / "run"
+        yml = tmp_path / "m.yaml"
+        _manifest(toy_data, out).to_yaml(yml)
+        doc = yaml.safe_load(yml.read_text())
+        edit(doc["stages"][stage], doc["data"])
+        yml.write_text(yaml.safe_dump(doc))
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        kind = doc["stages"][stage]["kind"]
+        assert f"{yml}: stage {stage} ({kind}): {what}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unreadable_config_exits_3(self, tmp_path):
         bad = tmp_path / "bad.yaml"
