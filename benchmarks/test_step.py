@@ -106,7 +106,7 @@ def _trainer_step(benchmark, stage: StageConfig, method: str, step: int):
         step_fn = getattr(trainer, method)
 
         def one_step():
-            loss, _ = step_fn(stage, encoder, examples, np.random.default_rng(step), step, None, None)
+            loss, _ = step_fn(stage, encoder, examples, np.random.default_rng(step), step, None)
             ag.backward(loss)
             optimizer.step()
             optimizer.zero_grads()

@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional
+from typing import BinaryIO, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -284,26 +284,89 @@ def embed_texts(encoder: Encoder, tokenizer: Tokenizer, texts: list[str]) -> np.
     return np.concatenate(out, axis=0)
 
 
-def _truncate_log(path: Path, start_step: int):
-    """Drop the records of steps >= ``start_step``, which a resume writes again.
+class _Start(NamedTuple):
+    """A run's start: fresh, from a checkpoint's weights, or resumed at a stage's step."""
+    weights: Optional[dict] = None
+    vocab: list = []
+    stage: int = -1
+    step: int = 0
+    optimizer: tuple = ()             # AdamW.load_state's arrays and step count
+    mining: Optional[MiningState] = None
 
-    A last line without its newline is a record torn by a crash and is dropped too.
+
+class _RunDir:
+    """The run directory: the one owner of its file names, log writes and syncs, and checkpoints.
+
+    A log holds one JSON record per line, each with the ``step`` that wrote it.
     """
-    if not path.exists():
-        return
-    with open(path, encoding="utf-8") as fh:
-        kept = [line for line in fh
-                if line.endswith("\n") and json.loads(line)["step"] < start_step]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(kept)
 
+    def __init__(self, manifest: RunManifest):
+        self.path = Path(manifest.output_dir)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self._manifest = manifest
+        self._stage: Optional[tuple[int, StageConfig]] = None
+        self._logs: dict[str, BinaryIO] = {}
 
-def _sync(*logs):
-    """Make the open logs durable, so that no checkpoint outlives the records written before it."""
-    for fh in logs:
-        if fh is not None:
+    def _file(self, idx: int, name: str) -> Path:
+        return self.path / f"stage{idx}-{name}"
+
+    @contextmanager
+    def stage(self, idx: int, cfg: StageConfig, start: int, mining: bool):
+        """Open stage ``idx``'s metrics log, and with ``mining`` its mining log, for steps ``start`` on;
+        records of later steps, and a last line a crash tore, are dropped."""
+        names = {"metrics": f"{cfg.kind}.metrics.jsonl", "mining": "mining.jsonl"}
+        try:
+            for log in ("metrics", "mining") if mining else ("metrics",):
+                fh = self._logs[log] = open(self._file(idx, names[log]), "a+b" if start else "w+b")
+                fh.seek(0)
+                keep = 0
+                for line in fh:
+                    if not line.endswith(b"\n") or json.loads(line)["step"] >= start:
+                        break
+                    keep += len(line)
+                fh.truncate(keep)
+            self._stage = idx, cfg
+            yield
+        finally:
+            for fh in self._logs.values():
+                fh.close()
+            self._logs, self._stage = {}, None
+
+    def write(self, log: str, records: Iterable[dict]):
+        """Append ``records`` to the running stage's ``log``, "metrics" or "mining"."""
+        self._logs[log].writelines((_dumps(record) + "\n").encode() for record in records)
+
+    def checkpoint(self, step: int, encoder: Encoder, optimizer: AdamW, vocab: list[str],
+                   mining: Optional[MiningState]) -> Path:
+        """Sync the open logs, then write the running stage's checkpoint after ``step`` steps."""
+        idx, cfg = self._stage
+        for fh in self._logs.values():
             fh.flush()
             os.fsync(fh.fileno())
+        path = self._file(idx, f"{cfg.kind}.ckpt" if step == cfg.steps else f"step{step}.ckpt")
+        arrays = {**{f"model.{k}": v for k, v in encoder.export_arrays().items()},
+                  **optimizer.export_state()}
+        extra = {"stage_index": idx, "stage_step": step, "opt_step_count": optimizer.step_count,
+                 "vocab": vocab, "manifest_seed": self._manifest.seed}
+        save_checkpoint(path, self._manifest.encoder.to_dict(), arrays, extra,
+                        {"mining": mining.to_dict() if mining is not None else None})
+        return path
+
+    def load(self, path, resume: bool) -> _Start:
+        """Adopt checkpoint ``path``'s weights or, with ``resume``, continue the run that wrote it."""
+        config, arrays, extra = (load_checkpoint if resume else load_weights)(path)
+        require_matching_config(self._manifest.encoder.to_dict(), config, str(path))
+        start = _Start({k.removeprefix("model."): v for k, v in arrays.items() if k.startswith("model.")},
+                       list(extra.get("vocab", [])))
+        if not resume:
+            return start
+        if extra.get("manifest_seed") != self._manifest.seed:
+            raise CheckpointError(f"cannot resume from {path}: it was written with manifest seed "
+                                  f"{extra.get('manifest_seed')}, this manifest has seed {self._manifest.seed}")
+        mining = extra.get("mining")
+        return start._replace(stage=int(extra["stage_index"]), step=int(extra["stage_step"]),
+                              optimizer=(arrays, int(extra["opt_step_count"])),
+                              mining=MiningState.from_dict(mining) if mining is not None else None)
 
 
 def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
@@ -341,8 +404,7 @@ def _mean(terms: list[Tensor]) -> Tensor:
 class Trainer:
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
-        self.out_dir = Path(manifest.output_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.run_dir = _RunDir(manifest)
         self.tokenizer = self._build_tokenizer()
 
     # -- data ----------------------------------------------------------
@@ -389,24 +451,6 @@ class Trainer:
 
     # -- main loop -------------------------------------------------------
 
-    def _adopt_checkpoint(self, path, resume: bool) -> tuple[Encoder, dict[str, np.ndarray], dict]:
-        config, arrays, extra = (load_checkpoint if resume else load_weights)(path)
-        require_matching_config(self.manifest.encoder.to_dict(), config, str(path))
-        # a resume replays this manifest's step rngs, so only the run that wrote
-        # the checkpoint can continue it; adopting weights (init_from) is free
-        if resume and extra.get("manifest_seed") != self.manifest.seed:
-            raise CheckpointError(f"cannot resume from {path}: it was written with manifest seed "
-                                  f"{extra.get('manifest_seed')}, this manifest has seed {self.manifest.seed}")
-        # checkpoint ids keep their meaning; words the checkpoint has not seen
-        # are appended and map to still-untrained embedding rows
-        ckpt_words = list(extra.get("vocab", []))
-        new_words = sorted(set(self.tokenizer.words) - set(ckpt_words))
-        self.tokenizer = Tokenizer(ckpt_words + new_words, self.manifest.encoder.vocab_size)
-        encoder = Encoder(self.manifest.encoder,
-                          params={k.removeprefix("model."): v
-                                  for k, v in arrays.items() if k.startswith("model.")})
-        return encoder, arrays, extra
-
     def run(self, resume_from: Optional[str] = None, init_from: Optional[str] = None) -> Path:
         """Execute the manifest.
 
@@ -417,78 +461,36 @@ class Trainer:
         """
         if resume_from is not None and init_from is not None:
             raise ValueError("resume_from and init_from are mutually exclusive")
-        manifest = self.manifest
-        resume_stage, resume_step = -1, 0
-        opt_arrays: dict[str, np.ndarray] = {}
-        opt_step_count = 0
-        mining_dict = None
-
-        if resume_from is not None:
-            encoder, arrays, extra = self._adopt_checkpoint(resume_from, resume=True)
-            opt_arrays = {k: v for k, v in arrays.items() if k.startswith("opt.")}
-            opt_step_count = int(extra["opt_step_count"])
-            resume_stage = int(extra["stage_index"])
-            resume_step = int(extra["stage_step"])
-            mining_dict = extra.get("mining")
-        elif init_from is not None:
-            encoder, _, _ = self._adopt_checkpoint(init_from, resume=False)
-        else:
-            encoder = Encoder(manifest.encoder, seed=manifest.seed)
+        path = resume_from if resume_from is not None else init_from
+        start = _Start() if path is None else self.run_dir.load(path, resume=resume_from is not None)
+        # checkpoint ids keep their meaning; words the checkpoint has not seen
+        # are appended and map to still-untrained embedding rows
+        new_words = sorted(set(self.tokenizer.words) - set(start.vocab))
+        self.tokenizer = Tokenizer(start.vocab + new_words, self.manifest.encoder.vocab_size)
+        encoder = Encoder(self.manifest.encoder, seed=self.manifest.seed, params=start.weights)
 
         last_ckpt = None
-        for idx, cfg in enumerate(manifest.stages):
-            if idx < resume_stage:
-                continue
-            start = resume_step if idx == resume_stage else 0
-            if start >= cfg.steps:
-                continue
-            optimizer = AdamW(encoder.params, cfg.lr, cfg.weight_decay)
-            mining = None
-            if idx == resume_stage and opt_arrays:
-                optimizer.load_state(opt_arrays, opt_step_count)
-                if mining_dict is not None:
-                    mining = MiningState.from_dict(mining_dict)
-            last_ckpt = self._run_stage(idx, cfg, encoder, optimizer, start, mining)
+        for idx, cfg in enumerate(self.manifest.stages):
+            if idx > start.stage or idx == start.stage and start.step < cfg.steps:
+                last_ckpt = self._run_stage(idx, cfg, encoder, start if idx == start.stage else _Start())
         if last_ckpt is None:
             raise ValueError("nothing left to run: checkpoint is already past the last stage")
         return last_ckpt
 
-    def _save(self, path: Path, encoder: Encoder, optimizer: AdamW, stage_index: int,
-              stage_step: int, mining: Optional[MiningState]):
-        arrays = {f"model.{k}": v for k, v in encoder.export_arrays().items()}
-        arrays.update(optimizer.export_state())
-        extra = {
-            "stage_index": stage_index,
-            "stage_step": stage_step,
-            "opt_step_count": optimizer.step_count,
-            "vocab": self.tokenizer.words,
-            "manifest_seed": self.manifest.seed,
-        }
-        state = {"mining": mining.to_dict() if mining is not None else None}
-        save_checkpoint(path, self.manifest.encoder.to_dict(), arrays, extra, state)
-
-    def _run_stage(self, idx: int, cfg: StageConfig, encoder: Encoder,
-                   optimizer: AdamW, start_step: int,
-                   mining: Optional[MiningState]) -> Path:
+    def _run_stage(self, idx: int, cfg: StageConfig, encoder: Encoder, start: _Start) -> Path:
+        """Run stage ``idx`` on from ``start``'s step, optimizer and mining state (``_Start()`` when fresh)."""
+        optimizer = AdamW(encoder.params, cfg.lr, cfg.weight_decay)
+        if start.optimizer:
+            optimizer.load_state(*start.optimizer)
         data = self._load_stage_data(cfg)
-        metrics_path = self.out_dir / f"stage{idx}-{cfg.kind}.metrics.jsonl"
-        mining_path = self.out_dir / f"stage{idx}-mining.jsonl"
-        ckpt_path = self.out_dir / f"stage{idx}-{cfg.kind}.ckpt"
-        if start_step > 0:
-            for path in (metrics_path, mining_path):
-                _truncate_log(path, start_step)
-        mode = "a" if start_step > 0 else "w"
-
+        mining = start.mining
         if cfg.dhnm and mining is None:
             mining = self._init_mining(cfg, encoder, data)
         step_fn = getattr(self, _KINDS[cfg.kind][0])
-
-        with open(metrics_path, mode, encoding="utf-8") as metrics_fh, \
-                (open(mining_path, mode, encoding="utf-8") if mining is not None
-                 else nullcontext()) as mining_fh:
-            for step in range(start_step, cfg.steps):
+        with self.run_dir.stage(idx, cfg, start.step, mining is not None):
+            for step in range(start.step, cfg.steps):
                 rng = _step_rng(self.manifest.seed, cfg.seed, idx, step)
-                loss, task = step_fn(cfg, encoder, data, rng, step, mining, mining_fh)
+                loss, task = step_fn(cfg, encoder, data, rng, step, mining)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise ArithmeticError(f"non-finite loss at stage {idx} step {step}")
@@ -498,23 +500,19 @@ class Trainer:
                 optimizer.step(lr=lr)
                 optimizer.zero_grads()
                 if mining is not None:
-                    for ev in mining.replace_flagged():
-                        mining_fh.write(_dumps({"step": step, "event": "replace",
-                                                "query_id": ev.query_id, "slot": ev.slot_index,
-                                                "old": ev.old_negative, "new": ev.new_negative,
-                                                "exhausted": ev.exhausted}) + "\n")
-                metrics_fh.write(_dumps({"stage": idx, "kind": cfg.kind, "step": step,
-                                         "task": task, "loss": value, "lr": lr}) + "\n")
-                if cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0 \
-                        and step + 1 < cfg.steps:
-                    _sync(metrics_fh, mining_fh)
-                    self._save(self.out_dir / f"stage{idx}-step{step + 1}.ckpt",
-                               encoder, optimizer, idx, step + 1, mining)
-            _sync(metrics_fh, mining_fh)
-            self._save(ckpt_path, encoder, optimizer, idx, cfg.steps, mining)
-        return ckpt_path
+                    self.run_dir.write("mining", [{"step": step, "event": "replace",
+                                                   "query_id": ev.query_id, "slot": ev.slot_index,
+                                                   "old": ev.old_negative, "new": ev.new_negative,
+                                                   "exhausted": ev.exhausted}
+                                                  for ev in mining.replace_flagged()])
+                self.run_dir.write("metrics", [{"stage": idx, "kind": cfg.kind, "step": step,
+                                                "task": task, "loss": value, "lr": lr}])
+                done = step + 1
+                if done == cfg.steps or cfg.checkpoint_every and done % cfg.checkpoint_every == 0:
+                    ckpt = self.run_dir.checkpoint(done, encoder, optimizer, self.tokenizer.words, mining)
+        return ckpt
 
-    # -- per-kind steps: (cfg, encoder, data, rng, step, mining, mining_fh) -> (loss, task)
+    # -- per-kind steps: (cfg, encoder, data, rng, step, mining) -> (loss, task)
 
     def _embed(self, cfg: StageConfig, encoder: Encoder, texts: list[str], step: int) -> Tensor:
         """Tracked (B, hidden) embeddings of ``texts`` under the stage's mask at ``step``."""
@@ -522,14 +520,14 @@ class Trainer:
         return encoder.embed_batch(ids, _stage_mask(cfg, step, ids.shape[1]), lengths)
 
     def _lm_step(self, cfg: StageConfig, encoder: Encoder, windows: np.ndarray,
-                 rng: np.random.Generator, step: int, mining, mining_fh) -> tuple[Tensor, str]:
+                 rng: np.random.Generator, step: int, mining) -> tuple[Tensor, str]:
         batch = windows[_draw(rng, len(windows), cfg.batch_size)]
         inputs, targets = batch[:, :-1], batch[:, 1:]
         states = encoder.forward_batch(inputs, _stage_mask(cfg, step, inputs.shape[1]))
         return next_token_ce(encoder.lm_logits(states), targets), "lm"
 
     def _contrastive_step(self, cfg: StageConfig, encoder: Encoder, pairs: list,
-                          rng: np.random.Generator, step: int, mining, mining_fh) -> tuple[Tensor, str]:
+                          rng: np.random.Generator, step: int, mining) -> tuple[Tensor, str]:
         chosen = [pairs[i] for i in _draw(rng, len(pairs), cfg.batch_size)]
         q_emb = self._embed(cfg, encoder, [p.query for p in chosen], step)
         p_emb = self._embed(cfg, encoder, [p.positive for p in chosen], step)
@@ -573,13 +571,13 @@ class Trainer:
 
     def _supervised_step(self, cfg: StageConfig, encoder: Encoder, datasets: dict,
                          rng: np.random.Generator, step: int,
-                         mining: Optional[MiningState], mining_fh) -> tuple[Tensor, str]:
+                         mining: Optional[MiningState]) -> tuple[Tensor, str]:
         tasks = [t for t in SUPERVISED_TASKS if t in datasets]
         task = tasks[step % len(tasks)]
         if task == "sts":
             return self._sts_batch_loss(cfg, encoder, datasets[task], rng, step), task
         return self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step,
-                                        task, mining, mining_fh), task
+                                        task, mining), task
 
     def _sts_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                         rng: np.random.Generator, step: int) -> Tensor:
@@ -594,7 +592,7 @@ class Trainer:
 
     def _triplet_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                             rng: np.random.Generator, step: int, task: str,
-                            mining: Optional[MiningState], mining_fh) -> Tensor:
+                            mining: Optional[MiningState]) -> Tensor:
         chosen = [examples[i] for i in _draw(rng, len(examples), cfg.triplet_batch_size)]
         negatives = [self._triplet_negatives(cfg, mining, task, ex) for ex in chosen]
         k = min(len(n) for n in negatives)
@@ -613,8 +611,7 @@ class Trainer:
             full_neg_scores = widest_first[0][2]
             scored = [(f"{task}:{ex.uid}", slot, float(full_neg_scores[b, slot]))
                       for b, ex in enumerate(chosen) for slot in range(k)]
-            for rec in mining.cache_scores(step, scored):
-                mining_fh.write(_dumps(rec) + "\n")
+            self.run_dir.write("mining", mining.cache_scores(step, scored))
         return loss
 
 

@@ -305,11 +305,10 @@ class TestTrainingRuns:
         final_full = Trainer(_manifest(toy_data, tmp_path / "full")).run()
 
         class Crash(Trainer):
-            def _supervised_step(self, cfg, encoder, datasets, rng, step, mining, mining_fh):
+            def _supervised_step(self, cfg, encoder, datasets, rng, step, mining):
                 if step == 8:
                     raise RuntimeError("simulated crash")
-                return super()._supervised_step(cfg, encoder, datasets, rng, step,
-                                                mining, mining_fh)
+                return super()._supervised_step(cfg, encoder, datasets, rng, step, mining)
 
         crashed = _manifest(toy_data, tmp_path / "crashed")
         with pytest.raises(RuntimeError, match="simulated crash"):
@@ -458,9 +457,9 @@ class TestTrainingRuns:
         m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
 
         class Poisoned(Trainer):
-            def _lm_step(self, cfg, encoder, data, rng, step, mining, mining_fh):
+            def _lm_step(self, cfg, encoder, data, rng, step, mining):
                 encoder.params["embed"].data[0, 0] = np.inf
-                return super()._lm_step(cfg, encoder, data, rng, step, mining, mining_fh)
+                return super()._lm_step(cfg, encoder, data, rng, step, mining)
 
         with pytest.raises(ArithmeticError, match="stage 0 step 0"):
             Poisoned(m).run()
