@@ -396,25 +396,22 @@ def pool(states, rows, scale) -> Tensor:
     return _make(out_data, (s,), backward_fn)
 
 
-def index_select(a, axis: int, indices) -> Tensor:
-    """Gather slices of ``a`` along ``axis``; duplicate indices accumulate on backward."""
+def index_select(a, indices) -> Tensor:
+    """Gather rows of ``a`` (an index array of any shape); duplicate indices accumulate on backward."""
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.intp)
-    dim = a.shape[axis]
+    dim = a.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= dim):
-        raise IndexError(f"index out of range for axis {axis} with extent {dim}")
-    out_data = np.take(a.data, idx, axis=axis)
+        raise IndexError(f"row index out of range for {dim} rows")
+    out_data = np.take(a.data, idx, axis=0)
 
     def backward_fn(g):
         # one bincount over flat (index, position) bins: duplicates sum in the
         # order they occur, from 0.0, as np.add.at onto zeros would sum them
-        ax = axis % a.ndim
-        rest = a.shape[:ax] + a.shape[ax + 1:]
-        width = math.prod(rest)
-        rows = np.moveaxis(g, range(ax, ax + idx.ndim), range(idx.ndim))  # idx.shape + rest
+        width = math.prod(a.shape[1:])
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        summed = np.bincount(flat, weights=rows.reshape(-1), minlength=dim * width)
-        _accumulate(a, np.moveaxis(summed.reshape((dim,) + rest), 0, ax))
+        summed = np.bincount(flat, weights=g.reshape(-1), minlength=dim * width)
+        _accumulate(a, summed.reshape(a.shape))
 
     return _make(out_data, (a,), backward_fn)
 

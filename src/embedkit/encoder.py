@@ -141,7 +141,7 @@ class Encoder:
         length = ids.shape[1]
         cfg = self.cfg
 
-        x = ag.index_select(self.params["embed"], 0, ids)
+        x = ag.index_select(self.params["embed"], ids)
         x = ag.add(x, self.positions[:length])
 
         weights = self._mask_weights(mask, length, lengths)

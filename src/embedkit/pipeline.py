@@ -15,6 +15,7 @@ reproduces the uninterrupted run bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import numbers
 import os
@@ -82,10 +83,7 @@ class StageConfig:
         if self.mask_policy not in allowed:
             raise ValueError(f"mask policy {self.mask_policy!r} not allowed in {self.kind} "
                              f"(allowed: {allowed})")
-        for what, ok, names in _STAGE_VALUES:
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {what}, not {getattr(self, name)!r}")
+        _check_values(vars(self))
         if self.dhnm and self.kind != "supervised":
             raise ValueError("dynamic hard negative mining is only allowed in the supervised stage")
 
@@ -103,12 +101,14 @@ def _number(v, kind=numbers.Real) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
-# every StageConfig value but kind and mask_policy, by the check it must pass
-_STAGE_VALUES = (
+# every StageConfig value but kind and mask_policy, the EncoderConfig integers and
+# the manifest seed, by the check it must pass
+_VALUES = (
     ("an integer >= 1", lambda v: _number(v, numbers.Integral) and v >= 1,
-     ("steps", "batch_size", "triplet_batch_size", "sts_batch_size", "window_len")),
+     ("steps", "batch_size", "triplet_batch_size", "sts_batch_size", "window_len",
+      "hidden_dim", "heads", "kv_heads", "ffn_dim", "vocab_size", "max_len")),
     ("an integer >= 0", lambda v: _number(v, numbers.Integral) and v >= 0,
-     ("negatives_per_query", "checkpoint_every", "seed")),
+     ("negatives_per_query", "checkpoint_every", "seed", "layers")),
     ("a number > 0", lambda v: _number(v) and v > 0, ("lr", "temperature")),
     ("a number >= 0", lambda v: _number(v) and v >= 0, ("weight_decay",)),
     ("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1, ("warmup_frac",)),
@@ -116,6 +116,14 @@ _STAGE_VALUES = (
     (f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS, ("mask_schedule",)),
     (f"one of {MINING_MODES}", lambda v: v in MINING_MODES, ("dhnm_mode",)),
 )
+
+
+def _check_values(values: dict):
+    """Refuse the first value in ``values`` that fails its ``_VALUES`` check, naming its field."""
+    for what, ok, names in _VALUES:
+        for name in names:
+            if name in values and not ok(values[name]):
+                raise ValueError(f"{name} must be {what}, not {values[name]!r}")
 
 
 @dataclass
@@ -189,13 +197,20 @@ class RunManifest:
         data = {}
         for k, v in raw.get("data", {}).items():
             data[k] = {t: resolve(p) for t, p in v.items()} if isinstance(v, dict) else resolve(v)
+        encoder = raw.get("encoder", {})
+        try:
+            _check_values({k: v for k, v in encoder.items() if k in EncoderConfig.__dataclass_fields__})
+            encoder = EncoderConfig.from_dict(encoder)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"encoder: {exc}") from exc
+        _check_values({"seed": raw.get("seed", 0)})
         out = raw.get("output_dir", "runs/out")
         return cls(
-            encoder=EncoderConfig.from_dict(raw.get("encoder", {})),
+            encoder=encoder,
             stages=stages,
             data=data,
             output_dir=str(Path(out) if Path(out).is_absolute() else base / out),
-            seed=int(raw.get("seed", 0)),
+            seed=raw.get("seed", 0),
         )
 
     def to_yaml(self, path):
@@ -284,6 +299,40 @@ def embed_texts(encoder: Encoder, tokenizer: Tokenizer, texts: list[str]) -> np.
     return np.concatenate(out, axis=0)
 
 
+def _datasets(data: dict) -> dict[str, str]:
+    """A manifest's dataset paths by name: the stage kind, or ``<kind>/<task>``."""
+    named = {}
+    for kind, v in data.items():
+        named.update({f"{kind}/{t}": p for t, p in v.items()} if isinstance(v, dict) else {kind: v})
+    return named
+
+
+def _fingerprint(manifest: RunManifest) -> dict:
+    """What a resume must find as the checkpoint's run had it: the seed, every stage value
+    but ``steps``, and each dataset's SHA-256 (the encoder config is checked on its own).
+
+    ``steps`` is a stage's budget, which a resume may extend, as the acceptance tests'
+    budget loop does.  Datasets go by name, not path, so that data and runs may move.
+    """
+    fp = {"seed": manifest.seed}
+    for i, s in enumerate(manifest.stages):
+        fp.update({f"stage {i} {k}": v for k, v in asdict(s).items() if k != "steps"})
+    for name, p in _datasets(manifest.data).items():
+        fp[f"data {name} sha256"] = hashlib.sha256(Path(p).read_bytes()).hexdigest()
+    return fp
+
+
+def _record_step(path: Path, n: int, line: bytes) -> int:
+    """The step of log record ``line``, line ``n`` of ``path``, which the error names."""
+    try:
+        step = json.loads(line)["step"]
+        if not _number(step, numbers.Integral):
+            raise TypeError(f"step {step!r} is not an integer")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}:{n}: not a log record with a step: {exc}") from exc
+    return step
+
+
 class _Start(NamedTuple):
     """A run's start: fresh, from a checkpoint's weights, or resumed at a stage's step."""
     weights: Optional[dict] = None
@@ -301,9 +350,10 @@ class _RunDir:
     """
 
     def __init__(self, manifest: RunManifest):
+        self._manifest = manifest
+        self._fingerprint = _fingerprint(manifest)
         self.path = Path(manifest.output_dir)
         self.path.mkdir(parents=True, exist_ok=True)
-        self._manifest = manifest
         self._stage: Optional[tuple[int, StageConfig]] = None
         self._logs: dict[str, BinaryIO] = {}
 
@@ -317,11 +367,12 @@ class _RunDir:
         names = {"metrics": f"{cfg.kind}.metrics.jsonl", "mining": "mining.jsonl"}
         try:
             for log in ("metrics", "mining") if mining else ("metrics",):
-                fh = self._logs[log] = open(self._file(idx, names[log]), "a+b" if start else "w+b")
+                path = self._file(idx, names[log])
+                fh = self._logs[log] = open(path, "a+b" if start else "w+b")
                 fh.seek(0)
                 keep = 0
-                for line in fh:
-                    if not line.endswith(b"\n") or json.loads(line)["step"] >= start:
+                for n, line in enumerate(fh, 1):
+                    if not line.endswith(b"\n") or _record_step(path, n, line) >= start:
                         break
                     keep += len(line)
                 fh.truncate(keep)
@@ -347,22 +398,31 @@ class _RunDir:
         arrays = {**{f"model.{k}": v for k, v in encoder.export_arrays().items()},
                   **optimizer.export_state()}
         extra = {"stage_index": idx, "stage_step": step, "opt_step_count": optimizer.step_count,
-                 "vocab": vocab, "manifest_seed": self._manifest.seed}
+                 "vocab": vocab, "fingerprint": self._fingerprint}
         save_checkpoint(path, self._manifest.encoder.to_dict(), arrays, extra,
                         {"mining": mining.to_dict() if mining is not None else None})
         return path
 
     def load(self, path, resume: bool) -> _Start:
-        """Adopt checkpoint ``path``'s weights or, with ``resume``, continue the run that wrote it."""
+        """Adopt checkpoint ``path``'s weights or, with ``resume``, continue the run that wrote it.
+
+        That run's manifest must have had this one's fingerprint: a resume replays its step rngs.
+        """
         config, arrays, extra = (load_checkpoint if resume else load_weights)(path)
         require_matching_config(self._manifest.encoder.to_dict(), config, str(path))
         start = _Start({k.removeprefix("model."): v for k, v in arrays.items() if k.startswith("model.")},
                        list(extra.get("vocab", [])))
         if not resume:
             return start
-        if extra.get("manifest_seed") != self._manifest.seed:
-            raise CheckpointError(f"cannot resume from {path}: it was written with manifest seed "
-                                  f"{extra.get('manifest_seed')}, this manifest has seed {self._manifest.seed}")
+        found = extra.get("fingerprint")
+        if found is None:
+            raise CheckpointError(f"cannot resume from {path}: it records no manifest fingerprint "
+                                  "to check this manifest against")
+        for key in [*self._fingerprint, *sorted(found.keys() - self._fingerprint.keys())]:
+            if found.get(key) != self._fingerprint.get(key):
+                raise CheckpointError(f"cannot resume from {path}: it was written with {key} "
+                                      f"{_dumps(found.get(key))}, this manifest has {key} "
+                                      f"{_dumps(self._fingerprint.get(key))}")
         mining = extra.get("mining")
         return start._replace(stage=int(extra["stage_index"]), step=int(extra["stage_step"]),
                               optimizer=(arrays, int(extra["opt_step_count"])),
@@ -409,13 +469,9 @@ class Trainer:
 
     # -- data ----------------------------------------------------------
 
-    def _dataset_paths(self) -> list[str]:
-        return [p for v in self.manifest.data.values()
-                for p in (v.values() if isinstance(v, dict) else (v,))]
-
     def _build_tokenizer(self) -> Tokenizer:
         words: set[str] = set()
-        for p in self._dataset_paths():
+        for p in _datasets(self.manifest.data).values():
             words.update(read_header(p).get("vocab", []))
         return Tokenizer(sorted(words), self.manifest.encoder.vocab_size)
 

@@ -20,7 +20,7 @@ from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_norma
 from embedkit.losses import ContrastiveBatch, StsBatch, cosent, info_nce, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from embedkit.pipeline import _mean
-from test_autograd import _chain_info_nce, _reshape, _sum
+from test_autograd import _chain_info_nce, _gather, _reshape, _sum
 
 TOY = EncoderConfig()
 SMALL = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -131,9 +131,10 @@ class TestGroupedQueryAttention:
     def test_identity_group_gather_is_bitwise_copy(self):
         # kv_heads == heads makes the head-group gather an identity: values
         # pass through bit for bit, so GQA degenerates to plain MHA exactly
+        # (heads leading, as index_select gathers rows)
         rng = np.random.default_rng(12)
-        k = Tensor(rng.normal(size=(2, 4, 3, 5)))
-        out = ag.index_select(k, 1, np.arange(4))
+        k = Tensor(rng.normal(size=(4, 2, 3, 5)))
+        out = ag.index_select(k, np.arange(4))
         assert out.data.tobytes() == k.data.tobytes()
 
 
@@ -235,13 +236,13 @@ def _chain_pool(states, mode, lengths=None):
     else:
         last = np.asarray(lengths) - 1 if lengths is not None else np.full(bsz, length - 1)
         flat = np.arange(bsz) * length + np.asarray(last, dtype=np.intp)
-        pooled = ag.index_select(_reshape(states, (bsz * length, dim)), 0, flat)
+        pooled = ag.index_select(_reshape(states, (bsz * length, dim)), flat)
     return ag.l2_normalize(pooled)
 
 
 def _chain_truncate(emb, d, dims):
     """``truncate_normalize`` as it was built before the prefix ``l2_normalize``: a gather of ``arange(d)``."""
-    return emb if d == emb.shape[-1] else ag.l2_normalize(ag.index_select(emb, -1, np.arange(d)))
+    return emb if d == emb.shape[-1] else ag.l2_normalize(_gather(emb, -1, np.arange(d)))
 
 
 class TestFusedPoolingAndTruncation:
@@ -297,8 +298,8 @@ class TestFusedPoolingAndTruncation:
             q_emb = pool(enc.forward_batch(ids[:bsz], mask, lengths[:bsz]), pooling, lengths[:bsz])
             all_emb = pool(enc.forward_batch(ids[bsz:], mask, lengths[bsz:]), pooling, lengths[bsz:])
             operands = (q_emb, all_emb) if name == "op" else (
-                q_emb, ag.index_select(all_emb, 0, np.arange(bsz)),
-                ag.index_select(all_emb, 0, np.arange(bsz, bsz + bsz * k).reshape(bsz, k)))
+                q_emb, ag.index_select(all_emb, np.arange(bsz)),
+                ag.index_select(all_emb, np.arange(bsz, bsz + bsz * k).reshape(bsz, k)))
             terms = []
             for d in sorted(TOY.mrl_dims, reverse=True):
                 cut = [trunc(t, d, TOY.mrl_dims) for t in operands]

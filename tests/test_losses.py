@@ -171,7 +171,7 @@ class TestCosentValues:
         t = Tensor(cos, requires_grad=True)
         ag.backward(cosent(StsBatch(t, labels, tau=0.05)))
         ref = Tensor(cos, requires_grad=True)
-        diffs = ag.add(ag.index_select(ref, 0, lo), ag.mul(ag.index_select(ref, 0, hi), -1.0))
+        diffs = ag.add(ag.index_select(ref, lo), ag.mul(ag.index_select(ref, hi), -1.0))
         ag.backward(_log(ag.add(ag.sum_lastdim(_exp(ag.mul(diffs, 1.0 / 0.05))), 1.0)))
         assert t.grad.tobytes() == ref.grad.tobytes()
 

@@ -1,6 +1,9 @@
 """Optimizer behavior, stage/manifest validation, scheduled-mask wiring,
 round-robin task mixing, determinism, mid-stage resume, and the CLI surface."""
 
+import builtins
+import hashlib
+import itertools
 import json
 import os
 import re
@@ -15,8 +18,9 @@ import pytest
 import yaml
 
 import embedkit
+from embedkit import _dumps, checkpoint, pipeline
 from embedkit.autograd import Tensor, no_grad
-from embedkit.checkpoint import save_checkpoint
+from embedkit.checkpoint import load_checkpoint, save_checkpoint
 from embedkit.cli import main as cli_main
 from embedkit.data import (MockTranslator, LanguageDistribution, Pair, Triplet, build_classification,
                            build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
@@ -381,6 +385,96 @@ class TestTrainingRuns:
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
+    @pytest.mark.parametrize("boundary", ["record", "tmp-write", "fsync", "rename"])
+    def test_crash_at_each_write_boundary_then_resume_matches_uninterrupted(
+            self, toy_data, tmp_path, monkeypatch, boundary):
+        # lm-pretrain, then supervised with mining and one mid-stage checkpoint;
+        # the n-th write boundary of the kind fails, for n = 0, 1, ... until a run
+        # passes them all, and each crashed run is resumed from its last checkpoint
+        data = _manifest(toy_data, tmp_path).data
+
+        def manifest(out):
+            return RunManifest(
+                encoder=SMALL_ENC, stages=[
+                    StageConfig(kind="lm-pretrain", steps=2, batch_size=8, window_len=12),
+                    StageConfig(kind="supervised", steps=4, mrl=True, dhnm=True, triplet_batch_size=2,
+                                sts_batch_size=4, negatives_per_query=2, checkpoint_every=2)],
+                data={k: data[k] for k in ("lm-pretrain", "supervised")}, output_dir=str(out), seed=5)
+
+        Trainer(manifest(tmp_path / "full")).run()
+        want = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+        ckpts = ["stage0-lm-pretrain.ckpt", "stage1-step2.ckpt", "stage1-supervised.ckpt"]
+        assert set(ckpts) < set(want) and "stage1-mining.jsonl" in want
+
+        class Crash(Exception):
+            pass
+
+        count = {"seen": 0, "at": None}
+
+        def hit():
+            count["seen"] += 1
+            return count["seen"] - 1 == count["at"]
+
+        def write(run_dir, log, records):
+            for record in records:
+                if hit():   # the record is torn half way, as a crash inside the write leaves it
+                    line = (_dumps(record) + "\n").encode()
+                    run_dir._logs[log].write(line[:len(line) // 2])
+                    raise Crash(boundary)
+                real_write(run_dir, log, [record])
+
+        class TornFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise Crash(boundary)
+
+        def open_tmp(path, *args, **kwargs):
+            fh = builtins.open(path, *args, **kwargs)
+            return TornFile(fh) if str(path).endswith(".tmp") and hit() else fh
+
+        def failing(real):
+            def call(*args):
+                if hit():
+                    raise Crash(boundary)
+                return real(*args)
+            return call
+
+        real_write = pipeline._RunDir.write
+        patch = {"record": (pipeline._RunDir, "write", write),
+                 "tmp-write": (checkpoint, "open", open_tmp),
+                 "fsync": (os, "fsync", failing(os.fsync)),
+                 "rename": (os, "replace", failing(os.replace))}[boundary]
+        yml = tmp_path / "m.yaml"
+        for at in itertools.count():
+            out = tmp_path / f"crash{at}"
+            manifest(out).to_yaml(yml)
+            count.update(seen=0, at=at)
+            with monkeypatch.context() as mp:
+                mp.setattr(*patch, raising=False)
+                try:
+                    Trainer(manifest(out)).run()
+                except Crash:
+                    pass
+                else:
+                    break       # past the last boundary: nothing failed
+            on_disk = [name for name in ckpts if (out / name).exists()]
+            if on_disk[-1:] != ckpts[-1:]:
+                resume = ["--resume", str(out / on_disk[-1])] if on_disk else []
+                assert cli_main(["train", "--manifest", str(yml), *resume]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(want), (at, on_disk)
+            for name, content in want.items():
+                assert (out / name).read_bytes() == content, (at, on_disk, name)
+        assert at > 0
+
     def test_stage_without_mining_writes_no_mining_log(self, toy_data, tmp_path):
         Trainer(_manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)).run()
         assert (tmp_path / "run" / "stage3-supervised.metrics.jsonl").exists()
@@ -473,6 +567,24 @@ def _embed_per_group(encoder, tokenizer, texts, chunk=128):
             ids, lengths = batch_ids(tokenizer, texts[i:i + chunk])
             out.append(encoder.embed_batch(ids, bidirectional_mask(ids.shape[1]), lengths).data)
     return np.concatenate(out, axis=0)
+
+
+def _change_one_byte(path: Path) -> list[str]:
+    """Change the last digit of dataset ``path``; the fingerprint's digests before and after."""
+    raw = bytearray(path.read_bytes())
+    before = hashlib.sha256(raw).hexdigest()
+    i = max(i for i, b in enumerate(raw) if chr(b).isdigit())
+    raw[i] = ord("8") if raw[i] == ord("9") else raw[i] + 1
+    path.write_bytes(bytes(raw))
+    return [f'data pair-sft sha256 "{before}"', f'"{hashlib.sha256(raw).hexdigest()}"']
+
+
+def _drop_fingerprint(path: Path):
+    """Write checkpoint ``path`` again without its manifest fingerprint."""
+    config, arrays, extra = load_checkpoint(path)
+    state = {"mining": extra.pop("mining")}
+    del extra["fingerprint"]
+    save_checkpoint(path, config, arrays, extra, state)
 
 
 def _untrained_checkpoint(path):
@@ -792,6 +904,76 @@ class TestCli:
         m.seed = 99
         m.output_dir = str(tmp_path / "s3")
         assert Path(Trainer(m).run(init_from=str(ckpt))).exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda m, ckpt: setattr(m.stages[2], "lr", 2e-3) or ["stage 2 lr 0.001", "stage 2 lr 0.002"],
+        lambda m, ckpt: _change_one_byte(Path(m.data["pair-sft"])),
+        lambda m, ckpt: _drop_fingerprint(ckpt) or ["records no manifest fingerprint"],
+    ], ids=["stage-option", "dataset-byte", "no-fingerprint"])
+    def test_resume_under_an_edited_manifest_exits_3(self, toy_data, tmp_path, capsys, edit):
+        # a resume replays the run that wrote the checkpoint; under an edited
+        # recipe it would continue neither that run nor the edited one
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        sft = tmp_path / "sft.jsonl"
+        sft.write_bytes(Path(m.data["pair-sft"]).read_bytes())
+        m.data["pair-sft"] = str(sft)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 0
+        ckpt = tmp_path / "run" / "stage1-pair-sft.ckpt"
+        what = edit(m, ckpt)
+        m.to_yaml(yml)
+        before = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+        capsys.readouterr()
+        assert cli_main(["train", "--manifest", str(yml), "--resume", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and all(w in err for w in what), err
+        assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
+
+    @pytest.mark.parametrize("line,what", [
+        ("{not json}\n", "Expecting property name"),
+        ('{"stage":0,"loss":0.5}\n', "'step'"),
+        ('{"step":"1"}\n', "step '1' is not an integer"),
+    ], ids=["not-json", "no-step", "step-not-integer"])
+    def test_resume_over_a_bad_log_record_exits_3_naming_file_and_line(
+            self, toy_data, tmp_path, capsys, line, what):
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        m.stages[0].checkpoint_every = 4
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 0
+        log = tmp_path / "run" / "stage0-lm-pretrain.metrics.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[2] = line
+        log.write_text("".join(lines))
+        capsys.readouterr()
+        assert cli_main(["train", "--manifest", str(yml),
+                         "--resume", str(tmp_path / "run" / "stage0-step4.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert f"{log}:3: not a log record with a step" in err and what in err, err
+
+    @pytest.mark.parametrize("edit,what", [
+        (lambda doc: doc["encoder"].update(max_len=0), "encoder: max_len must be an integer >= 1, not 0"),
+        (lambda doc: doc["encoder"].update(ffn_dim=0), "encoder: ffn_dim must be an integer >= 1, not 0"),
+        (lambda doc: doc["encoder"].update(kv_heads=0), "encoder: kv_heads must be an integer >= 1, not 0"),
+        (lambda doc: doc["encoder"].update(hidden_dim=16.0),
+         "encoder: hidden_dim must be an integer >= 1, not 16.0"),
+        (lambda doc: doc["encoder"].update(layers=True), "encoder: layers must be an integer >= 0, not True"),
+        (lambda doc: doc.update(seed=1.7), "seed must be an integer >= 0, not 1.7"),
+        (lambda doc: doc.update(seed=True), "seed must be an integer >= 0, not True"),
+    ], ids=["max-len", "ffn-dim", "kv-heads", "hidden-dim-float", "layers-bool", "seed-float",
+            "seed-bool"])
+    def test_bad_encoder_value_or_seed_exits_3_naming_manifest_and_field(
+            self, toy_data, tmp_path, capsys, edit, what):
+        out = tmp_path / "run"
+        yml = tmp_path / "m.yaml"
+        _manifest(toy_data, out).to_yaml(yml)
+        doc = yaml.safe_load(yml.read_text())
+        edit(doc)
+        yml.write_text(yaml.safe_dump(doc))
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"{yml}: {what}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_seed_override_changes_outputs(self, toy_data, tmp_path):
         m = _manifest(toy_data, tmp_path / "s1", sup_steps=4, dhnm=False)
