@@ -363,7 +363,7 @@ class _RunDir:
     @contextmanager
     def stage(self, idx: int, cfg: StageConfig, start: int, mining: bool):
         """Open stage ``idx``'s metrics log, and with ``mining`` its mining log, for steps ``start`` on;
-        records of later steps, and a last line a crash tore, are dropped."""
+        their records of those steps, and a last line a crash tore, are dropped."""
         names = {"metrics": f"{cfg.kind}.metrics.jsonl", "mining": "mining.jsonl"}
         try:
             for log in ("metrics", "mining") if mining else ("metrics",):
