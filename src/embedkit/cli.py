@@ -75,13 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_train(args) -> int:
+    from dataclasses import replace
+
     from .pipeline import RunManifest, Trainer
 
-    manifest = RunManifest.from_yaml(args.manifest)
-    if args.seed is not None:
-        manifest.seed = args.seed
-    if args.output_dir:
-        manifest.output_dir = args.output_dir
+    # replace() runs the manifest's checks on the overrides too
+    overrides = {"seed": args.seed, "output_dir": args.output_dir}
+    manifest = replace(RunManifest.from_yaml(args.manifest),
+                       **{k: v for k, v in overrides.items() if v is not None})
     ckpt = Trainer(manifest).run(resume_from=args.resume)
     print(_dumps({"record": "final_checkpoint", "path": str(ckpt)}))
     print(f"training complete: {ckpt}", file=sys.stderr)
@@ -91,7 +92,7 @@ def cmd_train(args) -> int:
 def cmd_gen_clr(args) -> int:
     import shlex
 
-    from .data import (CommandTranslator, LanguageDistribution, MockTranslator,
+    from .data import (CommandTranslator, LanguageDistribution, MockTranslator, Triplet,
                        default_translation_languages, generate_clr_dataset, read_dataset,
                        write_dataset)
 
@@ -103,7 +104,7 @@ def cmd_gen_clr(args) -> int:
         translator = CommandTranslator(shlex.split(args.command))
     else:
         translator = MockTranslator(dist.codes)
-    header, examples = read_dataset(args.input)
+    header, examples = read_dataset(args.input, Triplet)
     out, failures = generate_clr_dataset(examples, translator, dist, seed=args.seed)
     write_dataset(args.output, "clr", out,
                   languages=sorted(set(header.get("languages", [])) | set(dist.codes)),

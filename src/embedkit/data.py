@@ -15,7 +15,7 @@ import json
 import logging
 import re
 import subprocess
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Protocol, Sequence, Union
 
@@ -42,25 +42,13 @@ class RawRecord:
 
 
 @dataclass
-class Pair:
-    query: str
-    positive: str
-    query_lang: str = "und"
-    passage_lang: str = "und"
-    task: str = "pair"
-    cluster: Optional[int] = None
-    uid: str = ""
-    source: str = ""
-
-
-@dataclass
 class Triplet:
+    """A query, its positive and its candidate negatives; a pair is a triplet without negatives."""
     query: str
     positive: str
-    negatives: list[str]
+    negatives: list[str] = field(default_factory=list)
     query_lang: str = "und"
     passage_lang: str = "und"
-    task: str = "retrieval"
     cluster: Optional[int] = None
     uid: str = ""
     source: str = ""
@@ -72,14 +60,14 @@ class ScoredPair:
     text_b: str
     similarity: float
     lang: str = "und"
-    task: str = "sts"
     uid: str = ""
     source: str = ""
 
 
-TrainingExample = Union[Pair, Triplet, ScoredPair]
+TrainingExample = Union[Triplet, ScoredPair]
 
-_KINDS = {"pair": Pair, "triplet": Triplet, "scored_pair": ScoredPair}
+_KINDS = {"triplet": Triplet, "scored_pair": ScoredPair}
+_KIND_NAMES = {cls: kind for kind, cls in _KINDS.items()}
 _FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _KINDS.items()}
 
 
@@ -94,9 +82,12 @@ def example_to_record(e: TrainingExample) -> dict:
 def example_from_record(d: dict) -> TrainingExample:
     d = dict(d)
     kind = d.pop("kind", None)
+    # files written before pairs became triplets: a "pair" record, and a "task" in every record
+    kind = "triplet" if kind == "pair" else kind
     if kind not in _KINDS:
         raise ValueError(f"unknown example kind {kind!r}; expected one of {sorted(_KINDS)}")
     d.pop("record", None)
+    d.pop("task", None)
     return _KINDS[kind](**d)
 
 
@@ -104,12 +95,12 @@ def example_from_record(d: dict) -> TrainingExample:
 # SFT conversion and quality filtering
 # ---------------------------------------------------------------------------
 
-def pair_from_sft(r: RawRecord) -> Pair:
+def pair_from_sft(r: RawRecord) -> Triplet:
     """Instruction + input become the query, the output becomes the positive."""
     if not r.output:
         raise ValueError("SFT record has an empty output")
     parts = [p for p in (r.instruction, r.input) if p]
-    return Pair(query="\n".join(parts), positive=r.output, source=r.source)
+    return Triplet(query="\n".join(parts), positive=r.output, source=r.source)
 
 
 class ScorerClient(Protocol):
@@ -131,7 +122,7 @@ class FilterReport:
         return sum(self.dropped_by_source.values()) + sum(self.failed_by_source.values())
 
 
-def quality_filter(pairs: Sequence[Pair], scorer: ScorerClient, threshold: float = 0.4) -> FilterReport:
+def quality_filter(pairs: Sequence[Triplet], scorer: ScorerClient, threshold: float = 0.4) -> FilterReport:
     """Keep pairs scoring >= threshold (boundary inclusive); order is preserved."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside [0, 1]")
@@ -268,30 +259,19 @@ class CommandTranslator:
         return proc.stdout.rstrip("\n")
 
 
-def make_clr_pair(example: TrainingExample, translator: TranslatorClient, target: str) -> TrainingExample:
+def make_clr_pair(example: Triplet, translator: TranslatorClient, target: str) -> Triplet:
     """Translate only the query side; the passage side is byte-identical."""
-    if isinstance(example, ScoredPair):
-        raise TypeError("cross-lingual generation applies to pair/triplet records")
     if not example.passage_lang or example.passage_lang == "und":
         raise ValueError("record needs a passage-side language tag")
-    if target == example.query_lang:
-        query, qlang = example.query, example.query_lang
-    else:
-        query, qlang = translator.translate(example.query, target), target
-    if isinstance(example, Triplet):
-        return Triplet(query=query, positive=example.positive, negatives=list(example.negatives),
-                       query_lang=qlang, passage_lang=example.passage_lang, task="clr",
-                       cluster=example.cluster, uid=example.uid, source=example.source)
-    return Pair(query=query, positive=example.positive, query_lang=qlang,
-                passage_lang=example.passage_lang, task="clr",
-                cluster=example.cluster, uid=example.uid, source=example.source)
+    query = example.query if target == example.query_lang else translator.translate(example.query, target)
+    return replace(example, query=query, query_lang=target, negatives=list(example.negatives))
 
 
-def generate_clr_dataset(examples: Sequence[TrainingExample], translator: TranslatorClient,
-                         dist: LanguageDistribution, seed: int = 0) -> tuple[list[TrainingExample], int]:
+def generate_clr_dataset(examples: Sequence[Triplet], translator: TranslatorClient,
+                         dist: LanguageDistribution, seed: int = 0) -> tuple[list[Triplet], int]:
     """CLR-tag every record with a sampled target language; failures are dropped."""
     rng = np.random.default_rng(seed)
-    out: list[TrainingExample] = []
+    out: list[Triplet] = []
     failures = 0
     for e in examples:
         target = sample_target_language(dist, rng)
@@ -312,7 +292,7 @@ class SynthCorpus:
     languages: tuple[str, ...]
     n_clusters: int
     sentences: list[dict]            # {"cluster", "lang", "text"}
-    pairs: list[Pair]
+    pairs: list[Triplet]             # without negatives
     label_words: list[str]
 
 
@@ -349,7 +329,7 @@ def synth_corpus(n_clusters: int, per_cluster: int, languages: Sequence[str] = (
     languages = tuple(languages)
     shared = [f"t{n_clusters * words_per_cluster + k}" for k in range(shared_words)]
     sentences: list[dict] = []
-    pairs: list[Pair] = []
+    pairs: list[Triplet] = []
     for c in range(n_clusters):
         cwords = [f"t{c * words_per_cluster + k}" for k in range(words_per_cluster)]
         base_texts = [_make_sentence(rng, cwords, shared, sentence_len, noise_prob)
@@ -359,9 +339,9 @@ def synth_corpus(n_clusters: int, per_cluster: int, languages: Sequence[str] = (
             for si, t in enumerate(texts):
                 sentences.append({"cluster": c, "lang": lang, "text": t})
             for si in range(0, per_cluster - 1, 2):
-                pairs.append(Pair(query=texts[si], positive=texts[si + 1],
-                                  query_lang=lang, passage_lang=lang,
-                                  cluster=c, uid=f"c{c}-{lang}-p{si // 2}"))
+                pairs.append(Triplet(query=texts[si], positive=texts[si + 1],
+                                     query_lang=lang, passage_lang=lang,
+                                     cluster=c, uid=f"c{c}-{lang}-p{si // 2}"))
     labels = [f"lab{c}" for c in range(n_clusters)]
     return SynthCorpus(languages=languages, n_clusters=n_clusters,
                        sentences=sentences, pairs=pairs, label_words=labels)
@@ -373,8 +353,8 @@ def build_sft_records(corpus: SynthCorpus, instruction: str = "inst") -> list[Ra
 
 
 def build_triplets(corpus: SynthCorpus, lang: Optional[str] = None, pool_size: int = 24,
-                   seed: int = 0, task: str = "retrieval") -> list[Triplet]:
-    """Pairs plus a per-query candidate-negative list drawn from other clusters."""
+                   seed: int = 0) -> list[Triplet]:
+    """The corpus pairs with a per-query candidate-negative list drawn from other clusters."""
     rng = np.random.default_rng(seed)
     langs = (lang,) if lang else corpus.languages
     by_cluster: dict[int, list[str]] = {}
@@ -388,10 +368,7 @@ def build_triplets(corpus: SynthCorpus, lang: Optional[str] = None, pool_size: i
         foreign = [t for c, texts in sorted(by_cluster.items()) if c != p.cluster for t in texts]
         take = min(pool_size, len(foreign))
         idx = rng.choice(len(foreign), size=take, replace=False)
-        out.append(Triplet(query=p.query, positive=p.positive,
-                           negatives=[foreign[i] for i in idx],
-                           query_lang=p.query_lang, passage_lang=p.passage_lang,
-                           task=task, cluster=p.cluster, uid=p.uid))
+        out.append(replace(p, negatives=[foreign[i] for i in idx]))
     return out
 
 
@@ -409,7 +386,7 @@ def build_classification(corpus: SynthCorpus, lang: Optional[str] = None,
         negs = others[::step][:negatives]
         out.append(Triplet(query=s["text"], positive=corpus.label_words[c], negatives=negs,
                            query_lang=s["lang"], passage_lang=s["lang"],
-                           task="classification", cluster=c, uid=f"cls-{i}"))
+                           cluster=c, uid=f"cls-{i}"))
     return out
 
 
@@ -442,9 +419,7 @@ def _texts_of(e: TrainingExample, negatives: Optional[int] = None) -> tuple[str,
     """The texts of ``e``: of a triplet's negatives the first ``negatives``, all for None."""
     if isinstance(e, ScoredPair):
         return e.text_a, e.text_b
-    if isinstance(e, Triplet):
-        return (e.query, e.positive, *e.negatives[:negatives])
-    return e.query, e.positive
+    return (e.query, e.positive, *e.negatives[:negatives])
 
 
 def write_dataset(path, task: str, examples: Sequence[TrainingExample],
@@ -504,18 +479,21 @@ def _read_records(path, parse, task: Optional[str] = None) -> tuple[dict, list]:
     return header, out
 
 
-def read_dataset(path, check=None) -> tuple[dict, list[TrainingExample]]:
+def read_dataset(path, kind: Optional[type] = None, check=None) -> tuple[dict, list[TrainingExample]]:
     """The header and examples of a dataset file.
 
+    ``kind``, ``Triplet`` or ``ScoredPair``, is the one record kind the caller
+    reads; a record of the other kind is refused at its ``path:line``.
     ``check``, when given, is called on each example as it is read; a
     ValueError it raises is reported at the record's ``path:line``.
     """
-    if check is None:
-        return _read_records(path, example_from_record)
-
     def parse(record):
         example = example_from_record(record)
-        check(example)
+        if kind is not None and not isinstance(example, kind):
+            raise ValueError(f"a {_KIND_NAMES[type(example)]} record, "
+                             f"where {_KIND_NAMES[kind]} records are read")
+        if check is not None:
+            check(example)
         return example
 
     return _read_records(path, parse)

@@ -30,7 +30,7 @@ from . import _dumps, autograd as ag
 from .autograd import Tensor
 from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
                          save_checkpoint)
-from .data import Pair, Triplet, _texts_of, read_dataset, read_header, read_text_dataset
+from .data import ScoredPair, Triplet, _texts_of, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import retrieval_metrics, spearman, top_k
 from .losses import ContrastiveBatch, StsBatch, cosent, info_nce, info_nce_with_scores, next_token_ce
@@ -135,6 +135,7 @@ class RunManifest:
     seed: int = 0
 
     def __post_init__(self):
+        _check_values({"seed": self.seed})
         if not self.stages:
             raise ValueError("manifest needs at least one stage")
         order = [STAGE_KINDS.index(s.kind) for s in self.stages]
@@ -153,6 +154,10 @@ class RunManifest:
                     raise ValueError(f"{where}: unknown supervised tasks: {sorted(bad)}")
             elif isinstance(self.data[s.kind], dict):
                 raise ValueError(f"{where}: {s.kind} data must be one dataset path, not a mapping")
+            # an lm step feeds the encoder window_len tokens; the other kinds pack no windows
+            if s.kind in ("lm-pretrain", "pair-sft") and s.window_len > self.encoder.max_len:
+                raise ValueError(f"{where}: window_len {s.window_len} exceeds the encoder's "
+                                 f"max_len {self.encoder.max_len}")
 
     @classmethod
     def from_yaml(cls, path) -> "RunManifest":
@@ -203,7 +208,6 @@ class RunManifest:
             encoder = EncoderConfig.from_dict(encoder)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"encoder: {exc}") from exc
-        _check_values({"seed": raw.get("seed", 0)})
         out = raw.get("output_dir", "runs/out")
         return cls(
             encoder=encoder,
@@ -243,8 +247,9 @@ def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optio
     return ids, (None if lens.min() == width else lens)
 
 
-def _text_check(tokenizer: Tokenizer, max_len: int, texts_of):
-    """A ``read_dataset`` check: each text ``texts_of(example)`` yields must encode to 1-``max_len`` tokens.
+def _text_check(tokenizer: Tokenizer, max_len: int, negatives: Optional[int]):
+    """A ``read_dataset`` check: each text of an example, of a triplet's negatives the first
+    ``negatives`` (all for None), must encode to 1-``max_len`` tokens.
 
     The encoder refuses any other text only when a batch reaches it; checked
     as the dataset is read, the error names the record's ``path:line``.
@@ -253,7 +258,7 @@ def _text_check(tokenizer: Tokenizer, max_len: int, texts_of):
     seen: set[str] = set()
 
     def check(example):
-        for text in texts_of(example):
+        for text in _texts_of(example, negatives):
             if text in seen:
                 continue
             n = len(tokenizer.encode(text))
@@ -311,8 +316,8 @@ def _fingerprint(manifest: RunManifest) -> dict:
     """What a resume must find as the checkpoint's run had it: the seed, every stage value
     but ``steps``, and each dataset's SHA-256 (the encoder config is checked on its own).
 
-    ``steps`` is a stage's budget, which a resume may extend, as the acceptance tests'
-    budget loop does.  Datasets go by name, not path, so that data and runs may move.
+    ``steps`` is checked on its own (``_RunDir.load``): a stage's final checkpoint may go
+    on to a new budget.  Datasets go by name, not path, so that data and runs may move.
     """
     fp = {"seed": manifest.seed}
     for i, s in enumerate(manifest.stages):
@@ -397,8 +402,9 @@ class _RunDir:
         path = self._file(idx, f"{cfg.kind}.ckpt" if step == cfg.steps else f"step{step}.ckpt")
         arrays = {**{f"model.{k}": v for k, v in encoder.export_arrays().items()},
                   **optimizer.export_state()}
-        extra = {"stage_index": idx, "stage_step": step, "opt_step_count": optimizer.step_count,
-                 "vocab": vocab, "fingerprint": self._fingerprint}
+        extra = {"stage_index": idx, "stage_step": step, "steps": cfg.steps,
+                 "opt_step_count": optimizer.step_count, "vocab": vocab,
+                 "fingerprint": self._fingerprint}
         save_checkpoint(path, self._manifest.encoder.to_dict(), arrays, extra,
                         {"mining": mining.to_dict() if mining is not None else None})
         return path
@@ -423,8 +429,20 @@ class _RunDir:
                 raise CheckpointError(f"cannot resume from {path}: it was written with {key} "
                                       f"{_dumps(found.get(key))}, this manifest has {key} "
                                       f"{_dumps(self._fingerprint.get(key))}")
+        idx, step = int(extra["stage_index"]), int(extra["stage_step"])
+        cfg = self._manifest.stages[idx]
+        steps = extra.get("steps", cfg.steps)
+        # steps sizes the lr warmup and the soft-mask clock, so a mid-stage resume under other steps
+        # would follow a schedule no uninterrupted run has.  A stage's final checkpoint may go on
+        # to a new budget (the acceptance tests' budget loop does), unless its soft mask, at
+        # alpha = 1 there, would re-open toward causal.
+        if steps != cfg.steps and (step != steps or cfg.mask_policy == "soft"):
+            raise CheckpointError(f"cannot resume from {path}: it was written by stage {idx} "
+                                  f"({cfg.kind}) with steps {steps}, this manifest has steps "
+                                  f"{cfg.steps}; only a stage's final checkpoint, and not a soft-mask "
+                                  "stage's, may resume under other steps")
         mining = extra.get("mining")
-        return start._replace(stage=int(extra["stage_index"]), step=int(extra["stage_step"]),
+        return start._replace(stage=idx, step=step,
                               optimizer=(arrays, int(extra["opt_step_count"])),
                               mining=MiningState.from_dict(mining) if mining is not None else None)
 
@@ -480,18 +498,15 @@ class Trainer:
         max_len = self.manifest.encoder.max_len
         if cfg.kind == "supervised":
             # mining embeds every negative; without it a step draws the first negatives_per_query
-            k = None if cfg.dhnm else cfg.negatives_per_query
-            check = _text_check(self.tokenizer, max_len, lambda e: _texts_of(e, k))
-            return {task: read_dataset(path[task], check)[1] for task in SUPERVISED_TASKS if task in path}
+            check = _text_check(self.tokenizer, max_len, None if cfg.dhnm else cfg.negatives_per_query)
+            return {task: read_dataset(path[task], ScoredPair if task == "sts" else Triplet, check)[1]
+                    for task in SUPERVISED_TASKS if task in path}
         if cfg.kind == "lm-pretrain":
             seqs = [self.tokenizer.encode(t) for t in read_text_dataset(path)[1]]
         elif cfg.kind == "weak-contrastive":
-            kept = (Pair, Triplet)
-            check = _text_check(self.tokenizer, max_len,
-                                lambda e: _texts_of(e, 0) if isinstance(e, kept) else ())
-            return [e for e in read_dataset(path, check)[1] if isinstance(e, kept)]
+            return read_dataset(path, Triplet, _text_check(self.tokenizer, max_len, 0))[1]
         else:
-            _, examples = read_dataset(path)
+            _, examples = read_dataset(path, Triplet)
             seqs = [self.tokenizer.encode(e.query) + self.tokenizer.encode(e.positive)
                     for e in examples]
         return self._pack_windows(seqs, cfg.window_len)
@@ -597,7 +612,7 @@ class Trainer:
         """
         triplets = [(task, ex) for task in SUPERVISED_TASKS
                     if task != "sts" and task in datasets
-                    for ex in datasets[task] if isinstance(ex, Triplet) and ex.negatives]
+                    for ex in datasets[task] if ex.negatives]
         # sorted, not set order: string hashing is randomized per process
         texts = sorted({t for _, ex in triplets for t in (ex.query, *ex.negatives)})
         row = {t: i for i, t in enumerate(texts)}
@@ -610,15 +625,6 @@ class Trainer:
             k = min(cfg.negatives_per_query, len(ranked))
             mining.register_query(f"{task}:{ex.uid}", ranked[:k], ranked[k:])
         return mining
-
-    def _triplet_negatives(self, cfg: StageConfig, mining: Optional[MiningState],
-                           task: str, ex: Triplet) -> list[str]:
-        k = cfg.negatives_per_query
-        if mining is not None:
-            negs = mining.current_negatives(f"{task}:{ex.uid}")
-            if negs:
-                return negs[:k]
-        return list(ex.negatives[:k])
 
     def _mrl_dims(self, cfg: StageConfig) -> tuple[int, ...]:
         if cfg.mrl:
@@ -650,7 +656,9 @@ class Trainer:
                             rng: np.random.Generator, step: int, task: str,
                             mining: Optional[MiningState]) -> Tensor:
         chosen = [examples[i] for i in _draw(rng, len(examples), cfg.triplet_batch_size)]
-        negatives = [self._triplet_negatives(cfg, mining, task, ex) for ex in chosen]
+        # the mining slots hold a query's first negatives_per_query negatives, re-ranked and replaced
+        negatives = [mining.current_negatives(f"{task}:{ex.uid}") if mining is not None
+                     else ex.negatives[:cfg.negatives_per_query] for ex in chosen]
         k = min(len(n) for n in negatives)
 
         q_emb = self._embed(cfg, encoder, [e.query for e in chosen], step)
@@ -726,10 +734,10 @@ def evaluate_sts(encoder: Encoder, tokenizer: Tokenizer, examples: list) -> dict
 
 def evaluate_checkpoint(ckpt_path, dataset_path, ks: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, float]:
     encoder, tokenizer, _ = load_encoder(ckpt_path)
-    header, examples = read_dataset(
-        dataset_path, _text_check(tokenizer, encoder.cfg.max_len, lambda e: _texts_of(e, 0)))
+    kind = ScoredPair if read_header(dataset_path).get("task") == "sts" else Triplet
+    _, examples = read_dataset(dataset_path, kind, _text_check(tokenizer, encoder.cfg.max_len, 0))
     if not examples:
         raise ValueError(f"dataset {dataset_path} has no examples to evaluate")
-    if header["task"] == "sts":
+    if kind is ScoredPair:
         return evaluate_sts(encoder, tokenizer, examples)
     return evaluate_retrieval(encoder, tokenizer, examples, ks)

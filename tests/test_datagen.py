@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from embedkit.data import (CommandTranslator, LanguageDistribution,
-                           MockTranslator, OverlapScorer, Pair, RawRecord, ScoredPair,
+                           MockTranslator, OverlapScorer, RawRecord, ScoredPair,
                            TRANSLATION_LANGUAGE_WEIGHTS, Triplet, build_classification,
                            build_sts, build_triplets, default_translation_languages,
                            generate_clr_dataset, make_clr_pair, pair_from_sft,
@@ -57,25 +57,25 @@ class _ConstantScorer:
 
 class TestQualityFilter:
     def test_boundary_inclusive_at_threshold(self):
-        pairs = [Pair("a", "x", source="s"), Pair("b", "y", source="s"), Pair("c", "z", source="t")]
+        pairs = [Triplet("a", "x", source="s"), Triplet("b", "y", source="s"), Triplet("c", "z", source="t")]
         scorer = _FixedScorer({"a": 0.39, "b": 0.40, "c": 0.41})
         report = quality_filter(pairs, scorer, threshold=0.4)
         assert [p.query for p in report.kept] == ["b", "c"]
         assert report.dropped_by_source == {"s": 1}
 
     def test_constant_scorer_keeps_everything(self):
-        pairs = [Pair(f"q{i}", "p") for i in range(5)]
+        pairs = [Triplet(f"q{i}", "p") for i in range(5)]
         report = quality_filter(pairs, _ConstantScorer(1.0))
         assert len(report.kept) == 5 and report.total_dropped == 0
 
     def test_scorer_failure_drops_and_counts(self):
-        pairs = [Pair("a", "x", source="s"), Pair("b", "y", source="s")]
+        pairs = [Triplet("a", "x", source="s"), Triplet("b", "y", source="s")]
         report = quality_filter(pairs, _FixedScorer({"a": None, "b": 0.9}))
         assert [p.query for p in report.kept] == ["b"]
         assert report.failed_by_source == {"s": 1}
 
     def test_order_preserved(self):
-        pairs = [Pair(f"q{i}", "p q r") for i in range(20)]
+        pairs = [Triplet(f"q{i}", "p q r") for i in range(20)]
         report = quality_filter(pairs, OverlapScorer(), threshold=0.0)
         assert [p.query for p in report.kept] == [f"q{i}" for i in range(20)]
 
@@ -164,17 +164,17 @@ class TestMockTranslator:
 class TestMakeClrPair:
     def test_query_translated_passage_bytes_untouched(self):
         t = MockTranslator(["aa", "bb"])
-        src = Pair("t1 t2", "t3 t4 payload", query_lang="aa", passage_lang="aa")
+        src = Triplet("t1 t2", "t3 t4 payload", query_lang="aa", passage_lang="aa")
         out = make_clr_pair(src, t, "bb")
         assert out.query == "[bb] t1001 t1002"
         assert out.positive == src.positive       # byte-identical
-        assert out.task == "clr" and out.query_lang == "bb"
+        assert out.query_lang == "bb"
 
     def test_same_language_target_unchanged_except_tag(self):
         t = MockTranslator(["aa"])
-        src = Pair("t1", "t2", query_lang="aa", passage_lang="aa")
+        src = Triplet("t1", "t2", query_lang="aa", passage_lang="aa")
         out = make_clr_pair(src, t, "aa")
-        assert out.query == "t1" and out.task == "clr"
+        assert out.query == "t1"
 
     def test_triplet_negatives_preserved(self):
         t = MockTranslator(["aa", "bb"])
@@ -184,7 +184,7 @@ class TestMakeClrPair:
 
     def test_missing_passage_lang_rejected(self):
         with pytest.raises(ValueError, match="language tag"):
-            make_clr_pair(Pair("q", "p"), MockTranslator(["aa"]), "aa")
+            make_clr_pair(Triplet("q", "p"), MockTranslator(["aa"]), "aa")
 
     def test_batch_conservation_with_failures(self):
         class Flaky:
@@ -197,7 +197,7 @@ class TestMakeClrPair:
                     raise RuntimeError("backend down")
                 return f"[{target}] {text}"
 
-        pairs = [Pair(f"q{i}", "p", query_lang="aa", passage_lang="aa") for i in range(9)]
+        pairs = [Triplet(f"q{i}", "p", query_lang="aa", passage_lang="aa") for i in range(9)]
         dist = LanguageDistribution(("bb",), (1.0,))
         out, failures = generate_clr_dataset(pairs, Flaky(), dist, seed=0)
         assert len(out) + failures == 9
@@ -257,7 +257,7 @@ class TestSynthCorpus:
 
 class TestDatasetFiles:
     def test_roundtrip(self, tmp_path):
-        examples = [Pair("q", "p", cluster=1, uid="u1"),
+        examples = [Triplet("q", "p", cluster=1, uid="u1"),
                     Triplet("q", "p", ["n1", "n2"], uid="u2"),
                     ScoredPair("a", "b", 2.0, uid="u3")]
         path = tmp_path / "d.jsonl"
@@ -269,14 +269,43 @@ class TestDatasetFiles:
 
     def test_record_equals_asdict_record(self):
         # the shallow field dict serializes exactly as dataclasses.asdict's deep copy
-        examples = [Pair("q", "p", query_lang="aa", cluster=1, uid="u1", source="s"),
-                    Triplet("q", "p", ["n1", "n2"], task="clr", cluster=None, uid="u2"),
+        examples = [Triplet("q", "p", query_lang="aa", cluster=1, uid="u1", source="s"),
+                    Triplet("q", "p", ["n1", "n2"], cluster=None, uid="u2"),
                     ScoredPair("a", "b", 2.5, lang="bb", uid="u3")]
-        for kind, e in zip(("pair", "triplet", "scored_pair"), examples):
+        for kind, e in zip(("triplet", "triplet", "scored_pair"), examples):
             rec = example_to_record(e)
             want = {"record": "example", "kind": kind, **asdict(e)}
             assert rec == want
             assert json.dumps(rec) == json.dumps(want)
+
+    def test_legacy_pair_record_with_task_reads_as_triplet_without_negatives(self, tmp_path):
+        # the format before pairs became triplets: kind "pair", and a "task" in every record
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"record":"header","task":"pair","languages":[],"vocab":["a","b","c"],"count":2}\n'
+            '{"record":"example","kind":"pair","query":"a","positive":"b","query_lang":"aa",'
+            '"passage_lang":"aa","task":"pair","cluster":1,"uid":"u1","source":"s"}\n'
+            '{"record":"example","kind":"triplet","query":"a","positive":"b","negatives":["c"],'
+            '"task":"clr","uid":"u2"}\n')
+        _, examples = read_dataset(path, Triplet)
+        assert examples == [Triplet("a", "b", [], query_lang="aa", passage_lang="aa", cluster=1,
+                                    uid="u1", source="s"),
+                            Triplet("a", "b", ["c"], uid="u2")]
+
+    def test_pair_written_as_triplet_without_negatives(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, "pair", [Triplet("q", "p")])
+        record = json.loads(path.read_text().splitlines()[1])
+        assert record["kind"] == "triplet" and record["negatives"] == [] and "task" not in record
+
+    @pytest.mark.parametrize("kind", [Triplet, ScoredPair])
+    def test_record_of_the_other_kind_refused_at_its_line(self, tmp_path, kind):
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, "mixed", [Triplet("q", "p"), Triplet("q", "p", ["n"]),
+                                      ScoredPair("a", "b", 1.0)])
+        found, line = ("scored_pair", 4) if kind is Triplet else ("triplet", 2)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:{line}: .*a {found} record"):
+            read_dataset(path, kind)
 
     def test_header_vocab_covers_all_text(self, tmp_path):
         examples = [Triplet("alpha beta", "gamma", ["delta epsilon"])]

@@ -22,7 +22,7 @@ from embedkit import _dumps, checkpoint, pipeline
 from embedkit.autograd import Tensor, no_grad
 from embedkit.checkpoint import load_checkpoint, save_checkpoint
 from embedkit.cli import main as cli_main
-from embedkit.data import (MockTranslator, LanguageDistribution, Pair, Triplet, build_classification,
+from embedkit.data import (MockTranslator, LanguageDistribution, Triplet, build_classification,
                            build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
                            build_sft_records, read_dataset, synth_corpus, write_dataset,
                            write_text_dataset)
@@ -207,6 +207,13 @@ class TestManifest:
             RunManifest(encoder=SMALL_ENC,
                         stages=[StageConfig(kind="lm-pretrain", steps=1)],
                         data={}, output_dir=str(tmp_path), seed=0)
+
+    @pytest.mark.parametrize("index", [2, 3])
+    def test_window_len_over_max_len_accepted_where_no_windows_are_packed(self, toy_data, tmp_path,
+                                                                          index):
+        m = _manifest(toy_data, tmp_path / "run")
+        m.stages[index].window_len = SMALL_ENC.max_len + 1
+        RunManifest(**vars(m))
 
     def test_yaml_roundtrip_resolves_paths(self, toy_data, tmp_path):
         m = _manifest(toy_data, tmp_path / "run")
@@ -475,6 +482,20 @@ class TestTrainingRuns:
                 assert (out / name).read_bytes() == content, (at, on_disk, name)
         assert at > 0
 
+    @pytest.mark.parametrize("dhnm", [True, False], ids=["mining", "no-mining"])
+    def test_supervised_task_trains_on_a_pair_file(self, toy_data, tmp_path, dhnm):
+        # a pair is a triplet without negatives: its steps take in-batch negatives only (K = 0)
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=8, dhnm=dhnm)
+        m.data["supervised"]["retrieval"] = m.data["weak-contrastive"]
+        assert Path(Trainer(m).run()).exists()
+        lines = (tmp_path / "run" / "stage3-supervised.metrics.jsonl").read_text().splitlines()
+        records = [json.loads(ln) for ln in lines]
+        assert [r["task"] for r in records].count("retrieval") == 2
+        assert all(np.isfinite(r["loss"]) for r in records)
+        if dhnm:
+            mining = (tmp_path / "run" / "stage3-mining.jsonl").read_text()
+            assert '"clr:' in mining and '"retrieval:' not in mining
+
     def test_stage_without_mining_writes_no_mining_log(self, toy_data, tmp_path):
         Trainer(_manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)).run()
         assert (tmp_path / "run" / "stage3-supervised.metrics.jsonl").exists()
@@ -508,7 +529,7 @@ class TestTrainingRuns:
         # every third passage repeats the one before it, so scores tie exactly
         encoder, tokenizer, _ = load_encoder(ckpt)
         _, examples = read_dataset(toy_data / "retrieval.jsonl")
-        held = [Pair(ex.query, examples[i - 1 if i % 3 == 2 else i].positive)
+        held = [Triplet(ex.query, examples[i - 1 if i % 3 == 2 else i].positive)
                 for i, ex in enumerate(examples)]
         ks = (1, 5, 10, 20)
         qv = embed_texts(encoder, tokenizer, [ex.query for ex in held])
@@ -723,7 +744,7 @@ class TestCli:
     ], ids=["not-json", "unknown-kind", "unknown-field"])
     def test_bad_dataset_record_exits_3_naming_file_and_line(self, tmp_path, capsys, line, what):
         data = tmp_path / "bad.jsonl"
-        write_dataset(data, "pair", [Pair("q", "p")])
+        write_dataset(data, "pair", [Triplet("q", "p")])
         with open(data, "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         assert cli_main(["gen-clr", "--input", str(data), "--output", str(tmp_path / "o.jsonl")]) == 3
@@ -737,7 +758,7 @@ class TestCli:
     def test_eval_of_text_the_encoder_refuses_exits_3_naming_file_and_line(
             self, tmp_path, capsys, text, what):
         data = tmp_path / "heldout.jsonl"
-        write_dataset(data, "pair", [Pair("a", "a"), Pair(text, "a"), Pair("a", "a")])
+        write_dataset(data, "pair", [Triplet("a", "a"), Triplet(text, "a"), Triplet("a", "a")])
         assert cli_main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
                          "--data", str(data)]) == 3
         err = capsys.readouterr().err
@@ -783,6 +804,35 @@ class TestCli:
         m.to_yaml(yml)
         assert cli_main(["train", "--manifest", str(yml)]) == code
         assert (f"{bad}:3:" in capsys.readouterr().err) == bool(code)
+
+    @pytest.mark.parametrize("case", ["retrieval-as-sts", "sts-as-retrieval", "sts-as-pair-sft",
+                                      "sts-as-weak-contrastive", "eval-triplets-under-sts-header"])
+    def test_dataset_of_the_wrong_kind_exits_3_naming_file_and_line(self, toy_data, tmp_path,
+                                                                    capsys, case):
+        # refused as the stage reads it, before that stage writes a log
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        if case == "eval-triplets-under-sts-header":
+            bad = tmp_path / "sts.jsonl"
+            write_dataset(bad, "sts", read_dataset(toy_data / "retrieval.jsonl")[1])
+            assert cli_main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
+                             "--data", str(bad)]) == 3
+            assert f"{bad}:2: invalid record: a triplet record" in capsys.readouterr().err
+            return
+        found, target = case.split("-as-")
+        bad = toy_data / f"{found}.jsonl"
+        if target in ("sts", "retrieval"):
+            m.data["supervised"][target] = str(bad)
+            idx = 3
+        else:
+            m.data[target] = str(bad)
+            idx = STAGE_KINDS.index(target)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        found_kind = "scored_pair" if found == "sts" else "triplet"
+        assert f"{bad}:2: invalid record: a {found_kind} record" in capsys.readouterr().err
+        assert (tmp_path / "run" / f"stage{idx - 1}-{STAGE_KINDS[idx - 1]}.ckpt").exists()
+        assert not list((tmp_path / "run").glob(f"stage{idx}-*"))
 
     def test_train_on_empty_lm_file_exits_3_naming_it(self, toy_data, tmp_path, capsys):
         m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
@@ -836,6 +886,8 @@ class TestCli:
         (0, lambda s, d: s.update(batch_size=0), "batch_size must be an integer >= 1, not 0"),
         (3, lambda s, d: s.update(triplet_batch_size=0), "triplet_batch_size must be an integer >= 1"),
         (1, lambda s, d: s.update(window_len=0), "window_len must be an integer >= 1"),
+        (0, lambda s, d: s.update(window_len=33), "window_len 33 exceeds the encoder's max_len 32"),
+        (1, lambda s, d: s.update(window_len=80), "window_len 80 exceeds the encoder's max_len 32"),
         (3, lambda s, d: s.update(negatives_per_query=-1), "negatives_per_query must be an integer >= 0"),
         (3, lambda s, d: s.update(checkpoint_every=-5), "checkpoint_every must be an integer >= 0"),
         (1, lambda s, d: s.update(lr=-1), "lr must be a number > 0, not -1"),
@@ -844,8 +896,8 @@ class TestCli:
         (0, lambda s, d: d.update({"lm-pretrain": {"text": "lm.jsonl"}}),
          "lm-pretrain data must be one dataset path, not a mapping"),
     ], ids=["mask-schedule", "dhnm-mode", "batch-size", "triplet-batch-size", "window-len",
-            "negatives-per-query", "checkpoint-every", "lr", "temperature", "steps-bool",
-            "data-mapping"])
+            "lm-window-len-over-max-len", "sft-window-len-over-max-len", "negatives-per-query",
+            "checkpoint-every", "lr", "temperature", "steps-bool", "data-mapping"])
     def test_bad_stage_value_exits_3_before_any_stage_runs(self, toy_data, tmp_path, capsys,
                                                            stage, edit, what):
         # refused as the manifest is read, naming the stage, not when its stage starts
@@ -974,6 +1026,42 @@ class TestCli:
         assert cli_main(["train", "--manifest", str(yml)]) == 3
         assert f"{yml}: {what}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_seed_override_exits_3_naming_it(self, toy_data, tmp_path, capsys):
+        out = tmp_path / "run"
+        yml = tmp_path / "m.yaml"
+        _manifest(toy_data, out).to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml), "--seed", "-1"]) == 3
+        assert "seed must be an integer >= 0, not -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stage,ckpt,steps,code", [
+        (2, "stage2-step3.ckpt", 8, 3),
+        (3, "stage3-step2.ckpt", 6, 3),
+        (2, "stage2-weak-contrastive.ckpt", 8, 3),
+        (3, "stage3-supervised.ckpt", 6, 0),
+    ], ids=["weak-mid-stage", "supervised-mid-stage", "soft-final", "bidirectional-final"])
+    def test_resume_under_other_steps(self, toy_data, tmp_path, capsys, stage, ckpt, steps, code):
+        # steps sizes the warmup and the soft-mask clock: only a final checkpoint of a stage
+        # without a soft mask may go on under other steps
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        m.stages[2].checkpoint_every = 3
+        m.stages[3].checkpoint_every = 2
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 0
+        before = m.stages[stage].steps
+        m.stages[stage].steps = steps
+        m.to_yaml(yml)
+        path = tmp_path / "run" / ckpt
+        capsys.readouterr()
+        assert cli_main(["train", "--manifest", str(yml), "--resume", str(path)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert str(path) in err and f"steps {before}" in err and f"steps {steps}" in err, err
+        else:
+            log = tmp_path / "run" / f"stage{stage}-{STAGE_KINDS[stage]}.metrics.jsonl"
+            assert [json.loads(ln)["step"] for ln in log.read_text().splitlines()] == list(range(steps))
 
     def test_train_seed_override_changes_outputs(self, toy_data, tmp_path):
         m = _manifest(toy_data, tmp_path / "s1", sup_steps=4, dhnm=False)
