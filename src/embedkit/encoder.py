@@ -26,6 +26,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .masks import AttentionMask
 from .tokenizer import PAD_ID
+from .values import _check_values
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,7 @@ class EncoderConfig:
     mrl_dims: tuple[int, ...] = (16, 32, 64)
 
     def __post_init__(self):
+        _check_values(vars(self))
         if self.heads % self.kv_heads != 0:
             raise ValueError(f"heads ({self.heads}) must be divisible by kv_heads ({self.kv_heads})")
         if self.hidden_dim % self.heads != 0:

@@ -7,7 +7,10 @@ steps - 1 so the first step is exactly causal and the last exactly
 bidirectional), and supervised multi-task fine-tuning (round-robin over
 retrieval / cross-lingual / classification triplets with optional dynamic
 hard negative mining, plus CoSENT on similarity pairs, all under the
-bidirectional mask, optionally averaged over nested embedding dims).
+bidirectional mask, optionally averaged over nested embedding dims).  Both
+contrastive stages take their InfoNCE step from ``_triplet_batch_loss``: a pair
+is a triplet drawn with no negatives.  ``_KINDS`` lists what each kind reads;
+a stage that sets any other option is refused.
 
 Every batch is derived from a per-step seeded RNG, so a mid-stage resume
 reproduces the uninterrupted run bit for bit.
@@ -20,7 +23,7 @@ import json
 import numbers
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple, Optional
 
@@ -33,20 +36,27 @@ from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require
 from .data import ScoredPair, Triplet, _texts_of, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import retrieval_metrics, spearman, top_k
-from .losses import ContrastiveBatch, StsBatch, cosent, info_nce, info_nce_with_scores, next_token_ce
-from .masks import (SCHEDULE_KINDS, AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask,
-                    causal_mask)
-from .mining import MODES as MINING_MODES, MiningState
+from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
+from .masks import AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
+from .mining import MiningState
 from .optim import AdamW, warmup_lr
 from .tokenizer import PAD_ID, Tokenizer
+from .values import _check_values, _number
 
-# per stage kind, in pipeline order: the Trainer method that computes one
-# step's loss, and the allowed mask policies, the first being the default
+# the options every stage kind reads
+_COMMON = ("kind", "steps", "lr", "mask_policy", "seed", "warmup_frac", "weight_decay",
+           "checkpoint_every")
+# per stage kind, in pipeline order: the Trainer method that computes one step's loss, the
+# allowed mask policies (the first the default), and the options it reads beyond _COMMON
+# (weak-contrastive reads no negatives_per_query: its pairs are triplets drawn with K = 0)
 _KINDS = {
-    "lm-pretrain": ("_lm_step", ("causal",)),
-    "pair-sft": ("_lm_step", ("causal",)),
-    "weak-contrastive": ("_contrastive_step", ("soft", "bidirectional")),
-    "supervised": ("_supervised_step", ("bidirectional",)),
+    "lm-pretrain": ("_lm_step", ("causal",), ("batch_size", "window_len")),
+    "pair-sft": ("_lm_step", ("causal",), ("batch_size", "window_len")),
+    "weak-contrastive": ("_contrastive_step", ("soft", "bidirectional"),
+                         ("batch_size", "temperature", "mask_schedule")),
+    "supervised": ("_supervised_step", ("bidirectional",),
+                   ("triplet_batch_size", "sts_batch_size", "temperature", "negatives_per_query",
+                    "mrl", "dhnm", "dhnm_mode")),
 }
 STAGE_KINDS = tuple(_KINDS)
 SUPERVISED_TASKS = ("retrieval", "clr", "classification", "sts")
@@ -84,8 +94,19 @@ class StageConfig:
             raise ValueError(f"mask policy {self.mask_policy!r} not allowed in {self.kind} "
                              f"(allowed: {allowed})")
         _check_values(vars(self))
-        if self.dhnm and self.kind != "supervised":
-            raise ValueError("dynamic hard negative mining is only allowed in the supervised stage")
+        # an option the kind never reads keeps its default
+        self._refuse_unread(f.name for f in fields(self) if getattr(self, f.name) != f.default)
+
+    def _reads(self) -> set[str]:
+        """The options this stage reads: its kind's (``_KINDS``), of which ``mask_schedule``
+        only under the soft mask and ``dhnm_mode`` only with ``dhnm`` on."""
+        off = {"mask_schedule": self.mask_policy != "soft", "dhnm_mode": not self.dhnm}
+        return {*_COMMON, *_KINDS[self.kind][2]} - {name for name, unread in off.items() if unread}
+
+    def _refuse_unread(self, names: Iterable[str]):
+        unread = sorted(set(names) - self._reads())
+        if unread:
+            raise ValueError(f"this {self.kind} stage does not read {', '.join(unread)}")
 
     @classmethod
     def check_options(cls, d: dict):
@@ -95,35 +116,6 @@ class StageConfig:
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown stage options: {sorted(unknown)}")
-
-
-def _number(v, kind=numbers.Real) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)
-
-
-# every StageConfig value but kind and mask_policy, the EncoderConfig integers and
-# the manifest seed, by the check it must pass
-_VALUES = (
-    ("an integer >= 1", lambda v: _number(v, numbers.Integral) and v >= 1,
-     ("steps", "batch_size", "triplet_batch_size", "sts_batch_size", "window_len",
-      "hidden_dim", "heads", "kv_heads", "ffn_dim", "vocab_size", "max_len")),
-    ("an integer >= 0", lambda v: _number(v, numbers.Integral) and v >= 0,
-     ("negatives_per_query", "checkpoint_every", "seed", "layers")),
-    ("a number > 0", lambda v: _number(v) and v > 0, ("lr", "temperature")),
-    ("a number >= 0", lambda v: _number(v) and v >= 0, ("weight_decay",)),
-    ("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1, ("warmup_frac",)),
-    ("true or false", lambda v: isinstance(v, bool), ("mrl", "dhnm")),
-    (f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS, ("mask_schedule",)),
-    (f"one of {MINING_MODES}", lambda v: v in MINING_MODES, ("dhnm_mode",)),
-)
-
-
-def _check_values(values: dict):
-    """Refuse the first value in ``values`` that fails its ``_VALUES`` check, naming its field."""
-    for what, ok, names in _VALUES:
-        for name in names:
-            if name in values and not ok(values[name]):
-                raise ValueError(f"{name} must be {what}, not {values[name]!r}")
 
 
 @dataclass
@@ -154,8 +146,8 @@ class RunManifest:
                     raise ValueError(f"{where}: unknown supervised tasks: {sorted(bad)}")
             elif isinstance(self.data[s.kind], dict):
                 raise ValueError(f"{where}: {s.kind} data must be one dataset path, not a mapping")
-            # an lm step feeds the encoder window_len tokens; the other kinds pack no windows
-            if s.kind in ("lm-pretrain", "pair-sft") and s.window_len > self.encoder.max_len:
+            # a kind that reads window_len feeds the encoder windows of that many tokens
+            if "window_len" in s._reads() and s.window_len > self.encoder.max_len:
                 raise ValueError(f"{where}: window_len {s.window_len} exceeds the encoder's "
                                  f"max_len {self.encoder.max_len}")
 
@@ -192,6 +184,7 @@ class RunManifest:
                 StageConfig.check_options(s)
                 where += f" ({s.get('kind')})"
                 stages.append(StageConfig(**s))
+                stages[-1]._refuse_unread(s)      # an option set even to its default must be read
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{where}: {exc}") from exc
 
@@ -202,10 +195,8 @@ class RunManifest:
         data = {}
         for k, v in raw.get("data", {}).items():
             data[k] = {t: resolve(p) for t, p in v.items()} if isinstance(v, dict) else resolve(v)
-        encoder = raw.get("encoder", {})
         try:
-            _check_values({k: v for k, v in encoder.items() if k in EncoderConfig.__dataclass_fields__})
-            encoder = EncoderConfig.from_dict(encoder)
+            encoder = EncoderConfig.from_dict(raw.get("encoder", {}))
         except (ValueError, TypeError) as exc:
             raise ValueError(f"encoder: {exc}") from exc
         out = raw.get("output_dir", "runs/out")
@@ -223,7 +214,8 @@ class RunManifest:
             "seed": self.seed,
             "output_dir": str(self.output_dir),
             "encoder": self.encoder.to_dict(),
-            "stages": [asdict(s) for s in self.stages],
+            # each stage with only the options its kind reads
+            "stages": [{k: v for k, v in asdict(s).items() if k in s._reads()} for s in self.stages],
             "data": self.data,
         }
         with open(path, "w") as fh:
@@ -269,6 +261,14 @@ def _text_check(tokenizer: Tokenizer, max_len: int, negatives: Optional[int]):
             seen.add(text)
 
     return check
+
+
+def _examples(path, kind: type, check=None) -> list:
+    """``read_dataset``'s examples of ``path``; a dataset without any is refused, naming it."""
+    examples = read_dataset(path, kind, check)[1]
+    if not examples:
+        raise ValueError(f"dataset {path} has no examples")
+    return examples
 
 
 # texts padded to one width together in inference
@@ -468,11 +468,12 @@ def _draw(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
 
 
 def _mean(terms: list[Tensor]) -> Tensor:
-    """Mean of the per-dim losses, summed in list order (the order sets the last bits)."""
+    """Mean of the per-dim losses, summed in list order (the order sets the last bits); one term
+    is its own mean, which scaling by 1.0 would give again for one more tape node."""
     total = terms[0]
     for term in terms[1:]:
         total = ag.add(total, term)
-    return ag.mul(total, 1.0 / len(terms))
+    return total if len(terms) == 1 else ag.mul(total, 1.0 / len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -494,30 +495,30 @@ class Trainer:
         return Tokenizer(sorted(words), self.manifest.encoder.vocab_size)
 
     def _load_stage_data(self, cfg: StageConfig):
+        """The stage's token windows, pairs, or examples by task; empty data is refused, naming its file."""
         path = self.manifest.data[cfg.kind]
         max_len = self.manifest.encoder.max_len
         if cfg.kind == "supervised":
             # mining embeds every negative; without it a step draws the first negatives_per_query
             check = _text_check(self.tokenizer, max_len, None if cfg.dhnm else cfg.negatives_per_query)
-            return {task: read_dataset(path[task], ScoredPair if task == "sts" else Triplet, check)[1]
+            return {task: _examples(path[task], ScoredPair if task == "sts" else Triplet, check)
                     for task in SUPERVISED_TASKS if task in path}
+        if cfg.kind == "weak-contrastive":
+            return _examples(path, Triplet, _text_check(self.tokenizer, max_len, 0))
         if cfg.kind == "lm-pretrain":
             seqs = [self.tokenizer.encode(t) for t in read_text_dataset(path)[1]]
-        elif cfg.kind == "weak-contrastive":
-            return read_dataset(path, Triplet, _text_check(self.tokenizer, max_len, 0))[1]
         else:
-            _, examples = read_dataset(path, Triplet)
             seqs = [self.tokenizer.encode(e.query) + self.tokenizer.encode(e.positive)
-                    for e in examples]
-        return self._pack_windows(seqs, cfg.window_len)
+                    for e in read_dataset(path, Triplet)[1]]
+        return self._pack_windows(seqs, cfg.window_len, path)
 
     @staticmethod
-    def _pack_windows(seqs: list[list[int]], window_len: int) -> np.ndarray:
+    def _pack_windows(seqs: list[list[int]], window_len: int, path: str) -> np.ndarray:
         stream = [tok for s in seqs for tok in s]
         span = window_len + 1
         n = len(stream) // span
         if n < 1:
-            raise ValueError("not enough tokens to fill a single training window")
+            raise ValueError(f"dataset {path}: not enough tokens to fill a single training window")
         return np.array(stream[:n * span], dtype=np.intp).reshape(n, span)
 
     # -- main loop -------------------------------------------------------
@@ -599,10 +600,9 @@ class Trainer:
 
     def _contrastive_step(self, cfg: StageConfig, encoder: Encoder, pairs: list,
                           rng: np.random.Generator, step: int, mining) -> tuple[Tensor, str]:
-        chosen = [pairs[i] for i in _draw(rng, len(pairs), cfg.batch_size)]
-        q_emb = self._embed(cfg, encoder, [p.query for p in chosen], step)
-        p_emb = self._embed(cfg, encoder, [p.positive for p in chosen], step)
-        return info_nce(ContrastiveBatch(q_emb, p_emb, temperature=cfg.temperature)), "pairs"
+        # a pair is a triplet drawn with no negatives: in-batch InfoNCE over batch_size pairs
+        return self._triplet_batch_loss(cfg, encoder, pairs, rng, step, "pairs", None,
+                                        cfg.batch_size, 0), "pairs"
 
     def _init_mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict) -> MiningState:
         """Rank each query's candidate negatives with the incoming (seed) encoder.
@@ -638,8 +638,8 @@ class Trainer:
         task = tasks[step % len(tasks)]
         if task == "sts":
             return self._sts_batch_loss(cfg, encoder, datasets[task], rng, step), task
-        return self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step,
-                                        task, mining), task
+        return self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step, task, mining,
+                                        cfg.triplet_batch_size, cfg.negatives_per_query), task
 
     def _sts_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                         rng: np.random.Generator, step: int) -> Tensor:
@@ -654,11 +654,12 @@ class Trainer:
 
     def _triplet_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                             rng: np.random.Generator, step: int, task: str,
-                            mining: Optional[MiningState]) -> Tensor:
-        chosen = [examples[i] for i in _draw(rng, len(examples), cfg.triplet_batch_size)]
+                            mining: Optional[MiningState], size: int, per_query: int) -> Tensor:
+        """InfoNCE of ``size`` drawn triplets over their positives and first ``per_query`` negatives."""
+        chosen = [examples[i] for i in _draw(rng, len(examples), size)]
         # the mining slots hold a query's first negatives_per_query negatives, re-ranked and replaced
         negatives = [mining.current_negatives(f"{task}:{ex.uid}") if mining is not None
-                     else ex.negatives[:cfg.negatives_per_query] for ex in chosen]
+                     else ex.negatives[:per_query] for ex in chosen]
         k = min(len(n) for n in negatives)
 
         q_emb = self._embed(cfg, encoder, [e.query for e in chosen], step)
@@ -735,9 +736,7 @@ def evaluate_sts(encoder: Encoder, tokenizer: Tokenizer, examples: list) -> dict
 def evaluate_checkpoint(ckpt_path, dataset_path, ks: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, float]:
     encoder, tokenizer, _ = load_encoder(ckpt_path)
     kind = ScoredPair if read_header(dataset_path).get("task") == "sts" else Triplet
-    _, examples = read_dataset(dataset_path, kind, _text_check(tokenizer, encoder.cfg.max_len, 0))
-    if not examples:
-        raise ValueError(f"dataset {dataset_path} has no examples to evaluate")
+    examples = _examples(dataset_path, kind, _text_check(tokenizer, encoder.cfg.max_len, 0))
     if kind is ScoredPair:
         return evaluate_sts(encoder, tokenizer, examples)
     return evaluate_retrieval(encoder, tokenizer, examples, ks)

@@ -2,7 +2,8 @@
 pass-through stand-in for pytest-benchmark's ``benchmark`` fixture, so that
 an API change that breaks a benchmark fails here, without pytest-benchmark.
 Every embedkit name that ``perfbench/`` wraps by name must resolve, for the
-same reason."""
+same reason, and the manifest perfbench writes must read back with data for
+every stage."""
 
 import importlib.util
 import inspect
@@ -79,3 +80,15 @@ def test_perfbench_names_resolve():
     names = set(bench.CLOCK_POINTS) | set(bench.CLOCK_OPS) | set(bench.HOOKS)
     assert names
     assert [n for n in sorted(names) if _missing(n)] == []
+
+
+@pytest.mark.parametrize("workload", ["toy-pipeline", "mining-eval"])
+def test_perfbench_manifest_reads_back_with_data_for_every_stage(tmp_path, workload):
+    # perfbench writes its manifest with to_yaml and trains it after from_yaml
+    from embedkit.pipeline import RunManifest, Trainer
+
+    bench = _perfbench()
+    inputs = bench.setup(bench.WORKLOADS[workload], 1, tmp_path / workload)
+    manifest = RunManifest.from_yaml(inputs.manifest)
+    trainer = Trainer(manifest)
+    assert [len(trainer._load_stage_data(cfg)) > 0 for cfg in manifest.stages] == [True] * 4

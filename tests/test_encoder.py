@@ -44,6 +44,16 @@ class TestConfig:
     def test_roundtrip_dict(self):
         assert EncoderConfig.from_dict(TOY.to_dict()) == TOY
 
+    @pytest.mark.parametrize("field,value,what", [
+        ("ffn_dim", 0, "an integer >= 1"), ("max_len", 0, "an integer >= 1"),
+        ("kv_heads", 0, "an integer >= 1"), ("hidden_dim", 16.0, "an integer >= 1"),
+        ("layers", -1, "an integer >= 0"), ("vocab_size", True, "an integer >= 1"),
+    ])
+    def test_value_out_of_range_refused_where_the_config_is_made(self, field, value, what):
+        # refused by the constructor itself, not only as a manifest is read
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be {what}, not {value!r}')}$"):
+            EncoderConfig(**{field: value})
+
 
 class TestCausality:
     def test_causal_prefix_states_bitwise_invariant(self):
@@ -360,8 +370,8 @@ class TestTape:
         assert _tape_nodes(next_token_ce(enc.lm_logits(states), ids[:, 1:])) == 30
 
     def test_weak_contrastive_step_tape_nodes(self):
-        # one unpadded in-batch InfoNCE step, built as Trainer._contrastive_step
-        # does: 29 nodes per mean-pooled embedding and 1 for the loss (106 with
+        # one unpadded in-batch InfoNCE step, built as Trainer._triplet_batch_loss
+        # does for pairs: 29 nodes per mean-pooled embedding and 1 for the loss (106 with
         # the head split and merge around the attention op, 74 with the loss
         # as a 10-node chain, 65 with a reshape after the embedding gather, 63
         # with pooling as a permute, sum and scale)

@@ -32,8 +32,9 @@ from embedkit.masks import bidirectional_mask, causal_mask
 from embedkit.mining import MiningState
 from embedkit.optim import AdamW, warmup_lr
 from embedkit.pipeline import (_SCORE_BUDGET, STAGE_KINDS, SUPERVISED_TASKS, RunManifest,
-                               StageConfig, Trainer, _block_rows, _stage_mask, batch_ids,
-                               embed_texts, evaluate_checkpoint, evaluate_retrieval, load_encoder)
+                               StageConfig, Trainer, _block_rows, _fingerprint, _stage_mask,
+                               batch_ids, default_toy_manifest, embed_texts, evaluate_checkpoint,
+                               evaluate_retrieval, load_encoder)
 from embedkit.tokenizer import Tokenizer
 
 SMALL_ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -104,8 +105,26 @@ class TestStageConfig:
             StageConfig(kind="lm-pretrain", steps=5, mask_policy="bidirectional")
 
     def test_dhnm_only_in_supervised(self):
-        with pytest.raises(ValueError, match="mining"):
+        with pytest.raises(ValueError, match="^this weak-contrastive stage does not read dhnm$"):
             StageConfig(kind="weak-contrastive", steps=5, dhnm=True)
+
+    @pytest.mark.parametrize("options,unread", [
+        ({"kind": "weak-contrastive", "mrl": True}, "mrl"),
+        ({"kind": "supervised", "batch_size": 8}, "batch_size"),
+        ({"kind": "supervised", "window_len": 8}, "window_len"),
+        ({"kind": "lm-pretrain", "temperature": 0.1, "negatives_per_query": 3},
+         "negatives_per_query, temperature"),
+        ({"kind": "pair-sft", "triplet_batch_size": 2}, "triplet_batch_size"),
+        ({"kind": "weak-contrastive", "mask_policy": "bidirectional", "mask_schedule": "accelerating"},
+         "mask_schedule"),
+        ({"kind": "supervised", "dhnm_mode": "literal"}, "dhnm_mode"),
+    ])
+    def test_option_its_kind_never_reads_must_keep_its_default(self, options, unread):
+        with pytest.raises(ValueError, match=f"^this {options['kind']} stage does not read {unread}$"):
+            StageConfig(steps=5, **options)
+        # at its default an unread option passes: a config built in Python cannot tell it was set
+        defaults = {k: StageConfig.__dataclass_fields__[k].default for k in unread.split(", ")}
+        StageConfig(steps=5, kind=options["kind"], mask_policy=options.get("mask_policy", ""), **defaults)
 
     def test_unknown_option_rejected(self):
         with pytest.raises(ValueError, match="unknown stage options"):
@@ -119,11 +138,10 @@ class TestStageConfig:
         assert cfg.triplet_batch_size == 4 and cfg.sts_batch_size == 32
 
     def test_values_at_their_bounds_accepted(self):
-        StageConfig(kind="supervised", steps=1, batch_size=1, triplet_batch_size=1,
-                    sts_batch_size=1, window_len=1, negatives_per_query=0, checkpoint_every=0,
-                    seed=0, weight_decay=0, warmup_frac=1, lr=1, temperature=1e-9,
-                    dhnm_mode="literal")
-        StageConfig(kind="lm-pretrain", steps=1, warmup_frac=0.0)
+        StageConfig(kind="supervised", steps=1, triplet_batch_size=1, sts_batch_size=1,
+                    negatives_per_query=0, checkpoint_every=0, seed=0, weight_decay=0,
+                    warmup_frac=1, lr=1, temperature=1e-9, dhnm=True, dhnm_mode="literal")
+        StageConfig(kind="lm-pretrain", steps=1, batch_size=1, window_len=1, warmup_frac=0.0)
 
     @pytest.mark.parametrize("option,value", [
         ("steps", 1.0), ("batch_size", True), ("seed", -1), ("weight_decay", -0.1),
@@ -223,6 +241,35 @@ class TestManifest:
         assert back.encoder == m.encoder
         assert [s.kind for s in back.stages] == [s.kind for s in m.stages]
         assert back.data == m.data
+
+    @pytest.mark.parametrize("case", ["default-toy", "dhnm-on", "dhnm-off", "bidirectional-weak"])
+    def test_yaml_roundtrip_keeps_stages_and_fingerprint_writing_only_read_options(
+            self, toy_data, tmp_path, case):
+        m = _manifest(toy_data, tmp_path / "run", dhnm=case != "dhnm-off")
+        if case == "default-toy":
+            m = default_toy_manifest(m.data, str(tmp_path / "run"))
+        elif case == "bidirectional-weak":
+            m.stages[2] = StageConfig(kind="weak-contrastive", steps=6, batch_size=6, lr=1e-3,
+                                      mask_policy="bidirectional")
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        back = RunManifest.from_yaml(yml)
+        assert back.stages == m.stages
+        assert _fingerprint(back) == _fingerprint(m)
+        # the options each kind reads, as README's "Training manifest" lists them
+        common = {"kind", "steps", "lr", "mask_policy", "seed", "warmup_frac", "weight_decay",
+                  "checkpoint_every"}
+        reads = {"lm-pretrain": {"batch_size", "window_len"}, "pair-sft": {"batch_size", "window_len"},
+                 "weak-contrastive": {"batch_size", "temperature"},
+                 "supervised": {"temperature", "negatives_per_query", "mrl", "dhnm",
+                                "triplet_batch_size", "sts_batch_size"}}
+        for stage in yaml.safe_load(yml.read_text())["stages"]:
+            want = common | reads[stage["kind"]]
+            if stage["kind"] == "weak-contrastive" and stage["mask_policy"] == "soft":
+                want.add("mask_schedule")
+            if stage["kind"] == "supervised" and stage["dhnm"]:
+                want.add("dhnm_mode")
+            assert set(stage) == want, stage["kind"]
 
 
 # run as ``python -c _KILL_AFTER_SAVE <checkpoint name> <manifest>``: train, and
@@ -844,6 +891,39 @@ class TestCli:
         assert cli_main(["train", "--manifest", str(yml)]) == 3
         assert f"dataset {empty} is empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data,task", [("weak-contrastive", "pair"), ("retrieval", "retrieval"),
+                                           ("clr", "clr"), ("sts", "sts")])
+    def test_train_on_dataset_without_examples_exits_3_naming_it(self, toy_data, tmp_path, capsys,
+                                                                 data, task):
+        # refused as the stage reads its data, before it writes a log, not at its first step
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        empty = tmp_path / f"{data}.jsonl"
+        write_dataset(empty, task, [])
+        idx = STAGE_KINDS.index(data) if data in STAGE_KINDS else 3
+        (m.data if idx < 3 else m.data["supervised"])[data] = str(empty)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"dataset {empty} has no examples" in capsys.readouterr().err
+        assert (tmp_path / "run" / f"stage{idx - 1}-{STAGE_KINDS[idx - 1]}.ckpt").exists()
+        assert not list((tmp_path / "run").glob(f"stage{idx}-*"))
+
+    @pytest.mark.parametrize("kind", ["lm-pretrain", "pair-sft"])
+    def test_train_on_too_few_tokens_for_one_window_exits_3_naming_the_file(
+            self, toy_data, tmp_path, capsys, kind):
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        short = tmp_path / f"{kind}.jsonl"
+        if kind == "lm-pretrain":
+            write_text_dataset(short, ["t1 t2"])
+        else:
+            write_dataset(short, "pair", [Triplet("t1", "t2")])
+        m.data[kind] = str(short)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        err = capsys.readouterr().err
+        assert f"dataset {short}: not enough tokens to fill a single training window" in err
+
     @pytest.mark.parametrize("text,what", [
         ("seed: 1\nstages: [ {kind: lm-pretrain\n", ":3: not valid YAML: expected ',' or '}'"),
         ("- kind: lm-pretrain\n  steps: 1\n", ": a manifest must be a YAML mapping, not list"),
@@ -869,7 +949,22 @@ class TestCli:
          "stage 1 (weak-contrastive): stages must appear in pipeline order"),
         (lambda doc: doc["data"].pop("pair-sft"),
          "stage 1 (pair-sft): manifest is missing data for stage 'pair-sft'"),
-    ], ids=["stage-option", "removed-stage-option", "stage-not-mapping", "supervised-task", "stage-order", "stage-data"])
+        # an option the stage's kind never reads is refused even at its default value
+        (lambda doc: doc["stages"][2].update(mrl=True),
+         "stage 2 (weak-contrastive): this weak-contrastive stage does not read mrl"),
+        (lambda doc: doc["stages"][3].update(batch_size=32),
+         "stage 3 (supervised): this supervised stage does not read batch_size"),
+        (lambda doc: doc["stages"][3].update(window_len=16),
+         "stage 3 (supervised): this supervised stage does not read window_len"),
+        (lambda doc: doc["stages"][0].update(negatives_per_query=7, temperature=0.05),
+         "stage 0 (lm-pretrain): this lm-pretrain stage does not read negatives_per_query, temperature"),
+        (lambda doc: doc["stages"][2].update(mask_policy="bidirectional"),
+         "stage 2 (weak-contrastive): this weak-contrastive stage does not read mask_schedule"),
+        (lambda doc: doc["stages"][3].update(dhnm=False),
+         "stage 3 (supervised): this supervised stage does not read dhnm_mode"),
+    ], ids=["stage-option", "removed-stage-option", "stage-not-mapping", "supervised-task", "stage-order",
+            "stage-data", "weak-mrl", "supervised-batch-size", "supervised-window-len",
+            "lm-negatives-and-temperature", "bidirectional-mask-schedule", "dhnm-mode-without-dhnm"])
     def test_manifest_error_exits_3_naming_manifest_and_stage(self, toy_data, tmp_path, capsys,
                                                              edit, what):
         yml = tmp_path / "m.yaml"
