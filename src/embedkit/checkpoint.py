@@ -1,26 +1,25 @@
-"""Versioned binary checkpoints: JSON header, raw little-endian float64 buffers, JSON state.
+"""Versioned binary checkpoints: JSON header, then raw little-endian float64 buffers.
 
-Layout (version 2):
+Layout (version 3):
 
     bytes 0..3    magic b"EMKP"
     bytes 4..7    format version (uint32, little-endian)
     bytes 8..15   header length in bytes (uint64, little-endian)
-    header        UTF-8 JSON: {"config": ..., "extra": ..., "arrays": [{"name", "shape"}, ...],
-                  "state_bytes": n}
-    buffers       one per header entry, in listed order, row-major float64
-    state         n bytes of UTF-8 JSON: training-resume state too large for the header
+    header        UTF-8 JSON: {"config": ..., "extra": ..., "arrays": [{"name", "shape"}, ...]}
+    buffers       one per header entry, in listed (name-sorted) order, row-major float64
 
-The header's array list is name-sorted and JSON keys are sorted, so a
-given (config, arrays, extra, state) always serializes to identical bytes.
+JSON keys are sorted, so given (config, arrays, extra) always serialize to
+identical bytes.  A training checkpoint holds the weights (``model.*``), the
+optimizer moments (``opt.*``) and, in a mining stage, the mining state
+(``mining.*``).  ``load_checkpoint`` (resume) reads every buffer;
+``load_weights`` (evaluation, adopting weights) reads only the ``model.*``
+ones and seeks past the others.  Both refuse a file whose size is not the
+one its header implies, so a torn file is refused by either.
 
-Two readers share one parser.  ``load_checkpoint`` (resume) reads
-everything and returns ``extra`` with the state's keys merged in.
-``load_weights`` (evaluation, adopting weights) parses the header, reads
-only the ``model.*`` buffers, seeks past the others and never reads the
-state.  Both first check the file's size against the size the header
-implies, so a torn file is refused by either.  A version-1 file (no state
-section; everything in the header's ``extra``) reads as a version-2 file
-whose state is empty.
+Versions 1 and 2 are read, never written.  Version 2 kept the mining state,
+negatives named by text, as ``state_bytes`` of JSON after the buffers, which
+``load_checkpoint`` merges into ``extra``; version 1 kept it in ``extra``.
+An older reader refuses version 3 rather than resume without the state.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 from . import _dumps
 
 MAGIC = b"EMKP"
-VERSION = 2
+VERSION = 3
 _PREFIX = struct.Struct("<4sIQ")      # magic, version, header length
 
 
@@ -44,19 +43,14 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: dict | None = None,
-                    state: dict | None = None):
+def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: dict | None = None):
     """Write ``path`` atomically: a temporary file beside it is fsynced, then renamed
     onto it, and the directory is fsynced so that the rename survives a power loss.
 
-    ``state`` goes after the buffers, where only a full read parses it and
-    merges its keys into ``extra``.  A write that fails part-way leaves any
-    previous checkpoint at ``path`` intact.
+    A write that fails part-way leaves any previous checkpoint at ``path`` intact.
     """
-    state_bytes = _dumps(state).encode("utf-8") if state else b""
     entries = [{"name": k, "shape": list(np.asarray(arrays[k]).shape)} for k in sorted(arrays)]
-    header = _dumps({"config": config, "extra": extra or {}, "arrays": entries,
-                     "state_bytes": len(state_bytes)}).encode("utf-8")
+    header = _dumps({"config": config, "extra": extra or {}, "arrays": entries}).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -66,7 +60,6 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray], extra: di
             fh.write(header)
             for e in entries:
                 fh.write(np.ascontiguousarray(arrays[e["name"]], dtype="<f8").tobytes())
-            fh.write(state_bytes)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -91,16 +84,16 @@ def _read(path, weights_only: bool) -> tuple[dict, dict[str, np.ndarray], dict]:
         if len(prefix) < _PREFIX.size:
             raise CheckpointError(f"{path} is truncated: {len(prefix)} bytes")
         _, version, hlen = _PREFIX.unpack(prefix)
-        if version not in (1, VERSION):
+        if version not in (1, 2, VERSION):
             raise CheckpointError(f"{path}: checkpoint version {version} unsupported "
-                                  f"(expected 1 or {VERSION})")
+                                  f"(expected 1 to {VERSION})")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path} has an unreadable header (torn file?): {exc}") from exc
         shapes = [tuple(e["shape"]) for e in header["arrays"]]
         nbytes = [8 * math.prod(s) for s in shapes]
-        state_len = header.get("state_bytes", 0)
+        state_len = header.get("state_bytes", 0)        # version 2 only
         expected = _PREFIX.size + hlen + sum(nbytes) + state_len
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
@@ -122,12 +115,12 @@ def _read(path, weights_only: bool) -> tuple[dict, dict[str, np.ndarray], dict]:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    """Everything: config, every array, and ``extra`` with the training state merged in."""
+    """Everything: config, every array, and ``extra`` (with a version-2 file's state merged in)."""
     return _read(path, weights_only=False)
 
 
 def load_weights(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    """Config, the ``model.*`` arrays and the header's ``extra``; no optimizer moments or state."""
+    """Config, the ``model.*`` arrays and the header's ``extra``; no optimizer moments or mining state."""
     return _read(path, weights_only=True)
 
 

@@ -8,13 +8,20 @@ while also sitting below 0.7; the swap happens at the next step
 boundary, so the negative used in step t's loss is always the one
 present when step t started.  ``absolute`` mode compares |score|s,
 ``literal`` mode compares the raw signed scores.
+
+The state holds only what crosses a step boundary (see ``MiningState``);
+the flags and the slots cached in the current step are per-step scratch.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 INITIAL_THRESHOLD = 0.4
 DROP_RATIO = 1.2
@@ -22,37 +29,13 @@ EASY_THRESHOLD = 0.7
 
 MODES = ("literal", "absolute")
 
+# the checkpoint arrays of a state, each a concatenation over its queries in registration order
+ARRAYS = ("mining.slots", "mining.s0", "mining.pool", "mining.cursor")
+
 
 class Decision(enum.Enum):
     KEEP = "keep"
     REPLACE = "replace"
-
-
-@dataclass
-class NegativeSlotState:
-    query_id: str
-    slot_index: int
-    negative_id: str
-    s0: Optional[float] = None
-    s_cur: Optional[float] = None
-    flagged: bool = False
-    first_step_seen: Optional[int] = None
-    last_cached_step: Optional[int] = None
-
-
-@dataclass
-class NegativePool:
-    candidates: list[str]
-    cursor: int = 0
-    exhausted_events: int = 0
-
-    def draw(self) -> Optional[str]:
-        if self.cursor >= len(self.candidates):
-            self.exhausted_events += 1
-            return None
-        nxt = self.candidates[self.cursor]
-        self.cursor += 1
-        return nxt
 
 
 def decide_scores(s0: float, s_cur: float, is_initial: bool, mode: str = "absolute") -> Decision:
@@ -78,33 +61,40 @@ class ReplacementEvent:
 
 
 class MiningState:
-    """All per-query slots and candidate pools, owned by the training loop.
+    """Every query's slots and pool, owned by the training loop; a step costs time in its batch.
 
-    Besides the slots themselves it keeps each query's slot count and the
-    keys of the flagged slots, so a step costs time in its batch, not in
-    the number of slots.
+    Per query, in registration order (``queries`` maps an id to its place):
+    ``slots`` holds each slot's negative as a row of the query's negatives,
+    ``s0`` each slot's first cached score (None until scored), ``pool`` the
+    rows to draw, hardest first, and ``cursor`` the position of the next draw.
     """
 
     def __init__(self, mode: str = "absolute"):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-        self.mode = mode
-        self.slots: dict[tuple[str, int], NegativeSlotState] = {}
-        self.pools: dict[str, NegativePool] = {}
-        self._slot_count: dict[str, int] = {}
+        self.mode = mode        # decide_scores refuses one not in MODES
+        self.queries: dict[str, int] = {}
+        self._negatives: list[Sequence[str]] = []
+        self.slots: list[list[int]] = []
+        self.s0: list[list[Optional[float]]] = []
+        self.pool: list[list[int]] = []
+        self.cursor: list[int] = []
         self._flagged: set[tuple[str, int]] = set()
+        self._cached: set[tuple[int, str, int]] = set()     # (step, query id, slot) since the boundary
 
-    def register_query(self, query_id: str, initial_negatives: list[str], pool: list[str]):
-        if query_id in self.pools:
+    def register_query(self, query_id: str, slots: Sequence[int], pool: Sequence[int],
+                       negatives: Sequence[str]):
+        """Add a query whose slots start with rows ``slots`` of ``negatives`` and draw ``pool`` in order."""
+        if query_id in self.queries:
             raise ValueError(f"query {query_id!r} already registered")
-        self.pools[query_id] = NegativePool(candidates=list(pool))
-        self._slot_count[query_id] = len(initial_negatives)
-        for k, neg in enumerate(initial_negatives):
-            self.slots[(query_id, k)] = NegativeSlotState(query_id=query_id, slot_index=k, negative_id=neg)
+        self.queries[query_id] = len(self.cursor)
+        self._negatives.append(negatives)
+        self.slots.append([int(r) for r in slots])
+        self.s0.append([None] * len(slots))
+        self.pool.append([int(r) for r in pool])
+        self.cursor.append(0)
 
     def current_negatives(self, query_id: str) -> list[str]:
-        return [self.slots[(query_id, k)].negative_id
-                for k in range(self._slot_count.get(query_id, 0))]
+        q = self.queries.get(query_id)
+        return [] if q is None else [self._negatives[q][r] for r in self.slots[q]]
 
     def cache_scores(self, step: int,
                      scored: Iterable[tuple[str, int, float]]) -> list[dict]:
@@ -112,87 +102,92 @@ class MiningState:
         records = []
         for query_id, slot_index, value in scored:
             key = (query_id, slot_index)
-            slot = self.slots.get(key)
-            if slot is None:
+            q = self.queries.get(query_id)
+            if q is None or not 0 <= slot_index < len(self.slots[q]):
                 raise KeyError(f"unknown negative slot ({query_id!r}, {slot_index})")
-            if slot.last_cached_step == step:
+            if (step, *key) in self._cached:
                 raise ValueError(f"slot ({query_id!r}, {slot_index}) already cached at step {step}")
-            is_initial = slot.s0 is None
+            self._cached.add((step, *key))
+            s_cur = float(value)
+            s0 = self.s0[q][slot_index]
+            is_initial = s0 is None
             if is_initial:
-                slot.s0 = float(value)
-                slot.first_step_seen = step
-            slot.s_cur = float(value)
-            slot.last_cached_step = step
-            d = decide_scores(slot.s0, slot.s_cur, is_initial, self.mode)
+                s0 = self.s0[q][slot_index] = s_cur
+            d = decide_scores(s0, s_cur, is_initial, self.mode)
             if d is Decision.REPLACE:
-                slot.flagged = True
                 self._flagged.add(key)
-            records.append({
-                "step": step,
-                "query_id": query_id,
-                "slot": slot_index,
-                "s0": slot.s0,
-                "s_cur": slot.s_cur,
-                "decision": d.value,
-            })
+            records.append({"step": step, "query_id": query_id, "slot": slot_index, "s0": s0,
+                            "s_cur": s_cur, "decision": d.value})
         return records
 
     def replace_flagged(self) -> list[ReplacementEvent]:
-        """At a step boundary, swap each flagged slot for the pool's next candidate."""
+        """At a step boundary, swap each flagged slot for its pool's next candidate."""
         events = []
-        for key in sorted(self._flagged):
-            slot = self.slots[key]
-            pool = self.pools[slot.query_id]
-            nxt = pool.draw()
-            events.append(ReplacementEvent(slot.query_id, slot.slot_index, slot.negative_id, nxt,
-                                           exhausted=nxt is None))
-            if nxt is not None:
-                slot.negative_id = nxt
-                slot.s0 = None          # new negative's first cached score becomes its S0
-                slot.s_cur = None
-                slot.first_step_seen = None
-                slot.last_cached_step = None
-            slot.flagged = False
+        for query_id, slot_index in sorted(self._flagged):
+            q = self.queries[query_id]
+            negatives, slots, pool = self._negatives[q], self.slots[q], self.pool[q]
+            old, new = negatives[slots[slot_index]], None
+            if self.cursor[q] < len(pool):
+                slots[slot_index] = pool[self.cursor[q]]
+                new = negatives[slots[slot_index]]
+                self.cursor[q] += 1
+                self.s0[q][slot_index] = None     # the new negative's first cached score becomes its s0
+            events.append(ReplacementEvent(query_id, slot_index, old, new, exhausted=new is None))
         self._flagged.clear()
+        self._cached.clear()
         return events
 
     # -- persistence for mid-run checkpointing --------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "slots": [
-                {
-                    "query_id": s.query_id, "slot_index": s.slot_index,
-                    "negative_id": s.negative_id, "s0": s.s0, "s_cur": s.s_cur,
-                    "flagged": s.flagged, "first_step_seen": s.first_step_seen,
-                    "last_cached_step": s.last_cached_step,
-                }
-                for _, s in sorted(self.slots.items())
-            ],
-            "pools": {
-                qid: {"candidates": p.candidates, "cursor": p.cursor,
-                      "exhausted_events": p.exhausted_events}
-                for qid, p in sorted(self.pools.items())
-            },
-        }
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The state as the float64 ``ARRAYS`` (a None ``s0`` reads as NaN); no per-step scratch."""
+        flat = [list(chain.from_iterable(x)) for x in (self.slots, self.s0, self.pool)]
+        return {name: np.array(v, dtype=np.float64) for name, v in zip(ARRAYS, (*flat, self.cursor))}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MiningState":
+    def from_arrays(cls, mode: str, queries: Sequence[tuple[str, Sequence[str], int]],
+                    arrays: dict[str, np.ndarray]) -> "MiningState":
+        """The state ``arrays`` holds for ``queries``: (id, negatives, slot count) in registration
+        order, the dataset the arrays were written against."""
+        slots, s0, pool, cursor = (arrays[name] for name in ARRAYS)
+        k = np.array([k for _, _, k in queries], dtype=np.intp)
+        n = np.array([len(negatives) for _, negatives, _ in queries], dtype=np.intp)
+        if (len(cursor), len(slots), len(pool)) != (len(queries), k.sum(), (n - k).sum()):
+            raise ValueError(f"mining state of {len(cursor)} queries, {len(slots)} slots and "
+                             f"{len(pool)} pool rows does not fit the dataset's {len(queries)} queries")
+        # each slot and pool row a row of its query's negatives, each cursor at most past its pool
+        values = np.concatenate([slots, pool, cursor])
+        bound = np.concatenate([np.repeat(n, k), np.repeat(n, n - k), n - k + 1])
+        if not np.all((values >= 0) & (values < bound) & (values == np.floor(values))):
+            raise ValueError("mining state names a row or draw outside its query's negatives")
+        slots, pool = slots.astype(np.intp).tolist(), pool.astype(np.intp).tolist()
+        s0 = [None if math.isnan(s) else s for s in s0.tolist()]
+        state = cls(mode)
+        i = j = 0
+        for (query_id, negatives, k_q), c in zip(queries, cursor.astype(np.intp).tolist()):
+            p = len(negatives) - k_q
+            state.register_query(query_id, slots[i:i + k_q], pool[j:j + p], negatives)
+            state.s0[-1], state.cursor[-1] = s0[i:i + k_q], c
+            i, j = i + k_q, j + p
+        return state
+
+    @classmethod
+    def from_dict(cls, d: dict, queries: Sequence[tuple[str, Sequence[str], int]]) -> "MiningState":
+        """The state a version-1 or -2 checkpoint holds as JSON, negatives named by text, for
+        ``queries`` as in ``from_arrays``."""
+        slots = {(s["query_id"], s["slot_index"]): s for s in d["slots"]}
         state = cls(mode=d["mode"])
-        for s in d["slots"]:
-            slot = NegativeSlotState(**s)
-            key = (slot.query_id, slot.slot_index)
-            state.slots[key] = slot
-            state._slot_count[slot.query_id] = state._slot_count.get(slot.query_id, 0) + 1
-            if slot.flagged:
-                state._flagged.add(key)
-        for qid, p in d["pools"].items():
-            state.pools[qid] = NegativePool(candidates=list(p["candidates"]),
-                                            cursor=p["cursor"],
-                                            exhausted_events=p["exhausted_events"])
-        for qid, n in state._slot_count.items():
-            if any((qid, k) not in state.slots for k in range(n)):
-                raise ValueError(f"mining state for query {qid!r} does not number its "
-                                 f"slots 0..{n - 1}")
+        for query_id, negatives, k in queries:
+            row = {text: i for i, text in enumerate(negatives)}
+            try:
+                mine = [slots.pop((query_id, i)) for i in range(k)]
+                pool = d["pools"][query_id]
+                state.register_query(query_id, [row[s["negative_id"]] for s in mine],
+                                     [row[text] for text in pool["candidates"]], negatives)
+            except KeyError as exc:
+                raise ValueError(f"mining state for query {query_id!r} does not fit the dataset: "
+                                 f"no {exc}") from exc
+            state.s0[-1], state.cursor[-1] = [s["s0"] for s in mine], pool["cursor"]
+        if slots or d["pools"].keys() - state.queries.keys():
+            raise ValueError("mining state holds queries the dataset does not")
         return state

@@ -150,6 +150,8 @@ class RunManifest:
             if "window_len" in s._reads() and s.window_len > self.encoder.max_len:
                 raise ValueError(f"{where}: window_len {s.window_len} exceeds the encoder's "
                                  f"max_len {self.encoder.max_len}")
+            if s.mrl and not self.encoder.mrl_dims:
+                raise ValueError(f"{where}: mrl is on, but the encoder's mrl_dims is empty")
 
     @classmethod
     def from_yaml(cls, path) -> "RunManifest":
@@ -239,17 +241,24 @@ def batch_ids(tokenizer: Tokenizer, texts: list[str]) -> tuple[np.ndarray, Optio
     return ids, (None if lens.min() == width else lens)
 
 
-def _text_check(tokenizer: Tokenizer, max_len: int, negatives: Optional[int]):
+def _text_check(tokenizer: Tokenizer, max_len: int, negatives: Optional[int], mining=False,
+                seen: Optional[set] = None):
     """A ``read_dataset`` check: each text of an example, of a triplet's negatives the first
-    ``negatives`` (all for None), must encode to 1-``max_len`` tokens.
+    ``negatives`` (all for None), must encode to 1-``max_len`` tokens.  With ``mining``, a
+    triplet with negatives may not repeat an earlier one's uid: mining names its query by it.
 
     The encoder refuses any other text only when a batch reaches it; checked
     as the dataset is read, the error names the record's ``path:line``.
-    Each distinct text is encoded once.
+    Each distinct text is encoded once, also across the checks that share ``seen``.
     """
-    seen: set[str] = set()
+    seen = set() if seen is None else seen
+    uids: set[str] = set()
 
     def check(example):
+        if mining and isinstance(example, Triplet) and example.negatives:
+            if example.uid in uids:
+                raise ValueError(f"uid {example.uid!r} repeats; mining names each query by its uid")
+            uids.add(example.uid)
         for text in _texts_of(example, negatives):
             if text in seen:
                 continue
@@ -345,7 +354,8 @@ class _Start(NamedTuple):
     stage: int = -1
     step: int = 0
     optimizer: tuple = ()             # AdamW.load_state's arrays and step count
-    mining: Optional[MiningState] = None
+    # the checkpoint's mining.* arrays, or the JSON mining state of a version-1 or -2 file
+    mining: Optional[dict] = None
 
 
 class _RunDir:
@@ -401,12 +411,11 @@ class _RunDir:
             os.fsync(fh.fileno())
         path = self._file(idx, f"{cfg.kind}.ckpt" if step == cfg.steps else f"step{step}.ckpt")
         arrays = {**{f"model.{k}": v for k, v in encoder.export_arrays().items()},
-                  **optimizer.export_state()}
+                  **optimizer.export_state(), **(mining.arrays() if mining is not None else {})}
         extra = {"stage_index": idx, "stage_step": step, "steps": cfg.steps,
                  "opt_step_count": optimizer.step_count, "vocab": vocab,
                  "fingerprint": self._fingerprint}
-        save_checkpoint(path, self._manifest.encoder.to_dict(), arrays, extra,
-                        {"mining": mining.to_dict() if mining is not None else None})
+        save_checkpoint(path, self._manifest.encoder.to_dict(), arrays, extra)
         return path
 
     def load(self, path, resume: bool) -> _Start:
@@ -441,10 +450,9 @@ class _RunDir:
                                   f"({cfg.kind}) with steps {steps}, this manifest has steps "
                                   f"{cfg.steps}; only a stage's final checkpoint, and not a soft-mask "
                                   "stage's, may resume under other steps")
-        mining = extra.get("mining")
-        return start._replace(stage=idx, step=step,
-                              optimizer=(arrays, int(extra["opt_step_count"])),
-                              mining=MiningState.from_dict(mining) if mining is not None else None)
+        mining = {k: v for k, v in arrays.items() if k.startswith("mining.")} or extra.get("mining")
+        return start._replace(stage=idx, step=step, optimizer=(arrays, int(extra["opt_step_count"])),
+                              mining=mining)
 
 
 def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
@@ -456,10 +464,6 @@ def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
         return bidirectional_mask(n)
     state = ScheduleState(kind=cfg.mask_schedule, t=step, tau_steps=cfg.steps - 1)
     return build_soft_mask(state, n)
-
-
-def _step_rng(manifest_seed: int, stage_seed: int, stage_index: int, step: int) -> np.random.Generator:
-    return np.random.default_rng([manifest_seed, stage_seed, stage_index, step])
 
 
 def _draw(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -500,8 +504,9 @@ class Trainer:
         max_len = self.manifest.encoder.max_len
         if cfg.kind == "supervised":
             # mining embeds every negative; without it a step draws the first negatives_per_query
-            check = _text_check(self.tokenizer, max_len, None if cfg.dhnm else cfg.negatives_per_query)
-            return {task: _examples(path[task], ScoredPair if task == "sts" else Triplet, check)
+            negatives, seen = None if cfg.dhnm else cfg.negatives_per_query, set()
+            return {task: _examples(path[task], ScoredPair if task == "sts" else Triplet,
+                                    _text_check(self.tokenizer, max_len, negatives, cfg.dhnm, seen))
                     for task in SUPERVISED_TASKS if task in path}
         if cfg.kind == "weak-contrastive":
             return _examples(path, Triplet, _text_check(self.tokenizer, max_len, 0))
@@ -555,13 +560,11 @@ class Trainer:
         if start.optimizer:
             optimizer.load_state(*start.optimizer)
         data = self._load_stage_data(cfg)
-        mining = start.mining
-        if cfg.dhnm and mining is None:
-            mining = self._init_mining(cfg, encoder, data)
+        mining = self._mining(cfg, encoder, data, start.mining) if cfg.dhnm else None
         step_fn = getattr(self, _KINDS[cfg.kind][0])
         with self.run_dir.stage(idx, cfg, start.step, mining is not None):
             for step in range(start.step, cfg.steps):
-                rng = _step_rng(self.manifest.seed, cfg.seed, idx, step)
+                rng = np.random.default_rng([self.manifest.seed, cfg.seed, idx, step])
                 loss, task = step_fn(cfg, encoder, data, rng, step, mining)
                 value = float(loss.data)
                 if not np.isfinite(value):
@@ -604,26 +607,34 @@ class Trainer:
         return self._triplet_batch_loss(cfg, encoder, pairs, rng, step, "pairs", None,
                                         cfg.batch_size, 0), "pairs"
 
-    def _init_mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict) -> MiningState:
-        """Rank each query's candidate negatives with the incoming (seed) encoder.
+    def _mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict,
+                saved: Optional[dict]) -> MiningState:
+        """The stage's mining state: as a checkpoint of this stage ``saved`` it, or new.
 
-        Every distinct query and negative text is embedded once, in one
-        tape-free call; each query's negatives are then scored by row lookup.
+        Each triplet with negatives holds slots, in task and dataset order.  A
+        saved state names negatives by dataset row; the fingerprint a resume
+        checks holds each dataset's SHA-256, so the rows name the same texts.
+        A new state ranks each query's negatives with the incoming (seed)
+        encoder: every distinct query and negative text is embedded once, in
+        one tape-free call, and each query's negatives are scored by row lookup.
         """
         triplets = [(task, ex) for task in SUPERVISED_TASKS
                     if task != "sts" and task in datasets
                     for ex in datasets[task] if ex.negatives]
+        queries = [(f"{task}:{ex.uid}", ex.negatives, min(cfg.negatives_per_query, len(ex.negatives)))
+                   for task, ex in triplets]
+        if saved is not None:       # a version-1 or -2 checkpoint holds JSON with "slots"
+            return (MiningState.from_dict(saved, queries) if "slots" in saved
+                    else MiningState.from_arrays(cfg.dhnm_mode, queries, saved))
         # sorted, not set order: string hashing is randomized per process
         texts = sorted({t for _, ex in triplets for t in (ex.query, *ex.negatives)})
         row = {t: i for i, t in enumerate(texts)}
         emb = embed_texts(encoder, self.tokenizer, texts) if texts else None
         mining = MiningState(mode=cfg.dhnm_mode)
-        for task, ex in triplets:
-            scores = emb[[row[n] for n in ex.negatives]] @ emb[row[ex.query]]
-            order = np.lexsort((np.arange(len(ex.negatives)), -scores))
-            ranked = [ex.negatives[i] for i in order]
-            k = min(cfg.negatives_per_query, len(ranked))
-            mining.register_query(f"{task}:{ex.uid}", ranked[:k], ranked[k:])
+        for (_, ex), (query_id, negatives, k) in zip(triplets, queries):
+            scores = emb[[row[n] for n in negatives]] @ emb[row[ex.query]]
+            order = np.lexsort((np.arange(len(negatives)), -scores))
+            mining.register_query(query_id, order[:k], order[k:], negatives)
         return mining
 
     def _mrl_dims(self, cfg: StageConfig) -> tuple[int, ...]:

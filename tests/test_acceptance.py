@@ -30,7 +30,7 @@ from embedkit.pipeline import (RunManifest, StageConfig, Trainer, default_toy_ma
 
 from test_eval import oracle_ndcg10, oracle_recall, oracle_search, oracle_spearman
 from test_masks import GOLDEN_RANKS_LINEAR_16
-from test_mining import oracle_replay
+from test_mining import _register, oracle_replay
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -187,17 +187,18 @@ def test_criterion_5_mining_oracle_equivalence():
                 trajectory.append([(k, float(np.round(rng.uniform(-1, 1), 3)))
                                    for k in observed])
             ms = MiningState(mode=mode)
-            ms.register_query("q", [f"n{k}" for k in range(n_slots)], pool)
+            _register(ms, "q", [f"n{k}" for k in range(n_slots)], pool)
             got = []
+            n_exhausted = 0
             for step, obs in enumerate(trajectory):
                 got.append([r["decision"] for r in ms.cache_scores(step, [("q", k, v)
                                                                           for k, v in obs])])
-                ms.replace_flagged()
+                n_exhausted += sum(e.exhausted for e in ms.replace_flagged())
             want, negs, cursor, exhausted = oracle_replay(trajectory, mode, pool, n_slots)
             total += 1
             if (got != want or ms.current_negatives("q") != negs
-                    or ms.pools["q"].cursor != cursor
-                    or ms.pools["q"].exhausted_events != exhausted):
+                    or ms.cursor[ms.queries["q"]] != cursor
+                    or n_exhausted != exhausted):
                 mismatches += 1
     elapsed = time.time() - start
     ok = worked and mismatches == 0 and elapsed < 10.0

@@ -82,6 +82,29 @@ def test_perfbench_names_resolve():
     assert [n for n in sorted(names) if _missing(n)] == []
 
 
+def test_perfbench_mining_hooks_count_real_calls():
+    # perfbench's tracer counts slots from register_query's third argument, flags from
+    # cache_scores' records and replacements from replace_flagged's events
+    from embedkit.mining import MiningState
+
+    bench = _perfbench()
+    tracer = bench.Tracer()
+    tracer.install(bench.HOOKS)
+    try:
+        ms = MiningState()
+        ms.register_query("q", [0, 1], [2], ["n0", "n1", "p0"])
+        ms.register_query("r", [0], [], ["m0"])
+        ms.cache_scores(0, [("q", 0, 0.1), ("q", 1, 0.2), ("r", 0, 0.9)])
+        events = ms.replace_flagged()
+    finally:
+        tracer.uninstall()
+    assert [(e.new_negative, e.exhausted) for e in events] == [("p0", False), (None, True)]
+    assert tracer.counters == {"mining.slots": 3, "mining.flags": 2, "mining.replacements": 1,
+                               "mining.exhausted": 1}
+    assert [tracer.totals(f"mining.MiningState.{name}")[0]
+            for name in ("register_query", "cache_scores", "replace_flagged")] == [2, 1, 1]
+
+
 @pytest.mark.parametrize("workload", ["toy-pipeline", "mining-eval"])
 def test_perfbench_manifest_reads_back_with_data_for_every_stage(tmp_path, workload):
     # perfbench writes its manifest with to_yaml and trains it after from_yaml

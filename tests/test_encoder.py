@@ -556,38 +556,84 @@ def _save_v1(path, config, arrays, extra):
             fh.write(np.ascontiguousarray(arrays[e["name"]], dtype="<f8").tobytes())
 
 
-def _training_checkpoint(path):
-    """A checkpoint shaped like the trainer's: weights, optimizer moments, resume state."""
+def _save_v2(path, config, arrays, extra, state):
+    """The version-2 writer: the version-1 header plus ``state_bytes``, and ``state`` as JSON
+    after the buffers."""
+    entries = [{"name": k, "shape": list(np.asarray(arrays[k]).shape)} for k in sorted(arrays)]
+    state_bytes = json.dumps(state, sort_keys=True, ensure_ascii=False,
+                             separators=(",", ":")).encode("utf-8")
+    header = json.dumps({"config": config, "extra": extra, "arrays": entries,
+                         "state_bytes": len(state_bytes)},
+                        sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(b"EMKP" + struct.pack("<I", 2) + struct.pack("<Q", len(header)) + header)
+        for e in entries:
+            fh.write(np.ascontiguousarray(arrays[e["name"]], dtype="<f8").tobytes())
+        fh.write(state_bytes)
+
+
+def _training_checkpoint(path, version=3):
+    """A checkpoint shaped like the trainer's: weights, optimizer moments, mining state; the
+    state as ``mining.*`` buffers (version 3) or as a JSON section (version 2)."""
     arrays = {f"model.{k}": v for k, v in Encoder(SMALL, seed=3).export_arrays().items()}
     arrays.update({f"opt.m.{k}": v + 1.0 for k, v in arrays.items()})
     extra = {"stage_index": 3, "stage_step": 5, "vocab": ["a", "b"], "manifest_seed": 7}
+    if version == 3:
+        state = {"mining.slots": np.arange(50.0), "mining.s0": np.full(50, np.nan),
+                 "mining.pool": np.arange(70.0), "mining.cursor": np.zeros(10)}
+        save_checkpoint(path, SMALL.to_dict(), {**arrays, **state}, extra)
+        return {**arrays, **state}, extra, {}
     state = {"mining": {"version": 1, "slots": [[0.5, "q0", "n1"]] * 50}}
-    save_checkpoint(path, SMALL.to_dict(), arrays, extra, state)
+    _save_v2(path, SMALL.to_dict(), arrays, extra, state)
     return arrays, extra, state
 
 
 class TestCheckpointLayout:
     def test_full_read_merges_state_into_extra(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        arrays, extra, state = _training_checkpoint(path)
+        arrays, extra, state = _training_checkpoint(path, version=2)
         config, restored, got = load_checkpoint(path)
         assert config == SMALL.to_dict() and got == {**extra, **state}
         assert {k: v.tobytes() for k, v in restored.items()} == \
             {k: v.tobytes() for k, v in arrays.items()}
 
-    def test_weights_read_skips_moments_and_state(self, tmp_path):
+    def test_version3_keeps_the_mining_state_in_buffers(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        _, extra, _ = _training_checkpoint(path)
-        config, weights, got = load_weights(path)
-        _, full, _ = load_checkpoint(path)
+        arrays, extra, _ = _training_checkpoint(path)
+        raw = path.read_bytes()
+        version, hlen = struct.unpack("<I", raw[4:8])[0], struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16:16 + hlen])
+        assert version == 3 and "state_bytes" not in header
+        assert len(raw) == 16 + hlen + 8 * sum(v.size for v in arrays.values())
+        config, restored, got = load_checkpoint(path)
         assert config == SMALL.to_dict() and got == extra
-        assert sorted(weights) == sorted(k for k in full if k.startswith("model."))
-        assert all(weights[k].tobytes() == full[k].tobytes() for k in weights)
+        assert {k: v.tobytes() for k, v in restored.items()} == \
+            {k: v.tobytes() for k, v in arrays.items()}
+
+    def test_later_version_refused(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        _training_checkpoint(path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 4)
+        path.write_bytes(bytes(raw))
+        for reader in (load_checkpoint, load_weights):
+            with pytest.raises(CheckpointError, match="version 4 unsupported"):
+                reader(path)
+
+    def test_weights_read_skips_moments_and_state(self, tmp_path):
+        for version in (2, 3):
+            path = tmp_path / f"run{version}.ckpt"
+            _, extra, _ = _training_checkpoint(path, version)
+            config, weights, got = load_weights(path)
+            _, full, _ = load_checkpoint(path)
+            assert config == SMALL.to_dict() and got == extra
+            assert sorted(weights) == sorted(k for k in full if k.startswith("model."))
+            assert all(weights[k].tobytes() == full[k].tobytes() for k in weights)
 
     def test_state_section_is_after_the_buffers(self, tmp_path):
-        # corrupt only the state bytes: weights still load, a resume is refused
+        # corrupt only a version-2 file's state bytes: weights still load, a resume is refused
         path = tmp_path / "run.ckpt"
-        _, _, state = _training_checkpoint(path)
+        _, _, state = _training_checkpoint(path, version=2)
         raw = bytearray(path.read_bytes())
         n = len(json.dumps(state, sort_keys=True, separators=(",", ":")))
         raw[-n:] = b"\xff" * n
@@ -613,13 +659,18 @@ class TestCheckpointLayout:
     @pytest.mark.parametrize("where", ["prefix", "header", "weights", "moments", "state", "trailing"])
     @pytest.mark.parametrize("reader", [load_checkpoint, load_weights])
     def test_torn_file_refused_naming_path(self, tmp_path, where, reader):
-        path = tmp_path / "torn.ckpt"
-        arrays, _, _ = _training_checkpoint(path)
-        raw = path.read_bytes()
-        hlen = struct.unpack("<Q", raw[8:16])[0]
-        weights = sum(v.size for k, v in arrays.items() if k.startswith("model.")) * 8
-        cut = {"prefix": 10, "header": 16 + hlen // 2, "weights": 16 + hlen + weights // 2,
-               "moments": 16 + hlen + weights + 8, "state": len(raw) - 5}.get(where)
-        path.write_bytes(raw[:cut] if cut else raw + b"\x00")
-        with pytest.raises(CheckpointError, match=re.escape(str(path))):
-            reader(path)
+        # the buffers run in name order: mining.* (version 3 only), model.*, opt.*; "state" cuts
+        # into a version-2 file's state section, or into a version-3 file's last buffer
+        for version in (2, 3):
+            path = tmp_path / f"torn{version}.ckpt"
+            arrays, _, _ = _training_checkpoint(path, version)
+            raw = path.read_bytes()
+            hlen = struct.unpack("<Q", raw[8:16])[0]
+            mining = sum(v.size for k, v in arrays.items() if k.startswith("mining.")) * 8
+            weights = sum(v.size for k, v in arrays.items() if k.startswith("model.")) * 8
+            start = 16 + hlen + mining
+            cut = {"prefix": 10, "header": 16 + hlen // 2, "weights": start + weights // 2,
+                   "moments": start + weights + 8, "state": len(raw) - 5}.get(where)
+            path.write_bytes(raw[:cut] if cut else raw + b"\x00")
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                reader(path)

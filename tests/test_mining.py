@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedkit.mining import Decision, MiningState, NegativePool, decide_scores
+from embedkit.mining import Decision, MiningState, decide_scores
 
 
 class TestDecideWorkedCases:
@@ -46,7 +46,7 @@ class TestDecideWorkedCases:
     def test_decide_uses_slot_scores(self):
         # cache_scores decides from the slot's first and latest scores: 0.8 then 0.6
         ms = MiningState()
-        ms.register_query("q", ["n"], [])
+        ms.register_query("q", [0], [], ["n"])
         assert ms.cache_scores(0, [("q", 0, 0.8)])[0]["decision"] == Decision.KEEP.value
         assert ms.cache_scores(1, [("q", 0, 0.6)])[0]["decision"] == Decision.REPLACE.value
 
@@ -62,18 +62,26 @@ class TestDecideWorkedCases:
         assert decide_scores(s0, s_cur, init, mode) is decide_scores(s0, s_cur, init, mode)
 
 
+def _register(ms, query_id, slots, pool):
+    """Register ``query_id`` with negatives ``slots + pool``: rows 0..len(slots)-1 fill its slots."""
+    ms.register_query(query_id, range(len(slots)), range(len(slots), len(slots) + len(pool)),
+                      slots + pool)
+
+
 class TestMiningState:
     def _state(self, mode="absolute"):
         ms = MiningState(mode=mode)
-        ms.register_query("q1", ["n0", "n1"], ["p0", "p1", "p2"])
+        _register(ms, "q1", ["n0", "n1"], ["p0", "p1", "p2"])
         return ms
 
     def test_first_sighting_sets_s0(self):
         ms = self._state()
-        ms.cache_scores(0, [("q1", 0, 0.9)])
-        slot = ms.slots[("q1", 0)]
-        assert slot.s0 == slot.s_cur == 0.9
-        assert slot.first_step_seen == 0
+        [record] = ms.cache_scores(0, [("q1", 0, 0.9)])
+        assert ms.s0[ms.queries["q1"]] == [0.9, None]
+        assert record["s0"] == record["s_cur"] == 0.9
+        [record] = ms.cache_scores(1, [("q1", 0, 0.5)])
+        assert ms.s0[ms.queries["q1"]] == [0.9, None]
+        assert (record["s0"], record["s_cur"]) == (0.9, 0.5)
 
     def test_double_cache_same_step_rejected(self):
         ms = self._state()
@@ -83,68 +91,111 @@ class TestMiningState:
 
     def test_unknown_slot_rejected(self):
         ms = self._state()
-        with pytest.raises(KeyError, match="unknown"):
-            ms.cache_scores(0, [("q9", 0, 0.5)])
+        for query_id, slot in [("q9", 0), ("q1", 2), ("q1", -1)]:
+            with pytest.raises(KeyError, match="unknown"):
+                ms.cache_scores(0, [(query_id, slot, 0.5)])
 
     def test_flagged_slot_not_swapped_until_boundary(self):
         ms = self._state()
-        ms.cache_scores(0, [("q1", 0, 0.1)])          # initial < 0.4 -> flagged
-        assert ms.slots[("q1", 0)].flagged
+        [record] = ms.cache_scores(0, [("q1", 0, 0.1)])     # initial < 0.4 -> flagged
+        assert record["decision"] == "replace"
         assert ms.current_negatives("q1") == ["n0", "n1"]   # still in place this step
         events = ms.replace_flagged()
         assert ms.current_negatives("q1") == ["p0", "n1"]
         assert events[0].new_negative == "p0" and not events[0].exhausted
+        assert ms.slots[ms.queries["q1"]] == [2, 1]         # p0 is row 2 of the negatives
 
     def test_s0_resets_after_replacement(self):
         ms = self._state()
         ms.cache_scores(0, [("q1", 0, 0.2)])
         ms.replace_flagged()
-        slot = ms.slots[("q1", 0)]
-        assert slot.s0 is None and slot.s_cur is None and not slot.flagged
-        ms.cache_scores(1, [("q1", 0, 0.95)])
-        assert slot.s0 == 0.95 and slot.first_step_seen == 1
+        assert ms.s0[ms.queries["q1"]] == [None, None]
+        assert ms.replace_flagged() == []                   # the flag went with the swap
+        [record] = ms.cache_scores(1, [("q1", 0, 0.95)])
+        assert ms.s0[ms.queries["q1"]][0] == 0.95 and record["decision"] == "keep"
 
     def test_pool_exhaustion_keeps_negative_and_counts(self):
         ms = MiningState()
-        ms.register_query("q1", ["n0", "n1"], ["p0"])
+        _register(ms, "q1", ["n0", "n1"], ["p0"])
         ms.cache_scores(0, [("q1", 0, 0.1), ("q1", 1, 0.2)])
         events = ms.replace_flagged()
         assert ms.current_negatives("q1") == ["p0", "n1"]   # second slot kept its negative
-        assert ms.pools["q1"].exhausted_events == 1
+        assert sum(e.exhausted for e in events) == 1
         assert [e.exhausted for e in events] == [False, True]
+        assert (events[1].old_negative, events[1].new_negative) == ("n1", None)
 
     def test_cursor_monotone(self):
-        pool = NegativePool(candidates=["a", "b"])
-        assert pool.draw() == "a" and pool.cursor == 1
-        assert pool.draw() == "b" and pool.cursor == 2
-        assert pool.draw() is None and pool.cursor == 2
-        assert pool.exhausted_events == 1
+        ms = MiningState()
+        _register(ms, "q", ["n0"], ["a", "b"])
+        # each new negative's first score is under 0.4; then 0.05 drops from 0.1
+        steps = [(0.1, "a", 1), (0.1, "b", 2), (0.1, None, 2), (0.05, None, 2)]
+        for step, (score, new, cursor) in enumerate(steps):
+            ms.cache_scores(step, [("q", 0, score)])
+            [event] = ms.replace_flagged()
+            assert (event.new_negative, event.exhausted) == (new, new is None)
+            assert ms.cursor[ms.queries["q"]] == cursor
 
-    def test_roundtrip_dict(self):
+    def test_roundtrip_arrays(self):
         ms = self._state()
-        ms.cache_scores(0, [("q1", 0, 0.1), ("q1", 1, 0.9)])
+        _register(ms, "q2", ["m0"], [])
+        ms.cache_scores(0, [("q1", 0, 0.1), ("q1", 1, 0.9), ("q2", 0, 0.8)])
         ms.replace_flagged()
-        restored = MiningState.from_dict(ms.to_dict())
-        assert restored.to_dict() == ms.to_dict()
-
-    def test_roundtrip_rebuilds_slot_counts_and_flags(self):
-        ms = self._state()
-        ms.register_query("q2", ["m0"], [])
-        ms.cache_scores(0, [("q1", 1, 0.1), ("q2", 0, 0.9)])    # flags q1 slot 1 only
-        restored = MiningState.from_dict(ms.to_dict())
-        assert restored.current_negatives("q1") == ["n0", "n1"]
+        arrays = ms.arrays()
+        assert {k: v.tolist() for k, v in arrays.items() if k != "mining.s0"} == {
+            "mining.slots": [2, 1, 0], "mining.pool": [2, 3, 4], "mining.cursor": [1, 0]}
+        assert np.isnan(arrays["mining.s0"][0]) and arrays["mining.s0"][1:].tolist() == [0.9, 0.8]
+        assert all(v.dtype == np.float64 for v in arrays.values())
+        queries = [("q1", ["n0", "n1", "p0", "p1", "p2"], 2), ("q2", ["m0"], 1)]
+        restored = MiningState.from_arrays("absolute", queries, arrays)
+        assert {k: v.tobytes() for k, v in restored.arrays().items()} == \
+            {k: v.tobytes() for k, v in arrays.items()}
+        assert restored.current_negatives("q1") == ["p0", "n1"]
         assert restored.current_negatives("q2") == ["m0"]
         assert restored.current_negatives("q9") == []
-        events = restored.replace_flagged()
-        assert [(e.query_id, e.slot_index, e.new_negative) for e in events] == [("q1", 1, "p0")]
-        assert restored.current_negatives("q1") == ["n0", "p0"]
-        assert restored.replace_flagged() == []
+        # the restored state goes on as the original does
+        for state in (ms, restored):
+            recs = state.cache_scores(1, [("q1", 0, 0.1), ("q1", 1, 0.5)])
+            assert [r["decision"] for r in recs] == ["replace", "replace"]
+            assert [(e.slot_index, e.new_negative) for e in state.replace_flagged()] == \
+                [(0, "p1"), (1, "p2")]
+
+    def test_from_arrays_rejects_a_state_that_does_not_fit_the_queries(self):
+        ms = self._state()
+        queries = [("q1", ["n0", "n1", "p0", "p1", "p2"], 2)]
+        with pytest.raises(ValueError, match="does not fit"):
+            MiningState.from_arrays("absolute", queries + [("q2", ["m0"], 1)], ms.arrays())
+        with pytest.raises(ValueError, match="does not fit"):
+            MiningState.from_arrays("absolute", [("q1", ["n0", "n1", "p0", "p1"], 2)], ms.arrays())
+        for name, at, value in [("slots", 1, 5), ("pool", 0, -1), ("pool", 2, 0.5), ("cursor", 0, 4),
+                                ("slots", 0, np.nan)]:
+            arrays = ms.arrays()
+            arrays[f"mining.{name}"][at] = value        # rows 0-4 of 5 negatives, cursor 0-3
+            with pytest.raises(ValueError, match="outside"):
+                MiningState.from_arrays("absolute", queries, arrays)
+
+    def test_from_dict_reads_a_version_2_state_by_text(self):
+        # the JSON state a version-2 checkpoint holds: negatives by text, pools as text lists
+        d = {"mode": "literal", "slots": [
+            {"query_id": "q1", "slot_index": 0, "negative_id": "p0", "s0": None, "s_cur": None,
+             "flagged": False, "first_step_seen": None, "last_cached_step": None},
+            {"query_id": "q1", "slot_index": 1, "negative_id": "n1", "s0": 0.9, "s_cur": 0.9,
+             "flagged": False, "first_step_seen": 0, "last_cached_step": 0}],
+            "pools": {"q1": {"candidates": ["p0", "p1", "p2"], "cursor": 1, "exhausted_events": 0}}}
+        ms = MiningState.from_dict(d, [("q1", ["n0", "n1", "p0", "p1", "p2"], 2)])
+        assert ms.mode == "literal" and ms.current_negatives("q1") == ["p0", "n1"]
+        assert ms.arrays()["mining.slots"].tolist() == [2, 1]
+        assert ms.arrays()["mining.pool"].tolist() == [2, 3, 4]
+        assert ms.cursor == [1] and ms.s0 == [[None, 0.9]]
 
     def test_from_dict_rejects_gap_in_slot_numbers(self):
-        d = self._state().to_dict()
-        d["slots"] = [s for s in d["slots"] if s["slot_index"] != 0]
+        ms = self._state()
+        d = {"mode": "absolute",
+             "slots": [{"query_id": "q1", "slot_index": 1, "negative_id": "n1", "s0": None,
+                        "flagged": False}],
+             "pools": {"q1": {"candidates": ["p0", "p1", "p2"], "cursor": 0}}}
         with pytest.raises(ValueError, match="q1"):
-            MiningState.from_dict(d)
+            MiningState.from_dict(d, [("q1", ["n0", "n1", "p0", "p1", "p2"], 2)])
+        assert ms.current_negatives("q1") == ["n0", "n1"]
 
 
 # ---------------------------------------------------------------------------
@@ -205,15 +256,16 @@ def test_trajectory_replay_matches_oracle(mode):
             trajectory.append([(k, float(np.round(rng.uniform(-1, 1), 3))) for k in observed])
 
         ms = MiningState(mode=mode)
-        ms.register_query("q", [f"n{k}" for k in range(n_slots)], pool)
+        _register(ms, "q", [f"n{k}" for k in range(n_slots)], pool)
         got = []
+        n_exhausted = 0
         for step, observations in enumerate(trajectory):
             recs = ms.cache_scores(step, [("q", k, v) for k, v in observations])
             got.append([r["decision"] for r in recs])
-            ms.replace_flagged()
+            n_exhausted += sum(e.exhausted for e in ms.replace_flagged())
 
         want, negs, cursor, exhausted = oracle_replay(trajectory, mode, pool, n_slots)
         assert got == want
         assert ms.current_negatives("q") == negs
-        assert ms.pools["q"].cursor == cursor
-        assert ms.pools["q"].exhausted_events == exhausted
+        assert ms.cursor[ms.queries["q"]] == cursor
+        assert n_exhausted == exhausted

@@ -36,6 +36,7 @@ from embedkit.pipeline import (_SCORE_BUDGET, STAGE_KINDS, SUPERVISED_TASKS, Run
                                batch_ids, default_toy_manifest, embed_texts, evaluate_checkpoint,
                                evaluate_retrieval, load_encoder)
 from embedkit.tokenizer import Tokenizer
+from test_encoder import _save_v2
 
 SMALL_ENC = EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
                           vocab_size=512, max_len=32, mrl_dims=(8, 16))
@@ -529,6 +530,62 @@ class TestTrainingRuns:
                 assert (out / name).read_bytes() == content, (at, on_disk, name)
         assert at > 0
 
+    def test_mid_stage_resume_from_a_version_2_checkpoint_matches_uninterrupted(self, toy_data,
+                                                                              tmp_path):
+        # a version-2 file names negatives by text in a JSON section; resuming one mid-stage
+        # continues the run as the version-3 file it was made from does
+        final_full = Trainer(_manifest(toy_data, tmp_path / "full")).run()
+        logs = ("stage3-supervised.metrics.jsonl", "stage3-mining.jsonl")
+
+        def resume(name, edit=None, version=2):
+            m = _manifest(toy_data, tmp_path / name)
+            mid = tmp_path / name / "stage3-step5.ckpt"
+            mid.parent.mkdir()
+            for file in (mid.name, *logs):
+                (mid.parent / file).write_bytes((tmp_path / "full" / file).read_bytes())
+            queries = _mining_queries(Trainer(m), m.stages[-1])
+            if edit is not None:
+                config, arrays, extra = load_checkpoint(mid)
+                save_checkpoint(mid, config, {**arrays, **edit(queries, arrays)}, extra)
+            if version == 2:
+                saved = _as_version_2(mid, queries)
+                assert mid.read_bytes()[4:8] == (2).to_bytes(4, "little")
+                assert np.isnan(saved["mining.s0"]).any() and not np.isnan(saved["mining.s0"]).all()
+            final = Trainer(m).run(resume_from=str(mid))
+            return Path(final).read_bytes(), [(mid.parent / file).read_bytes() for file in logs]
+
+        full = Path(final_full).read_bytes(), [(tmp_path / "full" / f).read_bytes() for f in logs]
+        assert resume("v2") == full
+
+        def replace_first_slots(queries, arrays):
+            # as if each query's first slot had drawn its pool's first row and not been scored since
+            ms = MiningState.from_arrays("absolute", queries, arrays)
+            for q in ms.queries.values():
+                if ms.pool[q]:
+                    ms.slots[q][0], ms.cursor[q], ms.s0[q][0] = ms.pool[q][0], 1, None
+            return ms.arrays()
+
+        edited = resume("v3-edited", replace_first_slots, version=3)
+        assert edited != full       # the loss sees the swapped negatives
+        assert resume("v2-edited", replace_first_slots) == edited
+
+    def test_mining_state_bytes_do_not_depend_on_negative_text_length(self, toy_data, tmp_path):
+        # a checkpoint names each negative by its dataset row, not by its text
+        sizes = []
+        for repeat in (1, 4):
+            m = _manifest(toy_data, tmp_path / f"run{repeat}", sup_steps=6)
+            m.stages = m.stages[-1:]
+            _, examples = read_dataset(m.data["supervised"]["retrieval"])
+            for ex in examples:
+                ex.negatives = [" ".join(n.split()[:6] * repeat) for n in ex.negatives]
+            path = tmp_path / f"retrieval{repeat}.jsonl"
+            write_dataset(path, "retrieval", examples)
+            m.data = {"supervised": {"retrieval": str(path)}}
+            Trainer(m).run()
+            sizes.append((tmp_path / f"run{repeat}" / "stage0-step5.ckpt").stat().st_size)
+        assert sizes[0] == sizes[1]
+        assert "mining.slots" in load_checkpoint(tmp_path / "run4" / "stage0-step5.ckpt")[1]
+
     @pytest.mark.parametrize("dhnm", [True, False], ids=["mining", "no-mining"])
     def test_supervised_task_trains_on_a_pair_file(self, toy_data, tmp_path, dhnm):
         # a pair is a triplet without negatives: its steps take in-batch negatives only (K = 0)
@@ -650,15 +707,41 @@ def _change_one_byte(path: Path) -> list[str]:
 def _drop_fingerprint(path: Path):
     """Write checkpoint ``path`` again without its manifest fingerprint."""
     config, arrays, extra = load_checkpoint(path)
-    state = {"mining": extra.pop("mining")}
     del extra["fingerprint"]
-    save_checkpoint(path, config, arrays, extra, state)
+    save_checkpoint(path, config, arrays, extra)
 
 
 def _untrained_checkpoint(path):
     arrays = {f"model.{k}": v for k, v in Encoder(SMALL_ENC, seed=1).export_arrays().items()}
-    save_checkpoint(path, SMALL_ENC.to_dict(), arrays, {"vocab": ["a"]}, {"mining": None})
+    save_checkpoint(path, SMALL_ENC.to_dict(), arrays, {"vocab": ["a"]})
     return path
+
+
+def _mining_queries(trainer, cfg):
+    """(query id, negatives, slot count) of each query ``cfg``'s mining registers, in order."""
+    datasets = trainer._load_stage_data(cfg)
+    return [(f"{task}:{ex.uid}", ex.negatives, min(cfg.negatives_per_query, len(ex.negatives)))
+            for task in ("retrieval", "clr", "classification") if task in datasets
+            for ex in datasets[task] if ex.negatives]
+
+
+def _as_version_2(path: Path, queries: list):
+    """Write mid-mining checkpoint ``path`` again as the version-2 writer did: no ``mining.*``
+    buffers, the state as JSON after the buffers, negatives named by text."""
+    config, arrays, extra = load_checkpoint(path)
+    saved = {k: arrays.pop(k) for k in [k for k in arrays if k.startswith("mining.")]}
+    ms = MiningState.from_arrays("absolute", queries, saved)
+    negatives = {query_id: negs for query_id, negs, _ in queries}
+    slots, pools = [], {}
+    for query_id, q in sorted(ms.queries.items()):
+        text = negatives[query_id]
+        slots += [{"query_id": query_id, "slot_index": i, "negative_id": text[row], "s0": s0,
+                   "s_cur": s0, "flagged": False, "first_step_seen": None, "last_cached_step": None}
+                  for i, (row, s0) in enumerate(zip(ms.slots[q], ms.s0[q]))]
+        pools[query_id] = {"candidates": [text[row] for row in ms.pool[q]], "cursor": ms.cursor[q],
+                           "exhausted_events": 0}
+    _save_v2(path, config, arrays, extra, {"mining": {"mode": ms.mode, "slots": slots, "pools": pools}})
+    return saved
 
 
 class TestEmbedTexts:
@@ -718,9 +801,8 @@ def _init_mining_per_query(trainer, cfg, encoder, datasets):
             nv = embed_texts(encoder, trainer.tokenizer, list(ex.negatives))
             scores = nv @ qv
             order = np.lexsort((np.arange(len(ex.negatives)), -scores))
-            ranked = [ex.negatives[i] for i in order]
-            k = min(cfg.negatives_per_query, len(ranked))
-            mining.register_query(f"{task}:{ex.uid}", ranked[:k], ranked[k:])
+            k = min(cfg.negatives_per_query, len(order))
+            mining.register_query(f"{task}:{ex.uid}", order[:k], order[k:], ex.negatives)
     return mining
 
 
@@ -731,9 +813,11 @@ class TestInitMining:
         cfg = m.stages[-1]
         datasets = trainer._load_stage_data(cfg)
         encoder = Encoder(m.encoder, seed=m.seed)
-        got = trainer._init_mining(cfg, encoder, datasets)
+        got = trainer._mining(cfg, encoder, datasets, None)
         want = _init_mining_per_query(trainer, cfg, encoder, datasets)
-        assert got.to_dict() == want.to_dict()
+        assert got.queries == want.queries
+        assert {k: v.tobytes() for k, v in got.arrays().items()} == \
+            {k: v.tobytes() for k, v in want.arrays().items()}
         # the ranking is not the dataset order, so the comparison has teeth
         reordered = [ex.uid for task in ("retrieval", "clr") for ex in datasets[task]
                      if got.current_negatives(f"{task}:{ex.uid}")
@@ -835,6 +919,45 @@ class TestCli:
         assert cli_main(["train", "--manifest", str(yml)]) == 3
         err = capsys.readouterr().err
         assert f"{bad}:3:" in err and what in err
+
+    @pytest.mark.parametrize("dhnm,code", [(True, 3), (False, 0)], ids=["mining", "no-mining"])
+    def test_repeated_uid_under_mining_exits_3_naming_file_and_line(self, toy_data, tmp_path,
+                                                                    capsys, dhnm, code):
+        # mining names each query by task and uid, so two triplets of one file may not share one
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=dhnm)
+        m.stages = m.stages[-1:]
+        _, examples = read_dataset(m.data["supervised"]["retrieval"])
+        for ex in examples:
+            ex.uid = ""
+        bad = tmp_path / "retrieval.jsonl"
+        write_dataset(bad, "retrieval", examples)
+        m.data = {"supervised": {**m.data["supervised"], "retrieval": str(bad)}}
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == code
+        err = capsys.readouterr().err
+        assert (f"{bad}:3: invalid record: uid '' repeats" in err) == dhnm, err
+
+    @pytest.mark.parametrize("encoder", [{}, None], ids=["without-mrl-dims", "without-encoder"])
+    def test_mrl_without_mrl_dims_exits_3_naming_stage_and_field(self, toy_data, tmp_path, capsys,
+                                                                 encoder):
+        # EncoderConfig.from_dict reads a missing mrl_dims as (): nothing to average over
+        out = tmp_path / "run"
+        yml = tmp_path / "m.yaml"
+        _manifest(toy_data, out).to_yaml(yml)
+        doc = yaml.safe_load(yml.read_text())
+        if encoder is None:
+            del doc["encoder"]
+        else:
+            del doc["encoder"]["mrl_dims"]
+        yml.write_text(yaml.safe_dump(doc))
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"{yml}: stage 3 (supervised): mrl is on, but the encoder's mrl_dims is empty" \
+            in capsys.readouterr().err
+        assert not out.exists()
+        doc["stages"][3]["mrl"] = False
+        yml.write_text(yaml.safe_dump(doc))
+        RunManifest.from_yaml(yml)
 
     @pytest.mark.parametrize("index,code", [(0, 3), (-1, 0)], ids=["drawn", "never-drawn"])
     def test_train_without_mining_checks_only_the_negatives_a_step_draws(
