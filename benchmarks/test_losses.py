@@ -10,7 +10,7 @@ positives and 7 negatives each, and an STS batch is 32 scored pairs.
 import numpy as np
 
 from embedkit import autograd as ag
-from embedkit.losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores
+from embedkit.losses import cosent, info_nce_with_scores
 
 DIM = 64
 
@@ -22,7 +22,7 @@ def _unit(rng, *shape):
 
 def _info_nce_step(q, passages):
     leaves = [ag.Tensor(a, requires_grad=True) for a in (q, passages)]
-    loss, _, _ = info_nce_with_scores(ContrastiveBatch(*leaves, temperature=0.05))
+    loss, _, _ = info_nce_with_scores(*leaves, temperature=0.05)
     ag.backward(loss)
     return leaves[0].grad
 
@@ -42,7 +42,7 @@ def test_info_nce_supervised_4_queries_7_negatives(benchmark):
 
 def _cosent_step(cos, labels):
     t = ag.Tensor(cos, requires_grad=True)
-    ag.backward(cosent(StsBatch(t, labels, tau=0.05)))
+    ag.backward(cosent(t, labels, tau=0.05))
     return t.grad
 
 

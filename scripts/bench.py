@@ -16,7 +16,11 @@ thread count) and, per side and benchmark, the median and IQR in seconds and
 the round count, pooled over the side's runs.  Each side is labelled by
 its checkout's git HEAD, with ``+dirty`` for uncommitted changes.  A benchmark
 that fails on one side, such as one that calls an API the baseline lacks, is
-left out of that side's results.
+left out of that side's results.  With ``--baseline`` the file also holds, and
+the table prints, each benchmark's ratio of this checkout's median to the
+baseline's.  The benchmarks of code a change does not touch are its controls:
+a ratio is a gain or a loss only outside the spread of the controls' ratios
+on the same run.
 """
 
 import argparse
@@ -126,10 +130,17 @@ def main(argv=None) -> int:
         "results": {name: {bench: summary(times) for bench, times in sorted(per.items())}
                     for name, per in rounds.items()},
     }
+    results = record["results"]
+    if args.baseline:
+        parent, change = (results[name] for name in sides)     # the baseline comes first
+        record["ratios"] = {bench: change[bench]["median_s"] / parent[bench]["median_s"]
+                            for bench in sorted(set(parent) & set(change))}
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     for bench in sorted(set().union(*rounds.values())):
-        cells = "  ".join(f"{name} {record['results'][name][bench]['median_s'] * 1e3:9.3f} ms"
-                          for name in rounds if bench in record["results"][name])
+        cells = "  ".join(f"{name} {results[name][bench]['median_s'] * 1e3:9.3f} ms"
+                          for name in rounds if bench in results[name])
+        if bench in record.get("ratios", {}):
+            cells += f"  ratio {record['ratios'][bench]:.3f}"
         print(f"{bench:72s} {cells}")
     return 0
 

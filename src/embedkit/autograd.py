@@ -422,14 +422,11 @@ def cross_entropy_lastdim(a, targets) -> Tensor:
     The ops and their order are those of the chain logsumexp, pick, subtract,
     mean, so loss and gradient match it bit for bit.
     One (N, V) buffer holds ``exp(a - max)`` and then, in place, the gradient.
+    Targets are not checked here: ``losses.next_token_ce`` checks them.
     """
     a = as_tensor(a)
     idx = np.asarray(targets, dtype=np.intp)
-    if idx.shape != a.shape[:-1]:
-        raise ShapeMismatchError(f"target shape {idx.shape} must equal {a.shape[:-1]}")
     vocab = a.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
-        raise IndexError(f"target out of range for extent {vocab}")
     x = a.data.reshape(-1, vocab)
     rows, cols = np.arange(x.shape[0]), idx.reshape(-1)
     m = np.max(x, axis=-1, keepdims=True)
@@ -460,7 +457,7 @@ def info_nce_loss(q, passages, temperature: float) -> tuple[Tensor, np.ndarray, 
     reshape(matmul(reshape)), concat, scale, logsumexp, sub, sum on the positives and
     negatives that two row gathers cut from ``passages``, with each operand's gradient
     terms summed in that chain's order, so loss, scores and gradients match it bit for
-    bit.  ``losses.ContrastiveBatch`` validates the shapes.
+    bit.  Inputs are not checked here: ``losses.info_nce_with_scores`` checks them.
     """
     q, passages = as_tensor(q), as_tensor(passages)
     bsz, dim = q.shape
@@ -498,7 +495,7 @@ def cosent_loss(cosines, labels, tau: float) -> Tensor:
     The sum runs over every pair (hi, lo) with ``labels[hi] > labels[lo]``;
     without one the loss is an untracked 0.  The ops and their order are those
     of the chain index_select, sub, scale, exp, sum, log1p, so loss and
-    gradient match it bit for bit.
+    gradient match it bit for bit.  Inputs are not checked here: ``losses.cosent`` checks them.
     """
     c = as_tensor(cosines)
     labels = np.asarray(labels)

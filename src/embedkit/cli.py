@@ -155,7 +155,7 @@ def cmd_grad_check(args) -> int:
     from . import autograd as ag
     from .autograd import Tensor, grad_check
     from .encoder import Encoder, EncoderConfig
-    from .losses import ContrastiveBatch, StsBatch, cosent, info_nce, next_token_ce
+    from .losses import cosent, info_nce_with_scores, next_token_ce
     from .masks import bidirectional_mask
 
     failures = 0
@@ -178,11 +178,11 @@ def cmd_grad_check(args) -> int:
         logits = rng.normal(size=(4, 8))
         targets = rng.integers(0, 8, 4)
         checks = {
-            "info_nce": (lambda t: info_nce(ContrastiveBatch(
-                ag.l2_normalize(t), Tensor(passages), temperature=0.5)), raw),
-            "info_nce_passages": (lambda t: info_nce(ContrastiveBatch(
-                ag.l2_normalize(raw), ag.l2_normalize(t), temperature=0.5)), passages),
-            "cosent": (lambda t: cosent(StsBatch(t, labels, tau=0.05)), cos),
+            "info_nce_queries": (lambda t: info_nce_with_scores(
+                ag.l2_normalize(t), Tensor(passages), 0.5)[0], raw),
+            "info_nce_passages": (lambda t: info_nce_with_scores(
+                ag.l2_normalize(raw), ag.l2_normalize(t), 0.5)[0], passages),
+            "cosent": (lambda t: cosent(t, labels, tau=0.05), cos),
             "next_token_ce": (lambda t: next_token_ce(t, targets), logits),
         }
         for name, (f, x) in checks.items():
@@ -201,8 +201,8 @@ def cmd_grad_check(args) -> int:
 
         def f(t, name=name, enc=enc):
             enc.params[name] = t
-            return info_nce(ContrastiveBatch(enc.embed_batch(q_ids, mask),
-                                             enc.embed_batch(p_ids, mask), temperature=0.5))
+            return info_nce_with_scores(enc.embed_batch(q_ids, mask), enc.embed_batch(p_ids, mask),
+                                        0.5)[0]
 
         err = grad_check(f, base, h=1e-5, max_coords=16, seed=seed)
         report(f"encoder[{name}]", seed, err, tol=args.encoder_tolerance)

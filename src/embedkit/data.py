@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import numbers
 import re
 import subprocess
 from dataclasses import dataclass, field, fields, replace
@@ -62,6 +64,11 @@ class ScoredPair:
     lang: str = "und"
     uid: str = ""
     source: str = ""
+
+    def __post_init__(self):
+        s = self.similarity
+        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s):
+            raise ValueError(f"similarity must be a finite real number, got {s!r}")
 
 
 TrainingExample = Union[Triplet, ScoredPair]
@@ -175,7 +182,7 @@ class LanguageDistribution:
             raise ValueError("language codes must be unique")
         if len(self.codes) != len(self.proportions) or not self.codes:
             raise ValueError("codes and proportions must be non-empty and equal-length")
-        if any(p < 0 for p in self.proportions):
+        if not all(p >= 0 for p in self.proportions):     # NaN too
             raise ValueError("proportions must be non-negative")
         total = float(sum(self.proportions))
         if abs(total - 1.0) > 1e-9:
@@ -183,6 +190,9 @@ class LanguageDistribution:
 
     @classmethod
     def from_weights(cls, weights: dict[str, float]) -> "LanguageDistribution":
+        for code, w in weights.items():
+            if not math.isfinite(w):
+                raise ValueError(f"language {code!r} has weight {w}, not a finite number")
         total = float(sum(weights.values()))
         if total <= 0:
             raise ValueError("weights must have a positive sum")
@@ -196,7 +206,10 @@ class LanguageDistribution:
             raw = yaml.safe_load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"distribution file {path} must map language codes to weights")
-        return cls.from_weights({str(k): float(v) for k, v in raw.items()})
+        try:
+            return cls.from_weights({str(k): float(v) for k, v in raw.items()})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"distribution file {path}: {exc}") from exc
 
 
 def default_translation_languages() -> LanguageDistribution:

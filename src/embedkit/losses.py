@@ -14,13 +14,13 @@ log(1 + .); ties contribute nothing, so a batch with all-equal labels
 scores exactly 0.  The log is ``log1p``: a batch whose ordered pairs are all
 far apart still scores above 0, where ``log(1 + total)`` would round to 0.
 
-Each loss is one autograd node with a hand-written backward (``info_nce_loss``,
-``cosent_loss``, ``cross_entropy_lastdim``); this module validates their inputs.
+Each loss is one function: it checks its inputs, then calls its fused
+autograd node with a hand-written backward (``info_nce_loss``,
+``cosent_loss``, ``cross_entropy_lastdim``), which checks none.  This module
+is the one place that knows what a valid loss input is.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,61 +34,37 @@ def _check_normalized(name: str, data: np.ndarray, atol: float = 1e-6):
         raise ValueError(f"{name} embeddings must be L2-normalized (worst norm {norms.flat[np.abs(norms - 1.0).argmax()]})")
 
 
-@dataclass
-class ContrastiveBatch:
-    """Queries (B, D) and their (B·(1+K), D) passages: B positives, then each query's K negatives."""
-
-    queries: Tensor
-    passages: Tensor
-    temperature: float = 0.05
-
-    def __post_init__(self):
-        self.queries = ag.as_tensor(self.queries)
-        self.passages = ag.as_tensor(self.passages)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        q, p = self.queries, self.passages
-        if q.ndim != 2 or q.shape[0] < 1:
-            raise ValueError(f"queries must be a non-empty (B, D) matrix, got {q.shape}")
-        if p.ndim != 2 or p.shape[1] != q.shape[1] or p.shape[0] < q.shape[0] \
-                or p.shape[0] % q.shape[0]:
-            raise ValueError(f"passages shape {p.shape} is not (B·(1+K), D) for queries {q.shape}")
-        _check_normalized("query", q.data)
-        _check_normalized("passage", p.data)
+def info_nce_with_scores(queries, passages,
+                         temperature: float = 0.05) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """InfoNCE of (B, D) queries against their (B·(1+K), D) passages: B positives,
+    then each query's K negatives; also the (B,) positive and (B, K) negative cosines it used."""
+    q, p = ag.as_tensor(queries), ag.as_tensor(passages)
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    if q.ndim != 2 or q.shape[0] < 1:
+        raise ValueError(f"queries must be a non-empty (B, D) matrix, got {q.shape}")
+    if p.ndim != 2 or p.shape[1] != q.shape[1] or p.shape[0] < q.shape[0] or p.shape[0] % q.shape[0]:
+        raise ValueError(f"passages shape {p.shape} is not (B·(1+K), D) for queries {q.shape}")
+    _check_normalized("query", q.data)
+    _check_normalized("passage", p.data)
+    return ag.info_nce_loss(q, p, temperature)
 
 
-def info_nce(batch: ContrastiveBatch) -> Tensor:
-    return info_nce_with_scores(batch)[0]
-
-
-def info_nce_with_scores(batch: ContrastiveBatch) -> tuple[Tensor, np.ndarray, np.ndarray]:
-    """InfoNCE loss plus the (B,) positive and (B, K) negative cosines it used."""
-    return ag.info_nce_loss(batch.queries, batch.passages, batch.temperature)
-
-
-@dataclass
-class StsBatch:
-    """Per-pair cosine scores with ordinal ground-truth similarity labels."""
-
-    cosines: Tensor
-    labels: np.ndarray
-    tau: float = 0.05
-
-    def __post_init__(self):
-        self.cosines = ag.as_tensor(self.cosines)
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.cosines.ndim != 1 or self.cosines.shape[0] < 1:
-            raise ValueError(f"cosines must be a non-empty vector, got shape {self.cosines.shape}")
-        if self.labels.shape != self.cosines.shape:
-            raise ValueError(f"labels shape {self.labels.shape} does not match cosines {self.cosines.shape}")
-        if np.abs(self.cosines.data).max() > 1.0 + 1e-9:
-            raise ValueError("cosines must lie in [-1, 1]")
-
-
-def cosent(batch: StsBatch) -> Tensor:
-    return ag.cosent_loss(batch.cosines, batch.labels, batch.tau)
+def cosent(cosines, labels, tau: float = 0.05) -> Tensor:
+    """CoSENT of (P,) per-pair cosines against their ordinal ground-truth similarity labels."""
+    c = ag.as_tensor(cosines)
+    labels = np.asarray(labels, dtype=np.float64)
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if c.ndim != 1 or c.shape[0] < 1:
+        raise ValueError(f"cosines must be a non-empty vector, got shape {c.shape}")
+    if labels.shape != c.shape:
+        raise ValueError(f"labels shape {labels.shape} does not match cosines {c.shape}")
+    if not np.isfinite(labels).all():
+        raise ValueError(f"labels must be finite, got {labels[~np.isfinite(labels)][0]}")
+    if not (np.abs(c.data) <= 1.0 + 1e-9).all():     # NaN too
+        raise ValueError("cosines must lie in [-1, 1]")
+    return ag.cosent_loss(c, labels, tau)
 
 
 def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -36,7 +36,7 @@ from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require
 from .data import ScoredPair, Triplet, _texts_of, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import retrieval_metrics, spearman, top_k
-from .losses import ContrastiveBatch, StsBatch, cosent, info_nce_with_scores, next_token_ce
+from .losses import cosent, info_nce_with_scores, next_token_ce
 from .masks import AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from .mining import MiningState
 from .optim import AdamW, warmup_lr
@@ -661,7 +661,7 @@ class Trainer:
         dims = self._mrl_dims(cfg)
         cos = [ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims),
                                      truncate_normalize(eb, d, dims))) for d in dims]
-        return _mean([cosent(StsBatch(c, labels)) for c in cos])  # ascending dims
+        return _mean([cosent(c, labels) for c in cos])  # ascending dims
 
     def _triplet_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
                             rng: np.random.Generator, step: int, task: str,
@@ -678,9 +678,9 @@ class Trainer:
         p_emb = self._embed(cfg, encoder, passages, step)
 
         dims = self._mrl_dims(cfg)
-        widest_first = [info_nce_with_scores(ContrastiveBatch(
-            truncate_normalize(q_emb, d, dims), truncate_normalize(p_emb, d, dims),
-            temperature=cfg.temperature)) for d in sorted(dims, reverse=True)]
+        widest_first = [info_nce_with_scores(truncate_normalize(q_emb, d, dims),
+                                             truncate_normalize(p_emb, d, dims), cfg.temperature)
+                        for d in sorted(dims, reverse=True)]
         loss = _mean([loss_d for loss_d, _, _ in widest_first])
 
         if mining is not None:

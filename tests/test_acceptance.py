@@ -21,7 +21,7 @@ from embedkit.data import (LanguageDistribution, MockTranslator, build_sft_recor
                            write_dataset, write_text_dataset)
 from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.evaluation import centroid_analysis, exact_search, ndcg_at_10, recall_at_k, spearman
-from embedkit.losses import (ContrastiveBatch, StsBatch, cosent, info_nce, next_token_ce)
+from embedkit.losses import cosent, info_nce_with_scores, next_token_ce
 from embedkit.masks import (ScheduleState, bidirectional_mask, build_soft_mask, causal_mask,
                             mask_numerical_rank, rank_trajectory)
 from embedkit.mining import Decision, MiningState, decide_scores
@@ -88,7 +88,7 @@ def test_criterion_2_mask_monotonicity():
 
 def test_criterion_3_gradient_fidelity():
     start = time.time()
-    worst = {"info_nce": 0.0, "cosent": 0.0, "next_token_ce": 0.0, "encoder": 0.0}
+    worst = {"info_nce_with_scores": 0.0, "cosent": 0.0, "next_token_ce": 0.0, "encoder": 0.0}
 
     for seed in range(50):
         rng = np.random.default_rng(seed)
@@ -98,14 +98,14 @@ def test_criterion_3_gradient_fidelity():
         neg /= np.linalg.norm(neg, axis=-1, keepdims=True)
         raw = rng.normal(size=(4, 8))
         passages = np.concatenate([pos, neg.reshape(12, 8)])    # 4 positives, then 3 negatives each
-        worst["info_nce"] = max(worst["info_nce"], grad_check(
-            lambda t: info_nce(ContrastiveBatch(ag.l2_normalize(t), Tensor(passages),
-                                                temperature=0.5)), raw, h=1e-6))
+        worst["info_nce_with_scores"] = max(worst["info_nce_with_scores"], grad_check(
+            lambda t: info_nce_with_scores(ag.l2_normalize(t), Tensor(passages),
+                                           temperature=0.5)[0], raw, h=1e-6))
 
         cos = rng.uniform(-0.9, 0.9, 6)
         labels = rng.integers(0, 3, 6).astype(float)
         worst["cosent"] = max(worst["cosent"], grad_check(
-            lambda t: cosent(StsBatch(t, labels, tau=0.05)), cos, h=1e-6))
+            lambda t: cosent(t, labels, tau=0.05), cos, h=1e-6))
 
         logits = rng.normal(size=(4, 8))
         targets = rng.integers(0, 8, 4)
@@ -125,15 +125,15 @@ def test_criterion_3_gradient_fidelity():
 
         def f(t):
             enc.params[name] = t
-            return info_nce(ContrastiveBatch(enc.embed_batch(q_ids, mask),
-                                             enc.embed_batch(p_ids, mask), temperature=0.5))
+            return info_nce_with_scores(enc.embed_batch(q_ids, mask),
+                                        enc.embed_batch(p_ids, mask), temperature=0.5)[0]
 
         worst["encoder"] = max(worst["encoder"], grad_check(f, base, h=1e-5,
                                                             max_coords=20, seed=seed))
         enc.params[name] = Tensor(base, requires_grad=True)
 
     elapsed = time.time() - start
-    ok = (worst["info_nce"] < 1e-4 and worst["cosent"] < 1e-4
+    ok = (worst["info_nce_with_scores"] < 1e-4 and worst["cosent"] < 1e-4
           and worst["next_token_ce"] < 1e-4 and worst["encoder"] < 1e-3
           and elapsed < 60.0)
     _report(3, "gradient fidelity", ok,
@@ -146,13 +146,13 @@ def test_criterion_3_gradient_fidelity():
 
 def test_criterion_4_loss_hand_values():
     # one query: its positive, then its negative(s)
-    nce_single = float(info_nce(ContrastiveBatch(
-        Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [-1.0, 0.0]]), temperature=1.0)).data)
+    nce_single = float(info_nce_with_scores(
+        Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [-1.0, 0.0]]), temperature=1.0)[0].data)
     m = 7
     cand = np.tile([[0.0, 1.0]], (m, 1))    # the positive and m - 1 negatives, all at cosine 0
-    nce_uniform = float(info_nce(ContrastiveBatch(
-        Tensor([[1.0, 0.0]]), Tensor(cand), temperature=1.0)).data)
-    cos_equal = float(cosent(StsBatch(Tensor([0.4, 0.4]), np.array([1.0, 0.0]), tau=0.05)).data)
+    nce_uniform = float(info_nce_with_scores(
+        Tensor([[1.0, 0.0]]), Tensor(cand), temperature=1.0)[0].data)
+    cos_equal = float(cosent(Tensor([0.4, 0.4]), np.array([1.0, 0.0]), tau=0.05).data)
 
     expect = math.log(1.0 + math.exp(-2.0))
     ok = (abs(nce_single - expect) < 1e-9
@@ -291,7 +291,7 @@ def test_criterion_7_soft_mask_benefit(work):
         enc, tok, _ = load_encoder(ckpt)
         q = embed_texts(enc, tok, [p.query for p in probe])
         p = embed_texts(enc, tok, [p.positive for p in probe])
-        return float(info_nce(ContrastiveBatch(Tensor(q), Tensor(p), temperature=0.05)).data)
+        return float(info_nce_with_scores(Tensor(q), Tensor(p), temperature=0.05)[0].data)
 
     def run_stage3(policy, seed):
         manifest = RunManifest(

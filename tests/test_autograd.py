@@ -537,14 +537,6 @@ def test_cross_entropy_backward_equal_to_softmax_minus_scatter():
         assert x.grad.tobytes() == (lse.grad + scatter).tobytes()
 
 
-def test_cross_entropy_rejects_bad_targets():
-    x = Tensor(np.zeros((3, 4)), requires_grad=True)
-    with pytest.raises(ShapeMismatchError, match=r"\(2,\).*\(3,\)"):
-        ag.cross_entropy_lastdim(x, np.zeros(2, dtype=int))
-    with pytest.raises(IndexError, match="extent 4"):
-        ag.cross_entropy_lastdim(x, np.array([0, 4, 1]))
-
-
 def _chain_info_nce(q, p, n, temperature):
     """The 14-node InfoNCE chain ``info_nce_loss`` replaced, kept as its reference."""
     bsz, dim = q.shape

@@ -105,6 +105,43 @@ def test_perfbench_mining_hooks_count_real_calls():
             for name in ("register_query", "cache_scores", "replace_flagged")] == [2, 1, 1]
 
 
+def test_perfbench_loss_spans_count_real_calls(tmp_path):
+    # perfbench's per-layer losses.<name>.self_ms read these spans: an lm step, a
+    # triplet step and an STS step through Trainer each record their loss calls
+    from embedkit.data import (build_sts, build_triplets, synth_corpus, write_dataset,
+                               write_text_dataset)
+    from embedkit.encoder import EncoderConfig
+    from embedkit.pipeline import RunManifest, StageConfig, Trainer
+
+    corpus = synth_corpus(4, 4, seed=1)
+    write_text_dataset(tmp_path / "lm.jsonl", [s["text"] for s in corpus.sentences])
+    write_dataset(tmp_path / "retrieval.jsonl", "retrieval", build_triplets(corpus, pool_size=4))
+    write_dataset(tmp_path / "sts.jsonl", "sts", build_sts(corpus, 8))
+    dims = (8, 16)
+    manifest = RunManifest(
+        encoder=EncoderConfig(layers=1, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
+                              vocab_size=512, max_len=16, mrl_dims=dims),
+        stages=[StageConfig(kind="lm-pretrain", steps=1, batch_size=4, window_len=8),
+                # step 0 draws retrieval triplets, step 1 STS pairs
+                StageConfig(kind="supervised", steps=2, mrl=True, dhnm=True, triplet_batch_size=2,
+                            sts_batch_size=4, negatives_per_query=2)],
+        data={"lm-pretrain": str(tmp_path / "lm.jsonl"),
+              "supervised": {"retrieval": str(tmp_path / "retrieval.jsonl"),
+                             "sts": str(tmp_path / "sts.jsonl")}},
+        output_dir=str(tmp_path / "run"), seed=0)
+
+    bench = _perfbench()
+    tracer = bench.Tracer()
+    tracer.install(bench.HOOKS)
+    try:
+        Trainer(manifest).run()
+    finally:
+        tracer.uninstall()
+    calls = {name: tracer.totals(f"losses.{name}")[0]
+             for name in ("next_token_ce", "info_nce_with_scores", "cosent")}
+    assert calls == {"next_token_ce": 1, "info_nce_with_scores": len(dims), "cosent": len(dims)}
+
+
 @pytest.mark.parametrize("workload", ["toy-pipeline", "mining-eval"])
 def test_perfbench_manifest_reads_back_with_data_for_every_stage(tmp_path, workload):
     # perfbench writes its manifest with to_yaml and trains it after from_yaml

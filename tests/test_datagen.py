@@ -128,11 +128,27 @@ class TestLanguageDistribution:
         hits = sum(sample_target_language(d, rng) == "en" for _ in range(n))
         assert abs(hits / n - p_en) <= 0.002
 
+    def test_nan_proportions_rejected(self):
+        # NaN proportions summed to NaN, which passed the sum check
+        with pytest.raises(ValueError, match="non-negative"):
+            LanguageDistribution(("a", "b"), (float("nan"), float("nan")))
+
     def test_from_file(self, tmp_path):
         f = tmp_path / "dist.yaml"
         f.write_text("en: 2\nzh: 2\n")
         d = LanguageDistribution.from_file(f)
         assert d.proportions == (0.5, 0.5)
+
+    @pytest.mark.parametrize("text,code", [("aa: .nan\nbb: 1\n", "aa"), ("aa: .inf\nbb: 1\n", "aa"),
+                                           ("aa: 1\nbb: -.inf\n", "bb")],
+                             ids=["nan", "inf", "minus-inf"])
+    def test_non_finite_weight_refused_naming_its_code(self, tmp_path, text, code):
+        # a NaN or infinite weight made every proportion NaN (or 0), so every draw was the last code
+        f = tmp_path / "dist.yaml"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"{re.escape(str(f))}: language '{code}' has weight "
+                                             r".*, not a finite number"):
+            LanguageDistribution.from_file(f)
 
 
 class TestMockTranslator:
@@ -306,6 +322,20 @@ class TestDatasetFiles:
         found, line = ("scored_pair", 4) if kind is Triplet else ("triplet", 2)
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}:{line}: .*a {found} record"):
             read_dataset(path, kind)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", '"2"', "true", "null"],
+                             ids=["nan", "inf", "minus-inf", "string", "bool", "null"])
+    def test_similarity_not_a_finite_real_refused_at_its_line(self, tmp_path, value):
+        # CoSENT dropped a NaN label's comparisons and read "2" as 2.0
+        path = tmp_path / "sts.jsonl"
+        write_dataset(path, "sts", [ScoredPair("a", "b", 1.0), ScoredPair("a", "b", 2)])
+        lines = path.read_text().splitlines()
+        assert '"similarity":2,' in lines[2]
+        lines[2] = lines[2].replace('"similarity":2,', f'"similarity":{value},')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: .*similarity must be a "
+                                             "finite real number"):
+            read_dataset(path, ScoredPair)
 
     def test_header_vocab_covers_all_text(self, tmp_path):
         examples = [Triplet("alpha beta", "gamma", ["delta epsilon"])]

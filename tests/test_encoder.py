@@ -17,7 +17,7 @@ from embedkit.autograd import DomainError, Tensor, grad_check
 from embedkit.checkpoint import (CheckpointError, load_checkpoint, load_weights, require_matching_config,
                                  save_checkpoint)
 from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_normalize
-from embedkit.losses import ContrastiveBatch, StsBatch, cosent, info_nce, next_token_ce
+from embedkit.losses import cosent, info_nce_with_scores, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from embedkit.pipeline import _mean
 from test_autograd import _chain_info_nce, _gather, _reshape, _sum
@@ -313,7 +313,7 @@ class TestFusedPoolingAndTruncation:
             terms = []
             for d in sorted(TOY.mrl_dims, reverse=True):
                 cut = [trunc(t, d, TOY.mrl_dims) for t in operands]
-                terms.append(info_nce(ContrastiveBatch(*cut)) if name == "op"
+                terms.append(info_nce_with_scores(*cut)[0] if name == "op"
                              else _chain_info_nce(*cut, 0.05)[0])
             loss = _mean(terms)
             ag.backward(loss)
@@ -336,8 +336,8 @@ class TestEncoderGradients:
 
         def f(t):
             enc.params[name] = t
-            return info_nce(ContrastiveBatch(enc.embed_batch(q_ids, mask),
-                                             enc.embed_batch(p_ids, mask), temperature=0.5))
+            return info_nce_with_scores(enc.embed_batch(q_ids, mask),
+                                        enc.embed_batch(p_ids, mask), temperature=0.5)[0]
 
         err = grad_check(f, base, h=1e-5, max_coords=20, seed=seed)
         enc.params[name] = Tensor(base, requires_grad=True)
@@ -379,7 +379,7 @@ class TestTape:
         ids = np.random.default_rng(1).integers(2, TOY.vocab_size, size=(2, 8, 10))
         mask = build_soft_mask(ScheduleState("linear", 3, 10), 10)
         q, p = (enc.embed_batch(x, mask) for x in ids)
-        assert _tape_nodes(info_nce(ContrastiveBatch(q, p, temperature=0.05))) == 59
+        assert _tape_nodes(info_nce_with_scores(q, p, temperature=0.05)[0]) == 59
 
     def test_supervised_triplet_step_tape_nodes(self):
         # one unpadded triplet step, built as Trainer._triplet_batch_loss does, with
@@ -397,8 +397,8 @@ class TestTape:
         q_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz, 10)), mask)
         p_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz + bsz * k, 10)), mask)
         dims = TOY.mrl_dims
-        loss = _mean([info_nce(ContrastiveBatch(*(truncate_normalize(t, d, dims)
-                                                  for t in (q_emb, p_emb))))
+        loss = _mean([info_nce_with_scores(*(truncate_normalize(t, d, dims)
+                                             for t in (q_emb, p_emb)))[0]
                       for d in sorted(dims, reverse=True)])
         assert _tape_nodes(loss) == 68
 
@@ -418,7 +418,7 @@ class TestTape:
         dims = TOY.mrl_dims
         cos = [ag.sum_lastdim(ag.mul(truncate_normalize(ea, d, dims), truncate_normalize(eb, d, dims)))
                for d in dims]
-        assert _tape_nodes(_mean([cosent(StsBatch(c, labels)) for c in cos])) == 74
+        assert _tape_nodes(_mean([cosent(c, labels) for c in cos])) == 74
 
     def test_padded_weights_match_row_loop(self):
         mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)

@@ -2,6 +2,7 @@
 gradient checks for the three objectives."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 
 from embedkit import autograd as ag
 from embedkit.autograd import Tensor, grad_check
-from embedkit.losses import (ContrastiveBatch, StsBatch, cosent, info_nce,
-                             info_nce_with_scores, next_token_ce)
+from embedkit.losses import cosent, info_nce_with_scores, next_token_ce
 from test_autograd import _reshape
 
 LOG_1P_EXP_M2 = math.log(1.0 + math.exp(-2.0))     # 0.126928...
@@ -46,21 +46,21 @@ def _nce(q, p, n, temperature):
 
 class TestInfoNceValues:
     def test_single_pair_with_antipodal_negative(self):
-        batch = ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [-1.0, 0.0]]),
-                                 temperature=1.0)
-        assert float(info_nce(batch).data) == pytest.approx(LOG_1P_EXP_M2, abs=1e-9)
+        loss, _, _ = info_nce_with_scores(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [-1.0, 0.0]]),
+                                          temperature=1.0)
+        assert float(loss.data) == pytest.approx(LOG_1P_EXP_M2, abs=1e-9)
 
     @pytest.mark.parametrize("m", [2, 5, 9])
     def test_uniform_candidates_give_log_m(self, m):
         # one query, m candidates all at the same cosine
         cand = np.tile([[0.0, 1.0]], (m - 1, 1))[None, :, :]
-        batch = ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor(_passages([[0.0, 1.0]], cand)),
-                                 temperature=1.0)
-        assert float(info_nce(batch).data) == pytest.approx(math.log(m), abs=1e-9)
+        loss, _, _ = info_nce_with_scores(Tensor([[1.0, 0.0]]),
+                                          Tensor(_passages([[0.0, 1.0]], cand)), temperature=1.0)
+        assert float(loss.data) == pytest.approx(math.log(m), abs=1e-9)
 
     def test_single_pair_no_negatives_is_zero(self):
-        batch = ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), temperature=0.05)
-        assert float(info_nce(batch).data) == 0.0
+        loss, _, _ = info_nce_with_scores(Tensor([[1.0, 0.0]]), Tensor([[0.0, 1.0]]), temperature=0.05)
+        assert float(loss.data) == 0.0
 
     def test_loss_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -68,7 +68,7 @@ class TestInfoNceValues:
             q = _unit(rng.normal(size=(5, 6)))
             p = _unit(rng.normal(size=(5, 6)))
             n = _unit(rng.normal(size=(5, 3, 6)))
-            val = float(info_nce(ContrastiveBatch(Tensor(q), Tensor(_passages(p, n)))).data)
+            val = float(info_nce_with_scores(Tensor(q), Tensor(_passages(p, n)))[0].data)
             assert val >= 0.0
 
     def test_score_shift_invariance(self):
@@ -96,19 +96,19 @@ class TestInfoNceValues:
         rng = np.random.default_rng(2)
         q, p = _unit(rng.normal(size=(3, 4))), _unit(rng.normal(size=(3, 4)))
         n = _unit(rng.normal(size=(3, 2, 4)))
-        _, pos, neg = info_nce_with_scores(ContrastiveBatch(Tensor(q), Tensor(_passages(p, n))))
+        _, pos, neg = info_nce_with_scores(Tensor(q), Tensor(_passages(p, n)))
         np.testing.assert_allclose(pos, (q * p).sum(-1), atol=1e-12)
         np.testing.assert_allclose(neg, np.einsum("bkd,bd->bk", n, q), atol=1e-12)
 
     def test_unnormalized_inputs_rejected(self):
         with pytest.raises(ValueError, match="normalized"):
-            ContrastiveBatch(Tensor([[2.0, 0.0]]), Tensor([[1.0, 0.0]]))
+            info_nce_with_scores(Tensor([[2.0, 0.0]]), Tensor([[1.0, 0.0]]))
 
     def test_nan_embeddings_rejected(self):
         with pytest.raises(ValueError, match="query embeddings must be L2-normalized"):
-            ContrastiveBatch(Tensor([[np.nan, 0.0]]), Tensor([[1.0, 0.0]]))
+            info_nce_with_scores(Tensor([[np.nan, 0.0]]), Tensor([[1.0, 0.0]]))
         with pytest.raises(ValueError, match="passage embeddings must be L2-normalized"):
-            ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0], [np.nan, np.nan]]))
+            info_nce_with_scores(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0], [np.nan, np.nan]]))
 
     @pytest.mark.parametrize("rows,width", [(5, 2), (1, 2), (4, 3)],
                              ids=["rows-not-multiple-of-B", "fewer-rows-than-B", "width"])
@@ -116,50 +116,49 @@ class TestInfoNceValues:
         # B = 2 queries take 2·(1+K) passages of their width
         passages = np.tile(np.eye(width)[:1], (rows, 1))
         with pytest.raises(ValueError, match=r"passages shape .* is not \(B·\(1\+K\), D\)"):
-            ContrastiveBatch(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor(passages))
+            info_nce_with_scores(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor(passages))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            ContrastiveBatch(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+            info_nce_with_scores(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
 
     def test_bad_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
-            ContrastiveBatch(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]), temperature=0.0)
+            info_nce_with_scores(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0]]), temperature=0.0)
 
 
 class TestCosentValues:
     def test_all_labels_equal_is_zero(self):
-        batch = StsBatch(Tensor([0.3, -0.2, 0.9]), np.array([1.0, 1.0, 1.0]))
-        assert float(cosent(batch).data) == 0.0
+        assert float(cosent(Tensor([0.3, -0.2, 0.9]), np.array([1.0, 1.0, 1.0])).data) == 0.0
 
     def test_single_pair_is_zero(self):
-        assert float(cosent(StsBatch(Tensor([0.5]), np.array([2.0]))).data) == 0.0
+        assert float(cosent(Tensor([0.5]), np.array([2.0])).data) == 0.0
 
     @pytest.mark.parametrize("tau", [0.02, 0.05, 1.0])
     def test_equal_cosines_ordered_labels_give_log2(self, tau):
-        batch = StsBatch(Tensor([0.4, 0.4]), np.array([1.0, 0.0]), tau=tau)
-        assert float(cosent(batch).data) == pytest.approx(math.log(2.0), abs=1e-9)
+        loss = cosent(Tensor([0.4, 0.4]), np.array([1.0, 0.0]), tau=tau)
+        assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_correctly_ordered_gap_of_point1_at_tau_005(self):
-        batch = StsBatch(Tensor([0.9, 0.8]), np.array([1.0, 0.0]), tau=0.05)
-        assert float(cosent(batch).data) == pytest.approx(LOG_1P_EXP_M2, abs=1e-9)
+        loss = cosent(Tensor([0.9, 0.8]), np.array([1.0, 0.0]), tau=0.05)
+        assert float(loss.data) == pytest.approx(LOG_1P_EXP_M2, abs=1e-9)
 
     def test_monotone_relabeling_is_bitwise_identical(self):
         rng = np.random.default_rng(3)
         cos = rng.uniform(-1, 1, 8)
         labels = rng.integers(0, 4, 8).astype(float)
-        a = cosent(StsBatch(Tensor(cos), labels, tau=0.07)).data
-        b = cosent(StsBatch(Tensor(cos), labels * 10.0 + 3.0, tau=0.07)).data
-        c = cosent(StsBatch(Tensor(cos), np.exp(labels), tau=0.07)).data
+        a = cosent(Tensor(cos), labels, tau=0.07).data
+        b = cosent(Tensor(cos), labels * 10.0 + 3.0, tau=0.07).data
+        c = cosent(Tensor(cos), np.exp(labels), tau=0.07).data
         assert a.tobytes() == b.tobytes() == c.tobytes()
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
-            StsBatch(Tensor([0.1, 0.2]), np.array([1.0, 0.0]), tau=-1.0)
+            cosent(Tensor([0.1, 0.2]), np.array([1.0, 0.0]), tau=-1.0)
 
     def test_satisfied_pairs_score_above_zero(self):
         # total = exp(-40): log(1 + total) rounds to 0, log1p keeps it
-        val = float(cosent(StsBatch(Tensor([-1.0, 1.0]), np.array([0.0, 1.0]))).data)
+        val = float(cosent(Tensor([-1.0, 1.0]), np.array([0.0, 1.0])).data)
         assert val == pytest.approx(math.exp(-40.0), rel=1e-12)
         assert val > 0.0
 
@@ -169,7 +168,7 @@ class TestCosentValues:
         cos, labels = rng.uniform(-1, 1, 7), rng.integers(0, 3, 7).astype(float)
         hi, lo = np.where(labels[:, None] > labels[None, :])
         t = Tensor(cos, requires_grad=True)
-        ag.backward(cosent(StsBatch(t, labels, tau=0.05)))
+        ag.backward(cosent(t, labels, tau=0.05))
         ref = Tensor(cos, requires_grad=True)
         diffs = ag.add(ag.index_select(ref, lo), ag.mul(ag.index_select(ref, hi), -1.0))
         ag.backward(_log(ag.add(ag.sum_lastdim(_exp(ag.mul(diffs, 1.0 / 0.05))), 1.0)))
@@ -181,10 +180,57 @@ class TestCosentValues:
     def test_nonnegative_and_zero_iff_no_ordered_pairs(self, cos, labels):
         n = min(len(cos), len(labels))
         cos, labels = cos[:n], np.array(labels[:n], dtype=float)
-        val = float(cosent(StsBatch(Tensor(np.array(cos)), labels)).data)
+        val = float(cosent(Tensor(np.array(cos)), labels).data)
         has_ordered = bool((labels[:, None] > labels[None, :]).any())
         assert val >= 0.0
         assert (val == 0.0) == (not has_ordered)
+
+
+# every refusal, with its whole message; each loss checks its inputs before its fused node runs
+UNIT = Tensor([[1.0, 0.0]])
+REFUSALS = [
+    (info_nce_with_scores, (UNIT, UNIT, 0.0), "temperature must be positive"),
+    (info_nce_with_scores, (Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2)))),
+     "queries must be a non-empty (B, D) matrix, got (0, 2)"),
+    (info_nce_with_scores, (Tensor([1.0, 0.0]), UNIT),
+     "queries must be a non-empty (B, D) matrix, got (2,)"),
+    (info_nce_with_scores, (UNIT, Tensor([[1.0, 0.0, 0.0]])),
+     "passages shape (1, 3) is not (B·(1+K), D) for queries (1, 2)"),
+    (info_nce_with_scores, (Tensor([[2.0, 0.0]]), UNIT),
+     "query embeddings must be L2-normalized (worst norm 2.0)"),
+    (info_nce_with_scores, (UNIT, Tensor([[1.0, 0.0], [0.0, 0.5]])),
+     "passage embeddings must be L2-normalized (worst norm 0.5)"),
+    (cosent, (Tensor([0.1, 0.2]), [1.0, 0.0], 0.0), "tau must be positive"),
+    (cosent, (Tensor(np.zeros(0)), []), "cosines must be a non-empty vector, got shape (0,)"),
+    (cosent, (Tensor([[0.1, 0.2]]), [[1.0, 0.0]]),
+     "cosines must be a non-empty vector, got shape (1, 2)"),
+    (cosent, (Tensor([0.1, 0.2]), [1.0, 0.0, 2.0]), "labels shape (3,) does not match cosines (2,)"),
+    # a NaN label compares false both ways, so its pairs would drop out of the sum
+    (cosent, (Tensor([0.1, 0.2]), [1.0, np.nan]), "labels must be finite, got nan"),
+    (cosent, (Tensor([0.1, 0.2]), [-np.inf, 0.0]), "labels must be finite, got -inf"),
+    (cosent, (Tensor([0.1, 1.5]), [1.0, 0.0]), "cosines must lie in [-1, 1]"),
+    (cosent, (Tensor([0.1, np.nan]), [1.0, 0.0]), "cosines must lie in [-1, 1]"),
+    (next_token_ce, (Tensor(np.zeros(4)), np.zeros((), dtype=int)),
+     "logits must be (..., positions, vocab), got (4,)"),
+    (next_token_ce, (Tensor(np.zeros((3, 4))), np.zeros(2, dtype=int)),
+     "targets shape (2,) does not match positions (3,)"),
+    (next_token_ce, (Tensor(np.zeros((3, 4))), np.array([0, 4, 1])),
+     "target id out of range for vocab 4"),
+    (next_token_ce, (Tensor(np.zeros((3, 4))), np.array([0, -1, 1])),
+     "target id out of range for vocab 4"),
+]
+
+
+REFUSAL_IDS = ["nce-temperature", "nce-empty", "nce-1d", "nce-layout", "nce-query-norm",
+               "nce-passage-norm", "cosent-tau", "cosent-empty", "cosent-2d", "cosent-labels-shape",
+               "cosent-labels-nan", "cosent-labels-inf", "cosent-range", "cosent-nan-cosine", "ce-logits-1d", "ce-targets-shape",
+               "ce-target-high", "ce-target-negative"]
+
+
+@pytest.mark.parametrize("loss,args,message", REFUSALS, ids=REFUSAL_IDS)
+def test_refusal_message(loss, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        loss(*args)
 
 
 class TestNextTokenCe:
@@ -243,8 +289,8 @@ def test_info_nce_gradient_matches_finite_differences(seed):
     raw = rng.normal(size=(4, 8))
 
     def f(t):
-        return info_nce(ContrastiveBatch(ag.l2_normalize(t), Tensor(_passages(pos, neg)),
-                                         temperature=0.5))
+        return info_nce_with_scores(ag.l2_normalize(t), Tensor(_passages(pos, neg)),
+                                    temperature=0.5)[0]
 
     assert grad_check(f, raw, h=1e-6) < 1e-4
 
@@ -257,7 +303,7 @@ def test_info_nce_passage_gradient_matches_finite_differences(seed):
     raw = rng.normal(size=(4 + 4 * 3, 8))
 
     def f(t):
-        return info_nce(ContrastiveBatch(Tensor(queries), ag.l2_normalize(t), temperature=0.5))
+        return info_nce_with_scores(Tensor(queries), ag.l2_normalize(t), temperature=0.5)[0]
 
     assert grad_check(f, raw, h=1e-6) < 1e-4
 
@@ -267,7 +313,7 @@ def test_cosent_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
     cos = rng.uniform(-0.9, 0.9, 6)
     labels = rng.integers(0, 3, 6).astype(float)
-    assert grad_check(lambda t: cosent(StsBatch(t, labels, tau=0.05)), cos, h=1e-6) < 1e-4
+    assert grad_check(lambda t: cosent(t, labels, tau=0.05), cos, h=1e-6) < 1e-4
 
 
 @pytest.mark.parametrize("seed", GRAD_SEEDS)

@@ -360,6 +360,36 @@ class TestTrainingRuns:
         for name in later:
             assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
+    def test_mid_stage_resume_carries_replaced_slots_and_exhausted_pools(self, tmp_path):
+        # one negative in each pool past the 3 slots, at lr 1e-2: slots are swapped
+        # and pools run dry before the step-8 checkpoint, so the resume must carry
+        # swapped slots, moved cursors and empty pools (at _manifest's lr no slot
+        # is ever replaced)
+        corpus = synth_corpus(6, 6, languages=("aa", "bb"), seed=21)
+        write_dataset(tmp_path / "retrieval.jsonl", "retrieval",
+                      build_triplets(corpus, lang="aa", pool_size=4, seed=22))
+
+        def manifest(out):
+            return RunManifest(
+                encoder=SMALL_ENC, stages=[StageConfig(
+                    kind="supervised", steps=16, lr=1e-2, mrl=True, dhnm=True,
+                    triplet_batch_size=3, negatives_per_query=3, checkpoint_every=8)],
+                data={"supervised": {"retrieval": str(tmp_path / "retrieval.jsonl")}},
+                output_dir=str(out), seed=5)
+
+        Trainer(manifest(tmp_path / "full")).run()
+        full = {p.name: p.read_bytes() for p in (tmp_path / "full").iterdir()}
+        records = [json.loads(ln) for ln in full["stage0-mining.jsonl"].decode().splitlines()]
+        before = [r["exhausted"] for r in records if r.get("event") == "replace" and r["step"] < 8]
+        assert False in before and True in before
+        # the run directory as a crash past the checkpoint leaves it: logs run beyond it
+        resumed = tmp_path / "resumed"
+        resumed.mkdir()
+        for name in ("stage0-step8.ckpt", "stage0-supervised.metrics.jsonl", "stage0-mining.jsonl"):
+            (resumed / name).write_bytes(full[name])
+        Trainer(manifest(resumed)).run(resume_from=str(resumed / "stage0-step8.ckpt"))
+        assert {p.name: p.read_bytes() for p in resumed.iterdir()} == full
+
     def test_crash_then_resume_in_place_matches_uninterrupted(self, toy_data, tmp_path):
         final_full = Trainer(_manifest(toy_data, tmp_path / "full")).run()
 
@@ -841,8 +871,8 @@ class TestCli:
         assert cli_main(["grad-check", "--cases", "2"]) == 0
         recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
         assert len(recs) == 10 and all(r["ok"] is True for r in recs)
-        assert [r["target"] for r in recs[:4]] == ["info_nce", "info_nce_passages", "cosent",
-                                                   "next_token_ce"]
+        assert [r["target"] for r in recs[:4]] == ["info_nce_queries", "info_nce_passages",
+                                                   "cosent", "next_token_ce"]
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -1156,6 +1186,15 @@ class TestCli:
                          "--output", str(out_path), "--distribution", str(dist),
                          "--seed", "3"]) == 0
         assert out_path.exists()
+
+    def test_gen_clr_non_finite_weight_exits_3_naming_code(self, toy_data, tmp_path, capsys):
+        dist = tmp_path / "dist.yaml"
+        dist.write_text("aa: .nan\nbb: 1\n")
+        out_path = tmp_path / "clr-out.jsonl"
+        assert cli_main(["gen-clr", "--input", str(toy_data / "pairs.jsonl"),
+                         "--output", str(out_path), "--distribution", str(dist)]) == 3
+        assert f"{dist}: language 'aa' has weight nan" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_resume_across_manifest_seeds_exits_3(self, toy_data, tmp_path, capsys):
         # the checkpoint's step rngs belong to seed 5: a seed-99 resume would

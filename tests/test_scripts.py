@@ -1,6 +1,9 @@
 """Smoke runs of the scripts under ``scripts/`` at tiny sizes: each exits 0, and the
-toy data holds, for each stage, the record kind that stage reads."""
+toy data holds, for each stage, the record kind that stage reads.  ``bench.py``
+runs in-process on stand-in timings."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -43,3 +46,25 @@ def test_clr_centroid_study(tmp_path):
                "--pretrain-steps", "2", "--finetune-steps", "2")
     assert "contraction:" in out
     assert (tmp_path / "projection-before.tsv").exists() and (tmp_path / "projection-after.tsv").exists()
+
+
+def test_bench_records_each_benchmarks_ratio_to_the_baseline(tmp_path, monkeypatch, capsys):
+    # the ratio of the medians, change over baseline, for each benchmark both sides ran
+    spec = importlib.util.spec_from_file_location("bench_script", SCRIPTS / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for var in bench.THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    baseline = tmp_path.resolve()
+    times = {"base": {"a": [2.0, 2.0, 4.0], "b": [1.0]}, "change": {"a": [1.0, 1.0], "c": [3.0]}}
+    side = {baseline: "base", bench.ROOT: "change"}
+    monkeypatch.setattr(bench, "_git_label", lambda root: side[root])
+    monkeypatch.setattr(bench, "run_side", lambda src, json_path: times[side[src.parent]])
+    monkeypatch.setattr(bench, "machine", dict)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--out", str(out), "--baseline", str(baseline), "--pairs", "2"]) == 0
+    record = json.loads(out.read_text())
+    assert record["ratios"] == {"a": 0.5}
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split()[0] for ln in lines] == ["a", "b", "c"]
+    assert lines[0].endswith("ratio 0.500") and "ratio" not in lines[1] + lines[2]
