@@ -295,7 +295,10 @@ def attention(q, k, v, weights, heads: int) -> Tensor:
     p *= scale
     zero = w5 == 0.0
     if zero.any():
-        np.copyto(p5, -np.inf, where=zero)
+        # one additive bias over whole (L, L) tiles, where a masked copyto is much
+        # slower; x + 0.0 is x but for -0.0 -> +0.0, which the row-max shift and
+        # exp map to the same value as -0.0
+        p5 += np.where(zero, -np.inf, 0.0)
     p -= _rowmax(p)
     np.exp(p, out=p)
     if not (zero | (w5 == 1.0)).all():  # 0/1 weights: the -inf offset already zeroed them
@@ -416,35 +419,45 @@ def index_select(a, indices) -> Tensor:
     return _make(out_data, (a,), backward_fn)
 
 
-def cross_entropy_lastdim(a, targets) -> Tensor:
-    """Mean over leading positions of ``logsumexp(a[..., :]) - a[..., target]``; one node.
+def lm_head_ce(states, table, targets) -> Tensor:
+    """Mean token cross-entropy of tied-embedding logits ``states @ table.T``; one node.
 
-    The ops and their order are those of the chain logsumexp, pick, subtract,
-    mean, so loss and gradient match it bit for bit.
-    One (N, V) buffer holds ``exp(a - max)`` and then, in place, the gradient.
-    Targets are not checked here: ``losses.next_token_ce`` checks them.
+    ``states`` is (..., D), ``table`` the (V, D) embedding table and ``targets``
+    (...) ids.  The logits are one (N, D) @ (D, V) GEMM on the flattened states,
+    bitwise the stacked ``matmul(states, permute(table))`` they replace.  The
+    cross-entropy's ops and their order are those of the chain logsumexp, pick,
+    subtract, mean, so loss and gradients match that chain bit for bit; the
+    target logits are picked first, then the one (N, V) logits buffer is shifted
+    and exponentiated in place and, in the backward, becomes the gradient.  The
+    backward's GEMMs are the replaced ``matmul``'s and ``permute``'s calls.
+    Inputs are not checked here: ``losses.next_token_ce`` checks them.
     """
-    a = as_tensor(a)
+    s, t = as_tensor(states), as_tensor(table)
     idx = np.asarray(targets, dtype=np.intp)
-    vocab = a.shape[-1]
-    x = a.data.reshape(-1, vocab)
+    vocab, dim = t.shape
+    s2 = s.data.reshape(-1, dim)
+    x = np.matmul(s2, t.data.T)
     rows, cols = np.arange(x.shape[0]), idx.reshape(-1)
+    picked = x[rows, cols]
     m = np.max(x, axis=-1, keepdims=True)
-    e = x - m
-    np.exp(e, out=e)
-    s = e.sum(axis=-1)
-    lse = np.log(s) + m[:, 0]
+    x -= m
+    np.exp(x, out=x)
+    sums = x.sum(axis=-1)
+    lse = np.log(sums) + m[:, 0]
     n = idx.size
-    out_data = np.asarray((lse - x[rows, cols]).mean())
+    out_data = np.asarray((lse - picked).mean())
 
     def backward_fn(g):
         gn = g / n
-        grad = e  # the forward buffer, overwritten: backward runs once per graph
-        grad *= np.expand_dims(gn / s, -1)
+        grad = x  # the forward buffer, overwritten: backward runs once per graph
+        grad *= np.expand_dims(gn / sums, -1)
         grad[rows, cols] -= gn
-        _accumulate(a, grad.reshape(a.shape))
+        if s.requires_grad:
+            _accumulate(s, np.matmul(grad.reshape(s.shape[:-1] + (vocab,)), t.data))
+        if t.requires_grad:
+            _accumulate(t, np.matmul(s2.T, grad).T)
 
-    return _make(out_data, (a,), backward_fn)
+    return _make(out_data, (s, t), backward_fn)
 
 
 def info_nce_loss(q, passages, temperature: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
@@ -515,18 +528,6 @@ def cosent_loss(cosines, labels, tau: float) -> Tensor:
     return _make(np.log1p(total), (c,), backward_fn)
 
 
-def permute(a, axes) -> Tensor:
-    a = as_tensor(a)
-    axes = tuple(axes)
-    out_data = np.transpose(a.data, axes)
-    inv = tuple(np.argsort(axes))
-
-    def backward_fn(g):
-        _accumulate(a, np.transpose(g, inv))
-
-    return _make(out_data, (a,), backward_fn)
-
-
 def backward(loss: Tensor):
     """Populate gradients of every tracked leaf reachable from a scalar loss.
 
@@ -577,7 +578,8 @@ def grad_check(f, x, h: float = 1e-6, max_coords: int | None = None, seed: int =
     """
     if h <= 0:
         raise ValueError("step h must be positive")
-    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    # C order: the coordinates are perturbed through a flat view of it
+    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64, order="C")
     leaf = Tensor(base, requires_grad=True)
     out = f(leaf)
     backward(out)

@@ -175,15 +175,17 @@ def cmd_grad_check(args) -> int:
         raw = rng.normal(size=(4, 8))
         cos = rng.uniform(-0.9, 0.9, 6)
         labels = rng.integers(0, 3, 6).astype(float)
-        logits = rng.normal(size=(4, 8))
-        targets = rng.integers(0, 8, 4)
+        states = rng.normal(size=(2, 3, 6))
+        table = rng.normal(size=(8, 6))
+        targets = rng.integers(0, 8, (2, 3))
         checks = {
             "info_nce_queries": (lambda t: info_nce_with_scores(
                 ag.l2_normalize(t), Tensor(passages), 0.5)[0], raw),
             "info_nce_passages": (lambda t: info_nce_with_scores(
                 ag.l2_normalize(raw), ag.l2_normalize(t), 0.5)[0], passages),
             "cosent": (lambda t: cosent(t, labels, tau=0.05), cos),
-            "next_token_ce": (lambda t: next_token_ce(t, targets), logits),
+            "next_token_ce_states": (lambda t: next_token_ce(t, Tensor(table), targets), states),
+            "next_token_ce_table": (lambda t: next_token_ce(Tensor(states), t, targets), table),
         }
         for name, (f, x) in checks.items():
             report(name, seed, grad_check(f, x, h=args.step))

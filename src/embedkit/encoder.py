@@ -12,7 +12,9 @@ bidirectional attention; scheduled masks interpolate between the two.
 
 A sentence embedding is a ``pool`` node over the final states, mean or
 last-token, then an ``l2_normalize``; a nested Matryoshka dim is one
-``l2_normalize`` of the embedding's prefix.
+``l2_normalize`` of the embedding's prefix.  Next-token training scores the
+final states against the tied ``embed`` table in one node,
+``losses.next_token_ce(states, params["embed"], targets)``.
 """
 
 from __future__ import annotations
@@ -166,10 +168,6 @@ class Encoder:
                     lengths: Optional[np.ndarray] = None) -> Tensor:
         """Pooled unit-norm sentence embeddings (B, hidden), gradient-tracked."""
         return pool_states(self.forward_batch(ids, mask, lengths), self.cfg.pooling, lengths)
-
-    def lm_logits(self, states: Tensor) -> Tensor:
-        """Next-token logits via the tied embedding table."""
-        return ag.matmul(states, ag.permute(self.params["embed"], (1, 0)))
 
 
 def pool_states(states: Tensor, mode: str, lengths: Optional[np.ndarray] = None) -> Tensor:

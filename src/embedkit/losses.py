@@ -16,7 +16,7 @@ far apart still scores above 0, where ``log(1 + total)`` would round to 0.
 
 Each loss is one function: it checks its inputs, then calls its fused
 autograd node with a hand-written backward (``info_nce_loss``,
-``cosent_loss``, ``cross_entropy_lastdim``), which checks none.  This module
+``cosent_loss``, ``lm_head_ce``), which checks none.  This module
 is the one place that knows what a valid loss input is.
 """
 
@@ -67,14 +67,17 @@ def cosent(cosines, labels, tau: float = 0.05) -> Tensor:
     return ag.cosent_loss(c, labels, tau)
 
 
-def next_token_ce(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean cross-entropy of (..., V) logits against shifted-by-one target ids of shape (...)."""
-    logits = ag.as_tensor(logits)
+def next_token_ce(states, table, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of the tied-embedding logits ``states @ table.T`` of (..., D)
+    states and a (V, D) table against shifted-by-one target ids of shape (...)."""
+    s, t = ag.as_tensor(states), ag.as_tensor(table)
     targets = np.asarray(targets, dtype=np.intp)
-    if logits.ndim < 2:
-        raise ValueError(f"logits must be (..., positions, vocab), got {logits.shape}")
-    if targets.shape != logits.shape[:-1]:
-        raise ValueError(f"targets shape {targets.shape} does not match positions {logits.shape[:-1]}")
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[-1]):
-        raise ValueError(f"target id out of range for vocab {logits.shape[-1]}")
-    return ag.cross_entropy_lastdim(logits, targets)
+    if s.ndim < 2:
+        raise ValueError(f"states must be (..., positions, width), got {s.shape}")
+    if t.ndim != 2 or t.shape[1] != s.shape[-1]:
+        raise ValueError(f"table shape {t.shape} is not (vocab, {s.shape[-1]}) for states {s.shape}")
+    if targets.shape != s.shape[:-1]:
+        raise ValueError(f"targets shape {targets.shape} does not match positions {s.shape[:-1]}")
+    if targets.size and (targets.min() < 0 or targets.max() >= t.shape[0]):
+        raise ValueError(f"target id out of range for vocab {t.shape[0]}")
+    return ag.lm_head_ce(s, t, targets)

@@ -19,6 +19,8 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in sorted(params.items())}
         self.v = {k: np.zeros_like(p.data) for k, p in sorted(params.items())}
+        # two scratch buffers per parameter: step computes in place, allocating nothing
+        self._scratch = {k: (np.empty_like(p.data), np.empty_like(p.data)) for k, p in params.items()}
 
     def step(self, lr: float | None = None):
         """One update; None gradients count as zero, non-finite gradients abort."""
@@ -32,14 +34,26 @@ class AdamW:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.isfinite(g).all():
                 raise ArithmeticError(f"non-finite gradient in parameter {name!r}")
-            m = self.m[name]
-            v = self.v[name]
+            m, v, (a, b) = self.m[name], self.v[name], self._scratch[name]
+            # the operations, and their order, of the out-of-place
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            #   p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            np.multiply(g, 1.0 - BETA1, out=a)
+            m += a
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            p.data -= lr * (update + self.weight_decay * p.data)
+            np.multiply(g, 1.0 - BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += EPS
+            np.divide(m, bc1, out=b)
+            b /= a
+            np.multiply(p.data, self.weight_decay, out=a)
+            a += b
+            a *= lr
+            p.data -= a
 
     def zero_grads(self):
         for p in self.params.values():

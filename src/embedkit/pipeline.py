@@ -599,7 +599,7 @@ class Trainer:
         batch = windows[_draw(rng, len(windows), cfg.batch_size)]
         inputs, targets = batch[:, :-1], batch[:, 1:]
         states = encoder.forward_batch(inputs, _stage_mask(cfg, step, inputs.shape[1]))
-        return next_token_ce(encoder.lm_logits(states), targets), "lm"
+        return next_token_ce(states, encoder.params["embed"], targets), "lm"
 
     def _contrastive_step(self, cfg: StageConfig, encoder: Encoder, pairs: list,
                           rng: np.random.Generator, step: int, mining) -> tuple[Tensor, str]:

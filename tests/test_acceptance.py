@@ -107,10 +107,13 @@ def test_criterion_3_gradient_fidelity():
         worst["cosent"] = max(worst["cosent"], grad_check(
             lambda t: cosent(t, labels, tau=0.05), cos, h=1e-6))
 
-        logits = rng.normal(size=(4, 8))
+        states = rng.normal(size=(4, 6))
+        table = rng.normal(size=(8, 6))
         targets = rng.integers(0, 8, 4)
-        worst["next_token_ce"] = max(worst["next_token_ce"], grad_check(
-            lambda t: next_token_ce(t, targets), logits, h=1e-6))
+        worst["next_token_ce"] = max(
+            worst["next_token_ce"],
+            grad_check(lambda t: next_token_ce(t, Tensor(table), targets), states, h=1e-6),
+            grad_check(lambda t: next_token_ce(Tensor(states), t, targets), table, h=1e-6))
 
     cfg = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
                         vocab_size=24, max_len=8, mrl_dims=(8, 16))

@@ -37,6 +37,16 @@ def _reshape(a, shape):
     return ag._make(a.data.reshape(shape), (a,), backward_fn)
 
 
+def _permute(a, axes):
+    """The ``permute`` node of the reference chains (it left ``autograd`` with its last caller)."""
+    inv = tuple(np.argsort(axes))
+
+    def backward_fn(g):
+        ag._accumulate(a, np.transpose(g, inv))
+
+    return ag._make(np.transpose(a.data, axes), (a,), backward_fn)
+
+
 def _gather(a, axis, indices):
     """``index_select`` along any axis, as it was before it gathered rows only: the
     reference chains gather key/value heads (axis 1) and MRL prefixes (axis -1)."""
@@ -128,7 +138,7 @@ def _unary_cases():
         "l2_normalize": lambda t: _sum(ag.mul(ag.l2_normalize(t), t)),
         "sum_lastdim": lambda t: _sum(ag.mul(ag.sum_lastdim(t, keepdims=True), t)),
         "reshape_permute": lambda t: _sum(
-            ag.mul(_reshape(ag.permute(t, (1, 0)), (2, 6)), np.arange(12.0).reshape(2, 6))),
+            ag.mul(_reshape(_permute(t, (1, 0)), (2, 6)), np.arange(12.0).reshape(2, 6))),
         # constant operands: scalars, a suffix row and a trailing column, on either side
         "const_operands": lambda t: _sum(ag.mul(
             ag.add(np.arange(3.0), ag.mul(-2.0, ag.add(t, 1.5))), np.linspace(1.0, 2.0, 4)[:, None])),
@@ -154,8 +164,10 @@ def test_kernels_match_finite_differences(seed):
         err = grad_check(f2, x, h=1e-6)
         assert err < 1e-4, f"{name} gradient off by {err} at seed {seed}"
     idx = rng.integers(0, 3, size=4)
-    assert grad_check(lambda t: ag.mul(ag.cross_entropy_lastdim(t, idx), 3.0),
+    assert grad_check(lambda t: ag.mul(ag.lm_head_ce(t, Tensor(b.T), idx), 3.0),
                       x, h=1e-6) < 1e-4
+    assert grad_check(lambda t: ag.mul(ag.lm_head_ce(Tensor(x), t, idx), 3.0),
+                      b.T, h=1e-6) < 1e-4
     sel = rng.integers(0, 4, size=6)
     assert grad_check(lambda t: _sum(ag.mul(ag.index_select(t, sel),
                                             np.arange(18.0).reshape(6, 3))),
@@ -178,17 +190,17 @@ def _composed_attention(q, k, v, weights, heads):
     kv = k.shape[-1] // dh
 
     def split(t, n):
-        return ag.permute(_reshape(t, (bsz, length, n, dh)), (0, 2, 1, 3))
+        return _permute(_reshape(t, (bsz, length, n, dh)), (0, 2, 1, 3))
 
     q, k, v = split(q, heads), split(k, kv), split(v, kv)
     group = np.repeat(np.arange(kv), heads // kv)
     k, v = _gather(k, 1, group), _gather(v, 1, group)
-    scores = ag.mul(ag.matmul(q, ag.permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    scores = ag.mul(ag.matmul(q, _permute(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     w = np.broadcast_to(weights if weights.ndim == 2 else weights[:, None], scores.shape)
     probs = ag.softmax_lastdim(ag.add(scores, np.where(w > 0.0, 0.0, -np.inf)))
     weighted = ag.mul(probs, w)
     ctx = ag.matmul(_div(weighted, ag.sum_lastdim(weighted, keepdims=True)), v)
-    return _reshape(ag.permute(ctx, (0, 2, 1, 3)), (bsz, length, width))
+    return _reshape(_permute(ctx, (0, 2, 1, 3)), (bsz, length, width))
 
 
 def _div(a, b):
@@ -476,7 +488,7 @@ def _composed_logsumexp(x):
 
 
 def _gather_lastdim(a, indices):
-    """The pick node of the chain ``cross_entropy_lastdim`` replaced, kept as its reference."""
+    """The pick node of the cross-entropy chain ``lm_head_ce`` replaced, kept as its reference."""
     idx = np.asarray(indices, dtype=np.intp)
     out_data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
 
@@ -499,14 +511,16 @@ def _composed_gather_backward(shape, idx, g):
 
 @pytest.mark.parametrize("shape", [(512, 512), (3, 5, 9), (6,), (44, 512), (3, 5)])
 def test_cross_entropy_bitwise_equal_to_composed_chain(shape):
-    # next_token_ce's graph: logsumexp minus the picked logit, so the logits
-    # gather two gradients; loss and gradient must not move in the last bit
+    # the lm head's cross-entropy against logsumexp minus the picked logit: under an
+    # identity table the logits are the states exactly (each x plus exact zeros), so
+    # they gather two gradients; loss and gradient must not move in the last bit
     rng = np.random.default_rng(25)
     x = 4.0 * rng.normal(size=shape)
     idx = rng.integers(0, shape[-1], size=shape[:-1])
+    eye = Tensor(np.eye(shape[-1]))
     for lse in (_logsumexp, _composed_logsumexp):
         out = {}
-        for name, f in (("fused", ag.cross_entropy_lastdim),
+        for name, f in (("fused", lambda t, i: ag.lm_head_ce(t, eye, i)),
                         ("chain", lambda t, i: _mean(_sub(lse(t), _gather_lastdim(t, i))))):
             t = Tensor(x, requires_grad=True)
             loss = f(t, idx)
@@ -515,22 +529,57 @@ def test_cross_entropy_bitwise_equal_to_composed_chain(shape):
         assert out["fused"] == out["chain"]
 
 
+def _chain_lm_head(states, table, targets):
+    """The lm head ``lm_head_ce`` replaced: a stacked matmul on the permuted table,
+    then the cross-entropy as logsumexp minus the picked logit, averaged."""
+    logits = ag.matmul(states, _permute(table, (1, 0)))
+    return _mean(_sub(_logsumexp(logits), _gather_lastdim(logits, targets)))
+
+
+@pytest.mark.parametrize("bsz,length,dim,vocab", [(32, 16, 64, 512), (3, 5, 7, 11)])
+def test_lm_head_bitwise_equal_to_stacked_chain(bsz, length, dim, vocab):
+    # loss and both gradients, with the table also feeding the states through a row
+    # gather as the tied embedding does: the head's gradient reaches it first
+    rng = np.random.default_rng(31)
+    table0 = rng.normal(size=(vocab, dim))
+    ids = rng.integers(0, vocab, size=(bsz, length))
+    targets = rng.integers(0, vocab, size=(bsz, length))
+    mix = rng.normal(size=(bsz, length, dim))
+    out = {}
+    for name, head in (("fused", ag.lm_head_ce), ("chain", _chain_lm_head)):
+        table = Tensor(table0, requires_grad=True)
+        gathered = ag.index_select(table, ids)
+        states = ag.add(gathered, mix)
+        loss = head(states, table, targets)
+        ag.backward(ag.mul(loss, 0.37))
+        out[name] = loss.data, table.grad
+        direct = Tensor(states.data, requires_grad=True)
+        ag.backward(head(direct, Tensor(table0), targets))
+        out[name] += (direct.grad,)
+    for got, want in zip(out["fused"], out["chain"]):
+        assert np.array_equal(got, want)
+
+
 def test_cross_entropy_matches_finite_differences():
+    # the lm head's gradients of both inputs, (..., 4) states and a (V, 4) table
     rng = np.random.default_rng(27)
     for shape in [(6, 9), (2, 3, 5), (4,)]:
-        x = 3.0 * rng.normal(size=shape)
+        states = 3.0 * rng.normal(size=shape[:-1] + (4,))
+        table = rng.normal(size=(shape[-1], 4))
         idx = rng.integers(0, shape[-1], size=shape[:-1])
-        assert grad_check(lambda t: ag.cross_entropy_lastdim(t, idx), x) < 1e-8
+        assert grad_check(lambda t: ag.lm_head_ce(t, Tensor(table), idx), states) < 1e-8
+        assert grad_check(lambda t: ag.lm_head_ce(Tensor(states), t, idx), table) < 1e-8
 
 
 def test_cross_entropy_backward_equal_to_softmax_minus_scatter():
-    # the gradient is the logsumexp gradient plus the pick's scatter of -1/n
+    # the gradient is the logsumexp gradient plus the pick's scatter of -1/n (under an
+    # identity table the states' gradient is the logits' gradient exactly)
     rng = np.random.default_rng(26)
     for shape in [(7, 11), (2, 3, 5), (4,)]:
         x = Tensor(rng.normal(size=shape), requires_grad=True)
         idx = rng.integers(0, shape[-1], size=shape[:-1])
         n = idx.size
-        ag.backward(ag.cross_entropy_lastdim(x, idx))
+        ag.backward(ag.lm_head_ce(x, np.eye(shape[-1]), idx))
         lse = Tensor(x.data, requires_grad=True)
         ag.backward(_mean(_logsumexp(lse)))
         scatter = _composed_gather_backward(shape, idx, np.full(idx.shape, -(1.0 / n)))
@@ -541,7 +590,7 @@ def _chain_info_nce(q, p, n, temperature):
     """The 14-node InfoNCE chain ``info_nce_loss`` replaced, kept as its reference."""
     bsz, dim = q.shape
     pos = ag.sum_lastdim(ag.mul(q, p))
-    cand = ag.matmul(q, ag.permute(p, (1, 0)))
+    cand = ag.matmul(q, _permute(p, (1, 0)))
     neg = np.zeros((bsz, 0))
     if n is not None and n.shape[1] > 0:
         neg_t = _reshape(ag.matmul(n, _reshape(q, (bsz, dim, 1))), (bsz, n.shape[1]))
@@ -701,7 +750,7 @@ def test_backward_frees_graph_and_keeps_leaf_grads():
         w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         h = ag.softmax_lastdim(ag.matmul(x, w))
-        loss = ag.add(ag.cross_entropy_lastdim(h, np.array([0, 3, 1])), _sum(ag.mul(h, h)))
+        loss = ag.add(ag.lm_head_ce(h, np.eye(4), np.array([0, 3, 1])), _sum(ag.mul(h, h)))
         return loss, (w, x)
 
     loss, leaves = graph(29)
@@ -730,6 +779,13 @@ def test_matmul_batched_input_against_shared_weight():
     r = rng.normal(size=(3, 4, 2))
     assert grad_check(lambda t: _sum(ag.mul(ag.matmul(Tensor(a), t), r)), b) < 1e-8
     assert grad_check(lambda t: _sum(ag.mul(ag.matmul(t, Tensor(b)), r)), a) < 1e-8
+
+
+def test_grad_check_perturbs_a_transposed_input():
+    # a Fortran-ordered input: its perturbations once went to a flat copy, so every
+    # central difference read 0 and the check failed on a correct gradient
+    w = np.random.default_rng(33).normal(size=(3, 5)).T
+    assert grad_check(lambda t: _sum(ag.mul(t, t)), w) < 1e-8
 
 
 def test_broadcast_suffix_and_trailing_expansion():

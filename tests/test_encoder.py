@@ -20,7 +20,7 @@ from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_norma
 from embedkit.losses import cosent, info_nce_with_scores, next_token_ce
 from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
 from embedkit.pipeline import _mean
-from test_autograd import _chain_info_nce, _gather, _reshape, _sum
+from test_autograd import _chain_info_nce, _gather, _permute, _reshape, _sum
 
 TOY = EncoderConfig()
 SMALL = EncoderConfig(layers=2, hidden_dim=16, heads=4, kv_heads=2, ffn_dim=32,
@@ -238,10 +238,10 @@ def _chain_pool(states, mode, lengths=None):
     bsz, length, dim = states.shape
     if mode == "mean":
         if lengths is None:
-            pooled = ag.mul(ag.sum_lastdim(ag.permute(states, (0, 2, 1))), 1.0 / length)
+            pooled = ag.mul(ag.sum_lastdim(_permute(states, (0, 2, 1))), 1.0 / length)
         else:
             valid = (np.arange(length)[None, :] < np.asarray(lengths)[:, None]).astype(np.float64)
-            summed = ag.sum_lastdim(ag.permute(ag.mul(states, valid[:, :, None]), (0, 2, 1)))
+            summed = ag.sum_lastdim(_permute(ag.mul(states, valid[:, :, None]), (0, 2, 1)))
             pooled = ag.mul(summed, (1.0 / np.asarray(lengths, dtype=np.float64))[:, None])
     else:
         last = np.asarray(lengths) - 1 if lengths is not None else np.full(bsz, length - 1)
@@ -359,15 +359,16 @@ def _tape_nodes(loss) -> int:
 class TestTape:
     def test_lm_step_tape_nodes(self):
         # one lm step of the default two-layer encoder, built as Trainer._lm_step
-        # does: 2 embedding nodes, 12 per layer, the final norm and 3 for the
-        # loss.  The unfused attention and norm chains recorded 86 nodes, the
+        # does: 2 embedding nodes, 12 per layer, the final norm and 1 for the
+        # lm head.  The unfused attention and norm chains recorded 86 nodes, the
         # 5-node logsumexp chain 56, the 5-node cross-entropy chain 52, the
-        # head split and merge around the attention op 48, and the reshapes
-        # that flattened the gathered embeddings and the logits 32
+        # head split and merge around the attention op 48, the reshapes that
+        # flattened the gathered embeddings and the logits 32, and the logits
+        # as a matmul on the permuted table 30
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(0).integers(2, TOY.vocab_size, size=(4, 12))
         states = enc.forward_batch(ids[:, :-1], causal_mask(11))
-        assert _tape_nodes(next_token_ce(enc.lm_logits(states), ids[:, 1:])) == 30
+        assert _tape_nodes(next_token_ce(states, enc.params["embed"], ids[:, 1:])) == 28
 
     def test_weak_contrastive_step_tape_nodes(self):
         # one unpadded in-batch InfoNCE step, built as Trainer._triplet_batch_loss

@@ -44,8 +44,8 @@ def test_lm_steps_fault_in_no_fresh_pages_once_warm():
         mask = causal_mask(16)
 
         def step():
-            logits = encoder.lm_logits(encoder.forward_batch(windows[:, :-1], mask))
-            ag.backward(next_token_ce(logits, windows[:, 1:]))
+            states = encoder.forward_batch(windows[:, :-1], mask)
+            ag.backward(next_token_ce(states, encoder.params["embed"], windows[:, 1:]))
             optimizer.step()
             optimizer.zero_grads()
 

@@ -188,6 +188,7 @@ class TestCosentValues:
 
 # every refusal, with its whole message; each loss checks its inputs before its fused node runs
 UNIT = Tensor([[1.0, 0.0]])
+TABLE = Tensor(np.zeros((4, 2)))      # a vocab of 4 at width 2
 REFUSALS = [
     (info_nce_with_scores, (UNIT, UNIT, 0.0), "temperature must be positive"),
     (info_nce_with_scores, (Tensor(np.zeros((0, 2))), Tensor(np.zeros((0, 2)))),
@@ -210,21 +211,28 @@ REFUSALS = [
     (cosent, (Tensor([0.1, 0.2]), [-np.inf, 0.0]), "labels must be finite, got -inf"),
     (cosent, (Tensor([0.1, 1.5]), [1.0, 0.0]), "cosines must lie in [-1, 1]"),
     (cosent, (Tensor([0.1, np.nan]), [1.0, 0.0]), "cosines must lie in [-1, 1]"),
-    (next_token_ce, (Tensor(np.zeros(4)), np.zeros((), dtype=int)),
-     "logits must be (..., positions, vocab), got (4,)"),
-    (next_token_ce, (Tensor(np.zeros((3, 4))), np.zeros(2, dtype=int)),
+    (next_token_ce, (Tensor(np.zeros(2)), TABLE, np.zeros((), dtype=int)),
+     "states must be (..., positions, width), got (2,)"),
+    (next_token_ce, (Tensor(np.zeros((3, 2))), TABLE, np.zeros(2, dtype=int)),
      "targets shape (2,) does not match positions (3,)"),
-    (next_token_ce, (Tensor(np.zeros((3, 4))), np.array([0, 4, 1])),
+    (next_token_ce, (Tensor(np.zeros((3, 2))), TABLE, np.array([0, 4, 1])),
      "target id out of range for vocab 4"),
-    (next_token_ce, (Tensor(np.zeros((3, 4))), np.array([0, -1, 1])),
+    (next_token_ce, (Tensor(np.zeros((3, 2))), TABLE, np.array([0, -1, 1])),
      "target id out of range for vocab 4"),
+    (next_token_ce, (Tensor(np.zeros((3, 2))), Tensor(np.zeros(8)), np.zeros(3, dtype=int)),
+     "table shape (8,) is not (vocab, 2) for states (3, 2)"),
+    (next_token_ce, (Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 4))), np.zeros(3, dtype=int)),
+     "table shape (2, 4) is not (vocab, 2) for states (3, 2)"),
+    (next_token_ce, (Tensor(np.zeros((3, 2))), Tensor(np.zeros((1, 4, 2))), np.zeros(3, dtype=int)),
+     "table shape (1, 4, 2) is not (vocab, 2) for states (3, 2)"),
 ]
 
 
 REFUSAL_IDS = ["nce-temperature", "nce-empty", "nce-1d", "nce-layout", "nce-query-norm",
                "nce-passage-norm", "cosent-tau", "cosent-empty", "cosent-2d", "cosent-labels-shape",
                "cosent-labels-nan", "cosent-labels-inf", "cosent-range", "cosent-nan-cosine", "ce-logits-1d", "ce-targets-shape",
-               "ce-target-high", "ce-target-negative"]
+               "ce-target-high", "ce-target-negative", "ce-table-1d", "ce-table-width",
+               "ce-table-3d"]
 
 
 @pytest.mark.parametrize("loss,args,message", REFUSALS, ids=REFUSAL_IDS)
@@ -235,16 +243,18 @@ def test_refusal_message(loss, args, message):
 
 class TestNextTokenCe:
     def test_uniform_logits_log_vocab(self):
-        loss = next_token_ce(Tensor(np.zeros((3, 512))), np.array([1, 2, 3]))
+        table = np.random.default_rng(4).normal(size=(512, 8))
+        loss = next_token_ce(Tensor(np.zeros((3, 8))), table, np.array([1, 2, 3]))
         assert float(loss.data) == pytest.approx(math.log(512.0), abs=1e-9)
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
+        # an identity table: the logits are the states
         targets = np.array([0, 1])
         prev = None
         for margin in (5.0, 20.0, 60.0):
             logits = np.zeros((2, 4))
             logits[np.arange(2), targets] = margin
-            val = float(next_token_ce(Tensor(logits), targets).data)
+            val = float(next_token_ce(Tensor(logits), np.eye(4), targets).data)
             if prev is not None:
                 assert val < prev
             prev = val
@@ -252,30 +262,33 @@ class TestNextTokenCe:
 
     def test_target_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            next_token_ce(Tensor(np.zeros((2, 4))), np.array([0, 4]))
+            next_token_ce(Tensor(np.zeros((2, 3))), np.zeros((4, 3)), np.array([0, 4]))
 
     def test_targets_must_match_leading_shape(self):
         with pytest.raises(ValueError, match="does not match"):
-            next_token_ce(Tensor(np.zeros((2, 3, 4))), np.zeros(6, dtype=int))
-        with pytest.raises(ValueError, match="vocab"):
-            next_token_ce(Tensor(np.zeros(4)), np.zeros((), dtype=int))
+            next_token_ce(Tensor(np.zeros((2, 3, 4))), np.zeros((5, 4)), np.zeros(6, dtype=int))
+        with pytest.raises(ValueError, match="width"):
+            next_token_ce(Tensor(np.zeros(4)), np.zeros((5, 4)), np.zeros((), dtype=int))
 
     @pytest.mark.parametrize("shape", [(32, 16, 512), (4, 11, 512), (3, 5, 7)])
     def test_batched_logits_bitwise_equal_to_flattened_call(self, shape):
-        # the lm step passes its (B, L, V) logits as they are, where it used to
-        # flatten them to (B*L, V): loss and gradient bytes must not move
+        # (B, L, D) states against the (B*L, D) flattened ones: the logits are one flat
+        # GEMM either way, so the loss and the table's gradient keep their bytes; the
+        # states' gradient is a GEMM per leading block, as the stacked logits matmul's was
         rng = np.random.default_rng(9)
-        x = 4.0 * rng.normal(size=shape)
+        x = 4.0 * rng.normal(size=shape[:-1] + (16,))
+        table0 = rng.normal(size=(shape[-1], 16))
         targets = rng.integers(0, shape[-1], size=shape[:-1])
         out = {}
-        for name, f in (("batched", lambda t: next_token_ce(t, targets)),
-                        ("flat", lambda t: next_token_ce(_reshape(t, (-1, shape[-1])),
-                                                         targets.reshape(-1)))):
-            t = Tensor(x, requires_grad=True)
-            loss = f(t)
+        for name, f in (("batched", lambda s, t: next_token_ce(s, t, targets)),
+                        ("flat", lambda s, t: next_token_ce(_reshape(s, (-1, 16)), t,
+                                                            targets.reshape(-1)))):
+            s, t = Tensor(x, requires_grad=True), Tensor(table0, requires_grad=True)
+            loss = f(s, t)
             ag.backward(ag.mul(loss, 0.37))
-            out[name] = (loss.data.tobytes(), t.grad.tobytes())
-        assert out["batched"] == out["flat"]
+            out[name] = (loss.data.tobytes(), t.grad.tobytes(), s.grad)
+        assert out["batched"][:2] == out["flat"][:2]
+        np.testing.assert_allclose(out["batched"][2], out["flat"][2], rtol=1e-12, atol=1e-15)
 
 
 GRAD_SEEDS = list(range(50))
@@ -318,7 +331,10 @@ def test_cosent_gradient_matches_finite_differences(seed):
 
 @pytest.mark.parametrize("seed", GRAD_SEEDS)
 def test_next_token_ce_gradient_matches_finite_differences(seed):
+    # both inputs of the lm head: the states, and the tied table
     rng = np.random.default_rng(seed)
-    logits = rng.normal(size=(4, 8))
+    states = rng.normal(size=(4, 6))
+    table = rng.normal(size=(8, 6))
     targets = rng.integers(0, 8, 4)
-    assert grad_check(lambda t: next_token_ce(t, targets), logits, h=1e-6) < 1e-6
+    assert grad_check(lambda t: next_token_ce(t, Tensor(table), targets), states, h=1e-6) < 1e-6
+    assert grad_check(lambda t: next_token_ce(Tensor(states), t, targets), table, h=1e-6) < 1e-6

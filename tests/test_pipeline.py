@@ -870,9 +870,10 @@ class TestCli:
     def test_grad_check_passes(self, capsys):
         assert cli_main(["grad-check", "--cases", "2"]) == 0
         recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
-        assert len(recs) == 10 and all(r["ok"] is True for r in recs)
-        assert [r["target"] for r in recs[:4]] == ["info_nce_queries", "info_nce_passages",
-                                                   "cosent", "next_token_ce"]
+        assert len(recs) == 12 and all(r["ok"] is True for r in recs)
+        assert [r["target"] for r in recs[:5]] == ["info_nce_queries", "info_nce_passages",
+                                                   "cosent", "next_token_ce_states",
+                                                   "next_token_ce_table"]
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under ``scripts/`` at tiny sizes: each exits 0, and the
 toy data holds, for each stage, the record kind that stage reads.  ``bench.py``
-runs in-process on stand-in timings."""
+runs in-process on stand-in timings; ``bitwise_gate.py`` runs one case in-process,
+with this checkout as its own baseline."""
 
 import importlib.util
 import json
@@ -68,3 +69,19 @@ def test_bench_records_each_benchmarks_ratio_to_the_baseline(tmp_path, monkeypat
     lines = capsys.readouterr().out.splitlines()
     assert [ln.split()[0] for ln in lines] == ["a", "b", "c"]
     assert lines[0].endswith("ratio 0.500") and "ratio" not in lines[1] + lines[2]
+
+
+def test_bitwise_gate_passes_against_its_own_checkout(tmp_path):
+    # one perfbench case, trained and evaluated twice in fresh processes: equal bytes;
+    # then one flipped byte in one run file is named
+    spec = importlib.util.spec_from_file_location("bitwise_gate", SCRIPTS / "bitwise_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert gate.gate(gate.ROOT, gate.CASES[:1], tmp_path) is None
+    case = tmp_path / "toy-pipeline-seed1"
+    log = case / "change" / "run" / "stage0-lm-pretrain.metrics.jsonl"
+    data = bytearray(log.read_bytes())
+    data[-2] ^= 1
+    log.write_bytes(bytes(data))
+    assert gate.first_difference(case / "baseline", case / "change") == (
+        "run/stage0-lm-pretrain.metrics.jsonl: bytes differ")
