@@ -13,7 +13,7 @@ import pytest
 
 from embedkit import autograd as ag
 from embedkit.encoder import Encoder, EncoderConfig
-from embedkit.masks import bidirectional_mask
+from embedkit.masks import build_soft_mask
 from embedkit.pipeline import embed_texts
 from embedkit.tokenizer import Tokenizer
 
@@ -26,7 +26,7 @@ def test_attention_forward(benchmark, rows, length):
     dh = CFG.hidden_dim // CFG.heads
     q = ag.Tensor(rng.normal(size=(rows, length, CFG.heads * dh)))
     k, v = (ag.Tensor(a) for a in rng.normal(size=(2, rows, length, CFG.kv_heads * dh)))
-    w = bidirectional_mask(length).entries
+    w = build_soft_mask(length, 1.0)
     with ag.no_grad():
         out = benchmark(ag.attention, q, k, v, w, CFG.heads)
     assert out.shape == q.shape
@@ -38,7 +38,7 @@ def test_attention_forward_backward_32_rows_of_8(benchmark):
     q0 = rng.normal(size=(32, 8, CFG.heads * dh))
     k0, v0 = rng.normal(size=(2, 32, 8, CFG.kv_heads * dh))
     g = rng.normal(size=q0.shape)
-    w = bidirectional_mask(8).entries
+    w = build_soft_mask(8, 1.0)
 
     def step():
         q, k, v = (ag.Tensor(a, requires_grad=True) for a in (q0, k0, v0))

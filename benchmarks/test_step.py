@@ -30,7 +30,7 @@ import numpy as np
 from embedkit import autograd as ag
 from embedkit.data import build_triplets, synth_corpus, write_dataset, write_text_dataset
 from embedkit.encoder import Encoder, EncoderConfig
-from embedkit.masks import causal_mask
+from embedkit.masks import build_soft_mask
 from embedkit.optim import AdamW
 from embedkit.pipeline import RunManifest, StageConfig, Trainer
 
@@ -58,7 +58,7 @@ def test_attention_forward_backward_lm_batch(benchmark):
     q0 = rng.normal(size=(BATCH, LENGTH, CFG.heads * dh))
     k0, v0 = rng.normal(size=(2, BATCH, LENGTH, CFG.kv_heads * dh))
     g = rng.normal(size=q0.shape)
-    w = causal_mask(LENGTH).entries
+    w = build_soft_mask(LENGTH, 0.0)
 
     def step():
         q, k, v = (ag.Tensor(a, requires_grad=True) for a in (q0, k0, v0))

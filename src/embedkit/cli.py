@@ -52,12 +52,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a checkpoint against a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--k", default="1,5,10,20")
+    p.add_argument("--k", default="1,5,10,20", help="comma-separated recall cut-offs, each >= 1")
     p.add_argument("--split", default="eval")
 
     p = sub.add_parser("mask-demo", help="emit mask entries and the rank trajectory")
     p.add_argument("--n", type=int, default=16)
-    p.add_argument("--l", type=int, default=None)
+    p.add_argument("--l", type=int, default=None, help="l in min(alpha*l/i, 1) (default: --n)")
     p.add_argument("--schedule", choices=("linear", "accelerating", "decelerating"),
                    default="linear")
     p.add_argument("--samples", type=int, default=9)
@@ -130,20 +130,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mask_demo(args) -> int:
-    from .masks import ScheduleState, build_soft_mask, mask_numerical_rank, schedule_alpha
+    from .masks import build_soft_mask, mask_numerical_rank, schedule_alpha
 
     n = args.n
+    l = n if args.l is None else args.l
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     tau = args.samples - 1
     for t in range(args.samples):
-        state = ScheduleState(kind=args.schedule, t=t, tau_steps=tau)
-        mask = build_soft_mask(state, n, args.l)
+        alpha = schedule_alpha(args.schedule, t, tau)
+        mask = build_soft_mask(n, alpha, l)
         rank = mask_numerical_rank(mask, args.eps)
         print(_dumps({"record": "rank", "schedule": args.schedule, "t_frac": t / tau,
-                      "alpha": schedule_alpha(state), "n": n, "l": mask.l, "rank": rank}))
+                      "alpha": alpha, "n": n, "l": l, "rank": rank}))
         if args.dump_mask:
-            for i, row in enumerate(mask.entries):
+            for i, row in enumerate(mask):
                 print(_dumps({"record": "mask_row", "t_frac": t / tau, "row": i,
                               "values": [float(v) for v in row]}))
     return EXIT_OK
@@ -156,7 +157,6 @@ def cmd_grad_check(args) -> int:
     from .autograd import Tensor, grad_check
     from .encoder import Encoder, EncoderConfig
     from .losses import cosent, info_nce_with_scores, next_token_ce
-    from .masks import bidirectional_mask
 
     failures = 0
 
@@ -197,13 +197,12 @@ def cmd_grad_check(args) -> int:
         rng = np.random.default_rng(1000 + seed)
         q_ids = rng.integers(2, 24, size=(2, 4))
         p_ids = rng.integers(2, 24, size=(2, 4))
-        mask = bidirectional_mask(4)
         name = sorted(enc.params)[seed % len(enc.params)]
         base = enc.params[name].data.copy()
 
         def f(t, name=name, enc=enc):
             enc.params[name] = t
-            return info_nce_with_scores(enc.embed_batch(q_ids, mask), enc.embed_batch(p_ids, mask),
+            return info_nce_with_scores(enc.embed_batch(q_ids, 1.0), enc.embed_batch(p_ids, 1.0),
                                         0.5)[0]
 
         err = grad_check(f, base, h=1e-5, max_coords=16, seed=seed)

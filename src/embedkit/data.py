@@ -16,6 +16,7 @@ import logging
 import math
 import numbers
 import re
+import shutil
 import subprocess
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -263,6 +264,10 @@ class CommandTranslator:
 
     def __init__(self, command: Sequence[str]):
         self.command = list(command)
+        if not self.command:
+            raise ValueError("empty translator command")
+        if shutil.which(self.command[0]) is None:
+            raise FileNotFoundError(f"translator program {self.command[0]!r} not found")
 
     def translate(self, text: str, target_language: str) -> str:
         proc = subprocess.run(self.command + [target_language], input=text,

@@ -1,14 +1,16 @@
 """Small transformer encoder with grouped-query attention and nested-dim embeddings.
 
-The attention mask enters each layer as its weight matrix, passed with
-the (B, L, width) q, k and v projections to the fused
-``autograd.attention`` op, which splits and merges the heads itself, so a
-layer records 12 tape nodes.  The op derives the -inf score offset
-from the exact-zero weights itself and applies it before the row softmax,
-multiplies the fractional weights onto the resulting probabilities, and
-renormalizes each row to sum to one.  With an all-zero upper triangle
-this is exactly causal attention; with all-ones weights it is exactly
-bidirectional attention; scheduled masks interpolate between the two.
+The attention mask crosses the encoder boundary as one number, alpha;
+``masks.build_soft_mask(L, alpha)`` turns it into the (L, L) weight matrix
+that each layer passes with the (B, L, width) q, k and v projections to
+the fused ``autograd.attention`` op, which splits and merges the heads
+itself, so a layer records 12 tape nodes.  The op derives the -inf score
+offset from the exact-zero weights itself and applies it before the row
+softmax, multiplies the fractional weights onto the resulting
+probabilities, and renormalizes each row to sum to one.  Alpha 0 (an
+all-zero upper triangle) is exactly causal attention; alpha 1 (all-ones
+weights) is exactly bidirectional attention; alphas in between
+interpolate between the two.
 
 A sentence embedding is a ``pool`` node over the final states, mean or
 last-token, then an ``l2_normalize``; a nested Matryoshka dim is one
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .masks import AttentionMask
+from .masks import build_soft_mask
 from .tokenizer import PAD_ID
 from .values import _check_values
 
@@ -123,21 +125,20 @@ class Encoder:
         if ids.shape[-1] < 1:
             raise ValueError("empty token sequence")
 
-    def _mask_weights(self, mask: AttentionMask, length: int,
+    def _mask_weights(self, alpha: float, length: int,
                       lengths: Optional[np.ndarray]) -> np.ndarray:
         """(L, L) mask weights, or (B, L, L) with padded keys zeroed when ``lengths`` is given."""
-        if mask.n != length:
-            raise ValueError(f"mask size {mask.n} does not match sequence length {length}")
+        entries = build_soft_mask(length, alpha)
         if lengths is None:
-            return mask.entries
+            return entries
         pad = np.arange(length) >= np.asarray(lengths)[:, None]           # (B, L)
-        w = np.where(pad[:, None, :], 0.0, mask.entries)
+        w = np.where(pad[:, None, :], 0.0, entries)
         w[pad[:, :, None] & np.eye(length, dtype=bool)] = 1.0             # pad rows self-attend
         return w
 
-    def forward_batch(self, ids: np.ndarray, mask: AttentionMask,
+    def forward_batch(self, ids: np.ndarray, alpha: float,
                       lengths: Optional[np.ndarray] = None) -> Tensor:
-        """Contextual states (B, L, hidden) for a batch of equal-padded id rows."""
+        """Contextual states (B, L, hidden) for a batch of equal-padded id rows under mask ``alpha``."""
         ids = np.asarray(ids, dtype=np.intp)
         if ids.ndim != 2:
             raise ValueError(f"expected (batch, length) ids, got shape {ids.shape}")
@@ -148,7 +149,7 @@ class Encoder:
         x = ag.index_select(self.params["embed"], ids)
         x = ag.add(x, self.positions[:length])
 
-        weights = self._mask_weights(mask, length, lengths)
+        weights = self._mask_weights(alpha, length, lengths)
 
         for i in range(cfg.layers):
             h = ag.rmsnorm(x, self.params[f"layer{i}.attn_gain"])
@@ -164,10 +165,10 @@ class Encoder:
             x = ag.rmsnorm(x, self.params["final_gain"])
         return x
 
-    def embed_batch(self, ids: np.ndarray, mask: AttentionMask,
+    def embed_batch(self, ids: np.ndarray, alpha: float,
                     lengths: Optional[np.ndarray] = None) -> Tensor:
-        """Pooled unit-norm sentence embeddings (B, hidden), gradient-tracked."""
-        return pool_states(self.forward_batch(ids, mask, lengths), self.cfg.pooling, lengths)
+        """Pooled unit-norm sentence embeddings (B, hidden) under mask ``alpha``, gradient-tracked."""
+        return pool_states(self.forward_batch(ids, alpha, lengths), self.cfg.pooling, lengths)
 
 
 def pool_states(states: Tensor, mode: str, lengths: Optional[np.ndarray] = None) -> Tensor:

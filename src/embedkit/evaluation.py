@@ -130,6 +130,9 @@ def retrieval_metrics(hits: np.ndarray, first_hits: np.ndarray, n_relevant: np.n
     credits every relevant occurrence in the top 10, its gains summed in rank
     order.
     """
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"recall cut-off k must be at least 1, got {k}")
     metrics = {f"recall@{k}": float(np.mean(first_hits[:, :k].sum(axis=1) / n_relevant))
                for k in ks}
     dcg = np.zeros(hits.shape[0])
@@ -157,7 +160,8 @@ def _run_hits(run: RetrievalRun, depth: int) -> tuple[np.ndarray, np.ndarray, np
 
 def recall_at_k(run: RetrievalRun, k: int) -> float:
     """Mean over queries of |relevant among top-k| / |relevant|."""
-    return retrieval_metrics(*_run_hits(run, k), ks=(k,))[f"recall@{k}"]
+    # depth clipped at 0 so that retrieval_metrics, not numpy, refuses a k below 1
+    return retrieval_metrics(*_run_hits(run, max(k, 0)), ks=(k,))[f"recall@{k}"]
 
 
 def ndcg_at_10(run: RetrievalRun) -> float:

@@ -37,7 +37,7 @@ from .data import ScoredPair, Triplet, _texts_of, read_dataset, read_header, rea
 from .encoder import Encoder, EncoderConfig, truncate_normalize
 from .evaluation import retrieval_metrics, spearman, top_k
 from .losses import cosent, info_nce_with_scores, next_token_ce
-from .masks import AttentionMask, ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
+from .masks import schedule_alpha
 from .mining import MiningState
 from .optim import AdamW, warmup_lr
 from .tokenizer import PAD_ID, Tokenizer
@@ -303,11 +303,10 @@ def embed_texts(encoder: Encoder, tokenizer: Tokenizer, texts: list[str]) -> np.
     with ag.no_grad():
         for i in range(0, len(texts), _PAD_GROUP):
             ids, lengths = batch_ids(tokenizer, texts[i:i + _PAD_GROUP])
-            mask = bidirectional_mask(ids.shape[1])
             rows = _block_rows(encoder.cfg.heads, ids.shape[1])
             for j in range(0, len(ids), rows):
                 part = None if lengths is None else lengths[j:j + rows]
-                out.append(encoder.embed_batch(ids[j:j + rows], mask, part).data)
+                out.append(encoder.embed_batch(ids[j:j + rows], 1.0, part).data)
     if not out:
         return np.zeros((0, encoder.cfg.hidden_dim))
     return np.concatenate(out, axis=0)
@@ -455,15 +454,15 @@ class _RunDir:
                               mining=mining)
 
 
-def _stage_mask(cfg: StageConfig, step: int, n: int) -> AttentionMask:
+def _stage_alpha(cfg: StageConfig, step: int) -> float:
+    """The mask alpha the encoder receives at ``step``: 0 is causal, 1 bidirectional."""
     if cfg.mask_policy == "causal":
-        return causal_mask(n)
+        return 0.0
     # scheduled: t counts this stage's steps; the final step (the only one
     # of a one-step stage) reaches alpha = 1
     if cfg.mask_policy == "bidirectional" or cfg.steps == 1:
-        return bidirectional_mask(n)
-    state = ScheduleState(kind=cfg.mask_schedule, t=step, tau_steps=cfg.steps - 1)
-    return build_soft_mask(state, n)
+        return 1.0
+    return schedule_alpha(cfg.mask_schedule, step, cfg.steps - 1)
 
 
 def _draw(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
@@ -592,13 +591,13 @@ class Trainer:
     def _embed(self, cfg: StageConfig, encoder: Encoder, texts: list[str], step: int) -> Tensor:
         """Tracked (B, hidden) embeddings of ``texts`` under the stage's mask at ``step``."""
         ids, lengths = batch_ids(self.tokenizer, texts)
-        return encoder.embed_batch(ids, _stage_mask(cfg, step, ids.shape[1]), lengths)
+        return encoder.embed_batch(ids, _stage_alpha(cfg, step), lengths)
 
     def _lm_step(self, cfg: StageConfig, encoder: Encoder, windows: np.ndarray,
                  rng: np.random.Generator, step: int, mining) -> tuple[Tensor, str]:
         batch = windows[_draw(rng, len(windows), cfg.batch_size)]
         inputs, targets = batch[:, :-1], batch[:, 1:]
-        states = encoder.forward_batch(inputs, _stage_mask(cfg, step, inputs.shape[1]))
+        states = encoder.forward_batch(inputs, _stage_alpha(cfg, step))
         return next_token_ce(states, encoder.params["embed"], targets), "lm"
 
     def _contrastive_step(self, cfg: StageConfig, encoder: Encoder, pairs: list,

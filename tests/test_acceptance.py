@@ -22,8 +22,7 @@ from embedkit.data import (LanguageDistribution, MockTranslator, build_sft_recor
 from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.evaluation import centroid_analysis, exact_search, ndcg_at_10, recall_at_k, spearman
 from embedkit.losses import cosent, info_nce_with_scores, next_token_ce
-from embedkit.masks import (ScheduleState, bidirectional_mask, build_soft_mask, causal_mask,
-                            mask_numerical_rank, rank_trajectory)
+from embedkit.masks import build_soft_mask, mask_numerical_rank, rank_trajectory, schedule_alpha
 from embedkit.mining import Decision, MiningState, decide_scores
 from embedkit.pipeline import (RunManifest, StageConfig, Trainer, default_toy_manifest,
                                embed_texts, evaluate_checkpoint, load_encoder)
@@ -48,10 +47,10 @@ def test_criterion_1_mask_endpoints():
     ok = True
     detail = []
     for n in (4, 16, 64):
-        m0 = build_soft_mask(ScheduleState("linear", 0, 100), n)
-        m1 = build_soft_mask(ScheduleState("linear", 100, 100), n)
-        ok &= np.array_equal(m0.entries, causal_mask(n).entries)
-        ok &= np.array_equal(m1.entries, np.ones((n, n)))
+        m0 = build_soft_mask(n, schedule_alpha("linear", 0, 100))
+        m1 = build_soft_mask(n, schedule_alpha("linear", 100, 100))
+        ok &= np.array_equal(m0, np.tril(np.ones((n, n))))
+        ok &= np.array_equal(m1, np.ones((n, n)))
         r0, r1 = mask_numerical_rank(m0, 1e-8), mask_numerical_rank(m1, 1e-8)
         ok &= (r0 == n and r1 == 1)
         detail.append(f"n={n}: ranks {r0}/{r1}")
@@ -70,7 +69,7 @@ def test_criterion_2_mask_monotonicity():
     for kind in ("linear", "accelerating", "decelerating"):
         prev = None
         for t in range(9):
-            m = build_soft_mask(ScheduleState(kind, t, 8), 16).entries
+            m = build_soft_mask(16, schedule_alpha(kind, t, 8))
             if prev is not None:
                 ok &= bool(np.all(m >= prev))
             prev = m
@@ -122,14 +121,13 @@ def test_criterion_3_gradient_fidelity():
         rng = np.random.default_rng(1000 + seed)
         q_ids = rng.integers(2, 24, size=(2, 4))
         p_ids = rng.integers(2, 24, size=(2, 4))
-        mask = bidirectional_mask(4)
         name = sorted(enc.params)[seed % len(enc.params)]
         base = enc.params[name].data.copy()
 
         def f(t):
             enc.params[name] = t
-            return info_nce_with_scores(enc.embed_batch(q_ids, mask),
-                                        enc.embed_batch(p_ids, mask), temperature=0.5)[0]
+            return info_nce_with_scores(enc.embed_batch(q_ids, 1.0),
+                                        enc.embed_batch(p_ids, 1.0), temperature=0.5)[0]
 
         worst["encoder"] = max(worst["encoder"], grad_check(f, base, h=1e-5,
                                                             max_coords=20, seed=seed))

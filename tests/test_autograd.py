@@ -6,7 +6,7 @@ import pytest
 
 from embedkit import autograd as ag
 from embedkit.autograd import DomainError, ShapeMismatchError, Tensor, backward, grad_check
-from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
+from embedkit.masks import build_soft_mask
 
 KERNEL_SEEDS = list(range(50))
 
@@ -253,14 +253,14 @@ def _attention_with_multiply(q, k, v, w, heads, g):
 
 def _attention_weights(kind, bsz, length):
     if kind == "causal":
-        return causal_mask(length).entries
+        return build_soft_mask(length, 0.0)
     if kind == "soft":
-        return build_soft_mask(ScheduleState("linear", 2, 5), length).entries
+        return build_soft_mask(length, 0.4)
     if kind == "bidirectional":
-        return bidirectional_mask(length).entries
+        return build_soft_mask(length, 1.0)
     # padded: row 1 holds 3 real tokens; its keys past them are zeroed and
     # its pad rows attend to themselves only
-    w = np.array(np.broadcast_to(build_soft_mask(ScheduleState("linear", 3, 5), length).entries,
+    w = np.array(np.broadcast_to(build_soft_mask(length, 0.6),
                                  (bsz, length, length)))
     w[1, :, 3:] = 0.0
     w[1, 3:, 3:][np.diag_indices(length - 3)] = 1.0
@@ -319,15 +319,15 @@ class TestAttention:
             assert t.grad.shape == t.shape
             np.testing.assert_allclose(t.grad, t_ref.grad, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("mask", [bidirectional_mask, causal_mask])
+    @pytest.mark.parametrize("alpha", [1.0, 0.0], ids=["bidirectional", "causal"])
     @pytest.mark.parametrize("group", [1, 4])
-    def test_binary_weights_skip_multiply_bitwise(self, mask, group):
+    def test_binary_weights_skip_multiply_bitwise(self, alpha, group):
         """Within ATTENTION_ULPS of the multiplying chain, gradients to rtol 1e-12; the name predates the ulp bound."""
         # padded 0/1 weights as the encoder builds them: rows 1 and 2 hold 3 and
         # 5 real tokens, their padded keys are zeroed and pad rows self-attend
         rng = np.random.default_rng(30 + group)
         bsz, kv, length, dh = 3, 2, 7, 4
-        w = np.array(np.broadcast_to(mask(length).entries, (bsz, length, length)))
+        w = np.array(np.broadcast_to(build_soft_mask(length, alpha), (bsz, length, length)))
         for row, n in ((1, 3), (2, 5)):
             w[row, :, n:] = 0.0
             w[row, n:, n:][np.diag_indices(length - n)] = 1.0
@@ -369,7 +369,7 @@ class TestAttention:
         q, k = rng.normal(size=(2, 1, 4, 2 * 3))
         v = np.zeros((1, 4, 2 * 3))
         v[:, 3] = 1e6  # a key past the causal horizon of every row but the last
-        out = ag.attention(Tensor(q), Tensor(k), Tensor(v), causal_mask(4).entries, 2)
+        out = ag.attention(Tensor(q), Tensor(k), Tensor(v), build_soft_mask(4, 0.0), 2)
         assert np.all(out.data[:, :3] == 0.0)
 
     def test_shape_errors(self):

@@ -172,6 +172,12 @@ class TestMockTranslator:
         out = CommandTranslator(["sh", "-c", "cat"]).translate("hello world", "de")
         assert out == "hello world"
 
+    def test_command_translator_that_cannot_start_refused_when_made(self):
+        with pytest.raises(FileNotFoundError, match="'no-such-translator' not found"):
+            CommandTranslator(["no-such-translator", "--to"])
+        with pytest.raises(ValueError, match="empty translator command"):
+            CommandTranslator([])
+
     def test_command_translator_failure_raises(self):
         with pytest.raises(RuntimeError, match="failed"):
             CommandTranslator(["sh", "-c", "exit 3"]).translate("x", "de")

@@ -18,7 +18,7 @@ from embedkit.checkpoint import (CheckpointError, load_checkpoint, load_weights,
                                  save_checkpoint)
 from embedkit.encoder import Encoder, EncoderConfig, pool_states, truncate_normalize
 from embedkit.losses import cosent, info_nce_with_scores, next_token_ce
-from embedkit.masks import ScheduleState, bidirectional_mask, build_soft_mask, causal_mask
+from embedkit.masks import build_soft_mask
 from embedkit.pipeline import _mean
 from test_autograd import _chain_info_nce, _gather, _permute, _reshape, _sum
 
@@ -59,40 +59,38 @@ class TestCausality:
     def test_causal_prefix_states_bitwise_invariant(self):
         enc = Encoder(TOY, seed=1)
         ids = np.array([[3, 4, 5, 6, 7, 8, 9, 10]])
-        mask = causal_mask(8)
-        before = enc.forward_batch(ids, mask).data
+        before = enc.forward_batch(ids, 0.0).data
         ids2 = ids.copy()
         ids2[0, 7] = 99
-        after = enc.forward_batch(ids2, mask).data
+        after = enc.forward_batch(ids2, 0.0).data
         assert before[0, :7].tobytes() == after[0, :7].tobytes()
 
     def test_bidirectional_first_state_changes(self):
         enc = Encoder(TOY, seed=1)
         ids = np.array([[3, 4, 5, 6, 7, 8, 9, 10]])
-        mask = bidirectional_mask(8)
-        before = enc.forward_batch(ids, mask).data
+        before = enc.forward_batch(ids, 1.0).data
         ids2 = ids.copy()
         ids2[0, 7] = 99
-        after = enc.forward_batch(ids2, mask).data
+        after = enc.forward_batch(ids2, 1.0).data
         assert not np.array_equal(before[0, 0], after[0, 0])
 
     def test_zero_layers_is_embed_plus_positions(self):
         cfg = EncoderConfig(layers=0)
         enc = Encoder(cfg, seed=2)
         ids = np.array([[5, 6, 7]])
-        states = enc.forward_batch(ids, causal_mask(3)).data
+        states = enc.forward_batch(ids, 0.0).data
         expected = enc.params["embed"].data[ids[0]] + enc.positions[:3]
         np.testing.assert_array_equal(states[0], expected)
 
     def test_unknown_token_rejected(self):
         enc = Encoder(SMALL, seed=0)
         with pytest.raises(ValueError, match="unknown token id"):
-            enc.forward_batch(np.array([[1, 99]]), causal_mask(2))
+            enc.forward_batch(np.array([[1, 99]]), 0.0)
 
     def test_oversize_sequence_rejected(self):
         enc = Encoder(SMALL, seed=0)
         with pytest.raises(ValueError, match="max_len"):
-            enc.forward_batch(np.ones((1, 9), dtype=int), causal_mask(9))
+            enc.forward_batch(np.ones((1, 9), dtype=int), 0.0)
 
 
 def _reference_mha_forward(enc: Encoder, ids: np.ndarray) -> np.ndarray:
@@ -127,15 +125,15 @@ class TestGroupedQueryAttention:
                             vocab_size=32, max_len=8, mrl_dims=(8, 16))
         enc = Encoder(cfg, seed=3)
         ids = np.array([[1, 2, 3, 4, 5]])
-        ours = enc.forward_batch(ids, bidirectional_mask(5)).data[0]
+        ours = enc.forward_batch(ids, 1.0).data[0]
         ref = _reference_mha_forward(enc, ids)
         np.testing.assert_allclose(ours, ref, atol=1e-12)
 
     def test_forward_bitwise_reproducible(self):
         enc = Encoder(SMALL, seed=4)
         ids = np.array([[2, 3, 4, 5]])
-        a = enc.forward_batch(ids, bidirectional_mask(4)).data
-        b = enc.forward_batch(ids, bidirectional_mask(4)).data
+        a = enc.forward_batch(ids, 1.0).data
+        b = enc.forward_batch(ids, 1.0).data
         assert a.tobytes() == b.tobytes()
 
     def test_identity_group_gather_is_bitwise_copy(self):
@@ -301,12 +299,12 @@ class TestFusedPoolingAndTruncation:
         ids = rng.integers(2, TOY.vocab_size, size=(bsz + bsz * (k + 1), 9))
         lengths = rng.integers(1, 10, size=len(ids))
         lengths[0] = 9
-        mask = bidirectional_mask(9)
+        alpha = 1.0
         grads = {}
         for name, pool, trunc in (("op", pool_states, truncate_normalize),
                                   ("chain", _chain_pool, _chain_truncate)):
-            q_emb = pool(enc.forward_batch(ids[:bsz], mask, lengths[:bsz]), pooling, lengths[:bsz])
-            all_emb = pool(enc.forward_batch(ids[bsz:], mask, lengths[bsz:]), pooling, lengths[bsz:])
+            q_emb = pool(enc.forward_batch(ids[:bsz], alpha, lengths[:bsz]), pooling, lengths[:bsz])
+            all_emb = pool(enc.forward_batch(ids[bsz:], alpha, lengths[bsz:]), pooling, lengths[bsz:])
             operands = (q_emb, all_emb) if name == "op" else (
                 q_emb, ag.index_select(all_emb, np.arange(bsz)),
                 ag.index_select(all_emb, np.arange(bsz, bsz + bsz * k).reshape(bsz, k)))
@@ -330,14 +328,14 @@ class TestEncoderGradients:
         rng = np.random.default_rng(100 + seed)
         q_ids = rng.integers(2, SMALL.vocab_size, size=(2, 4))
         p_ids = rng.integers(2, SMALL.vocab_size, size=(2, 4))
-        mask = bidirectional_mask(4)
+        alpha = 1.0
         name = sorted(enc.params)[seed % len(enc.params)]
         base = enc.params[name].data.copy()
 
         def f(t):
             enc.params[name] = t
-            return info_nce_with_scores(enc.embed_batch(q_ids, mask),
-                                        enc.embed_batch(p_ids, mask), temperature=0.5)[0]
+            return info_nce_with_scores(enc.embed_batch(q_ids, alpha),
+                                        enc.embed_batch(p_ids, alpha), temperature=0.5)[0]
 
         err = grad_check(f, base, h=1e-5, max_coords=20, seed=seed)
         enc.params[name] = Tensor(base, requires_grad=True)
@@ -367,7 +365,7 @@ class TestTape:
         # as a matmul on the permuted table 30
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(0).integers(2, TOY.vocab_size, size=(4, 12))
-        states = enc.forward_batch(ids[:, :-1], causal_mask(11))
+        states = enc.forward_batch(ids[:, :-1], 0.0)
         assert _tape_nodes(next_token_ce(states, enc.params["embed"], ids[:, 1:])) == 28
 
     def test_weak_contrastive_step_tape_nodes(self):
@@ -378,8 +376,8 @@ class TestTape:
         # with pooling as a permute, sum and scale)
         enc = Encoder(TOY, seed=0)
         ids = np.random.default_rng(1).integers(2, TOY.vocab_size, size=(2, 8, 10))
-        mask = build_soft_mask(ScheduleState("linear", 3, 10), 10)
-        q, p = (enc.embed_batch(x, mask) for x in ids)
+        alpha = 0.3
+        q, p = (enc.embed_batch(x, alpha) for x in ids)
         assert _tape_nodes(info_nce_with_scores(q, p, temperature=0.05)[0]) == 59
 
     def test_supervised_triplet_step_tape_nodes(self):
@@ -394,9 +392,9 @@ class TestTape:
         enc = Encoder(TOY, seed=0)
         bsz, k = 4, 7
         rng = np.random.default_rng(2)
-        mask = bidirectional_mask(10)
-        q_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz, 10)), mask)
-        p_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz + bsz * k, 10)), mask)
+        alpha = 1.0
+        q_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz, 10)), alpha)
+        p_emb = enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(bsz + bsz * k, 10)), alpha)
         dims = TOY.mrl_dims
         loss = _mean([info_nce_with_scores(*(truncate_normalize(t, d, dims)
                                              for t in (q_emb, p_emb)))[0]
@@ -412,8 +410,8 @@ class TestTape:
         # sum and scale and each truncation as a gather)
         enc = Encoder(TOY, seed=0)
         rng = np.random.default_rng(3)
-        mask = bidirectional_mask(10)
-        ea, eb = (enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(32, 10)), mask)
+        alpha = 1.0
+        ea, eb = (enc.embed_batch(rng.integers(2, TOY.vocab_size, size=(32, 10)), alpha)
                   for _ in range(2))
         labels = rng.integers(0, 5, size=32).astype(float)
         dims = TOY.mrl_dims
@@ -422,13 +420,12 @@ class TestTape:
         assert _tape_nodes(_mean([cosent(c, labels) for c in cos])) == 74
 
     def test_padded_weights_match_row_loop(self):
-        mask = build_soft_mask(ScheduleState("linear", 1, 4), 6)
         lengths = np.array([6, 2, 5, 1])
-        ref = np.broadcast_to(mask.entries, (4, 6, 6)).copy()
+        ref = np.broadcast_to(build_soft_mask(6, 0.25), (4, 6, 6)).copy()
         for b, ln in enumerate(lengths):
             ref[b, :, ln:] = 0.0
             ref[b, ln:, ln:][np.diag_indices(6 - ln)] = 1.0
-        w = Encoder(SMALL, seed=0)._mask_weights(mask, 6, lengths)
+        w = Encoder(SMALL, seed=0)._mask_weights(0.25, 6, lengths)
         assert w.tobytes() == ref.tobytes()
 
 
@@ -438,10 +435,10 @@ class TestNoGradInference:
         enc = Encoder(dataclasses.replace(SMALL, pooling=pooling), seed=3)
         ids = np.random.default_rng(4).integers(2, SMALL.vocab_size, size=(3, 6))
         lengths = np.array([6, 4, 2])
-        mask = bidirectional_mask(6)
-        tracked = enc.embed_batch(ids, mask, lengths)
+        alpha = 1.0
+        tracked = enc.embed_batch(ids, alpha, lengths)
         with ag.no_grad():
-            untracked = enc.embed_batch(ids, mask, lengths)
+            untracked = enc.embed_batch(ids, alpha, lengths)
         assert tracked.requires_grad and not untracked.requires_grad
         assert untracked._parents == ()
         assert untracked.data.tobytes() == tracked.data.tobytes()
@@ -454,12 +451,11 @@ class TestNoGradInference:
         enc = Encoder(SMALL, seed=5)
         ids = np.random.default_rng(6).integers(2, SMALL.vocab_size, size=(64, 8))
         lengths = np.arange(64) % 8 + 1 if padded else None
-        mask = {"causal": causal_mask(8), "bidirectional": bidirectional_mask(8),
-                "soft": build_soft_mask(ScheduleState("linear", 2, 5), 8)}[mask_kind]
-        tracked = enc.embed_batch(ids, mask, lengths)
+        alpha = {"causal": 0.0, "bidirectional": 1.0, "soft": 0.4}[mask_kind]
+        tracked = enc.embed_batch(ids, alpha, lengths)
         with ag.no_grad():
-            untracked = enc.embed_batch(ids, mask, lengths)
-            block = enc.embed_batch(ids[5:28], mask, None if lengths is None else lengths[5:28])
+            untracked = enc.embed_batch(ids, alpha, lengths)
+            block = enc.embed_batch(ids[5:28], alpha, None if lengths is None else lengths[5:28])
         assert untracked.data.tobytes() == tracked.data.tobytes()
         assert block.data.tobytes() == untracked.data[5:28].tobytes()
 
@@ -484,8 +480,8 @@ class TestCheckpointRoundtrip:
         _, arrays, _ = load_checkpoint(path)
         enc2 = Encoder(SMALL, params=arrays)
         ids = np.array([[2, 3, 4]])
-        a = enc.forward_batch(ids, causal_mask(3)).data
-        b = enc2.forward_batch(ids, causal_mask(3)).data
+        a = enc.forward_batch(ids, 0.0).data
+        b = enc2.forward_batch(ids, 0.0).data
         assert a.tobytes() == b.tobytes()
 
     def test_config_mismatch_prints_both(self, tmp_path):

@@ -40,6 +40,11 @@ class TestRecall:
         with pytest.raises(ValueError):
             recall_at_k(run, 1)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_cut_off_below_1_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^recall cut-off k must be at least 1, got {k}$"):
+            recall_at_k(_run(["d0", "d1"], ["d0"]), k)
+
     def test_duplicate_id_counted_once(self):
         run = _run(["a", "a", "b", "c"], ["a", "b"])
         assert recall_at_k(run, 2) == 0.5

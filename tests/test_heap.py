@@ -34,17 +34,15 @@ def test_lm_steps_fault_in_no_fresh_pages_once_warm():
         from embedkit import autograd as ag
         from embedkit.encoder import Encoder, EncoderConfig
         from embedkit.losses import next_token_ce
-        from embedkit.masks import causal_mask
         from embedkit.optim import AdamW
 
         cfg = EncoderConfig()
         encoder = Encoder(cfg, seed=0)
         optimizer = AdamW(encoder.params, 1e-3, 0.001)
         windows = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(32, 17))
-        mask = causal_mask(16)
 
         def step():
-            states = encoder.forward_batch(windows[:, :-1], mask)
+            states = encoder.forward_batch(windows[:, :-1], 0.0)
             ag.backward(next_token_ce(states, encoder.params["embed"], windows[:, 1:]))
             optimizer.step()
             optimizer.zero_grads()

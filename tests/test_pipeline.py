@@ -28,11 +28,10 @@ from embedkit.data import (MockTranslator, LanguageDistribution, Triplet, build_
                            write_text_dataset)
 from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.evaluation import exact_search, ndcg_at_10, recall_at_k
-from embedkit.masks import bidirectional_mask, causal_mask
 from embedkit.mining import MiningState
 from embedkit.optim import AdamW, warmup_lr
 from embedkit.pipeline import (_SCORE_BUDGET, STAGE_KINDS, SUPERVISED_TASKS, RunManifest,
-                               StageConfig, Trainer, _block_rows, _fingerprint, _stage_mask,
+                               StageConfig, Trainer, _block_rows, _fingerprint, _stage_alpha,
                                batch_ids, default_toy_manifest, embed_texts, evaluate_checkpoint,
                                evaluate_retrieval, load_encoder)
 from embedkit.tokenizer import Tokenizer
@@ -154,20 +153,26 @@ class TestStageConfig:
 
 
 class TestStageMask:
+    """``_stage_alpha``: the mask alpha each stage passes the encoder (0 causal, 1 bidirectional)."""
+
+    def test_causal_policy(self):
+        for kind in ("lm-pretrain", "pair-sft"):
+            cfg = StageConfig(kind=kind, steps=3)
+            assert [_stage_alpha(cfg, step) for step in range(3)] == [0.0, 0.0, 0.0]
+
+    def test_bidirectional_policy(self):
+        for cfg in (StageConfig(kind="supervised", steps=3),
+                    StageConfig(kind="weak-contrastive", steps=3, mask_policy="bidirectional")):
+            assert [_stage_alpha(cfg, step) for step in range(3)] == [1.0, 1.0, 1.0]
+
     def test_scheduled_stage_hits_exact_endpoints(self):
         cfg = StageConfig(kind="weak-contrastive", steps=10, mask_policy="soft")
-        first = _stage_mask(cfg, 0, 6)
-        last = _stage_mask(cfg, 9, 6)
-        np.testing.assert_array_equal(first.entries, causal_mask(6).entries)
-        np.testing.assert_array_equal(last.entries, np.ones((6, 6)))
+        assert _stage_alpha(cfg, 0) == 0.0
+        assert _stage_alpha(cfg, 9) == 1.0
 
     def test_single_step_stage_is_bidirectional(self):
         cfg = StageConfig(kind="weak-contrastive", steps=1, mask_policy="soft")
-        np.testing.assert_array_equal(_stage_mask(cfg, 0, 4).entries, np.ones((4, 4)))
-
-    def test_causal_policy(self):
-        cfg = StageConfig(kind="lm-pretrain", steps=3)
-        np.testing.assert_array_equal(_stage_mask(cfg, 1, 5).entries, causal_mask(5).entries)
+        assert _stage_alpha(cfg, 0) == 1.0
 
 
 @pytest.fixture(scope="module")
@@ -720,7 +725,7 @@ def _embed_per_group(encoder, tokenizer, texts, chunk=128):
     with no_grad():
         for i in range(0, len(texts), chunk):
             ids, lengths = batch_ids(tokenizer, texts[i:i + chunk])
-            out.append(encoder.embed_batch(ids, bidirectional_mask(ids.shape[1]), lengths).data)
+            out.append(encoder.embed_batch(ids, 1.0, lengths).data)
     return np.concatenate(out, axis=0)
 
 
@@ -860,6 +865,11 @@ class TestCli:
         assert cli_main(["mask-demo", "--n", "8", "--samples", "3"]) == 0
         recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
         assert [r["rank"] for r in recs] == [8, 4, 1]
+        assert {r["l"] for r in recs} == {8}
+        assert cli_main(["mask-demo", "--n", "16", "--l", "8", "--samples", "5"]) == 0
+        recs = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+        assert [(r["n"], r["l"], r["alpha"], r["rank"]) for r in recs] == [
+            (16, 8, 0.0, 16), (16, 8, 0.25, 14), (16, 8, 0.5, 12), (16, 8, 0.75, 10), (16, 8, 1.0, 8)]
 
     def test_mask_demo_dump_mask(self, capsys):
         assert cli_main(["mask-demo", "--n", "4", "--samples", "2", "--dump-mask"]) == 0
@@ -891,6 +901,31 @@ class TestCli:
         assert cli_main(["eval", "--checkpoint", str(path),
                          "--data", str(toy_data / "retrieval.jsonl")]) == 3
         assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ks,bad", [("0,-1,1", "0"), ("1,-1", "-1"), ("5,0", "0")])
+    def test_eval_cut_off_below_1_exits_3_naming_it(self, tmp_path, capsys, ks, bad):
+        data = tmp_path / "heldout.jsonl"
+        write_dataset(data, "pair", [Triplet("a", "a"), Triplet("a", "a")])
+        assert cli_main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
+                         "--data", str(data), "--k", ks]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"recall cut-off k must be at least 1, got {bad}" in captured.err
+
+    def test_gen_clr_translator_that_cannot_start_exits_4_before_writing(self, tmp_path, capsys):
+        data, out_path = tmp_path / "pairs.jsonl", tmp_path / "clr-out.jsonl"
+        write_dataset(data, "pair", [Triplet("t1", "t2", query_lang="aa", passage_lang="aa")] * 2)
+        dist = tmp_path / "dist.yaml"
+        dist.write_text("bb: 1\n")
+        args = ["gen-clr", "--input", str(data), "--output", str(out_path), "--distribution",
+                str(dist), "--backend", "command", "--command"]
+        assert cli_main(args + ["no-such-translator --to"]) == 4
+        assert "translator program 'no-such-translator' not found" in capsys.readouterr().err
+        assert not out_path.exists()
+        # a translator that starts and then fails is still counted per record
+        assert cli_main(args + ["sh -c 'exit 3'"]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == 2
+        assert read_dataset(out_path, Triplet)[1] == []
 
     def test_eval_of_dataset_without_examples_exits_3_naming_it(self, tmp_path, capsys):
         data = tmp_path / "none.jsonl"
