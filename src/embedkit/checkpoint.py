@@ -16,10 +16,9 @@ optimizer moments (``opt.*``) and, in a mining stage, the mining state
 ones and seeks past the others.  Both refuse a file whose size is not the
 one its header implies, so a torn file is refused by either.
 
-Versions 1 and 2 are read, never written.  Version 2 kept the mining state,
-negatives named by text, as ``state_bytes`` of JSON after the buffers, which
-``load_checkpoint`` merges into ``extra``; version 1 kept it in ``extra``.
-An older reader refuses version 3 rather than resume without the state.
+Versions 1 and 2 are read, never written, and give only their weights:
+``load_weights`` reads them, and ``load_checkpoint`` refuses them, since their
+stage must restart.  An older reader refuses version 3 rather than resume without the state.
 """
 
 from __future__ import annotations
@@ -87,14 +86,17 @@ def _read(path, weights_only: bool) -> tuple[dict, dict[str, np.ndarray], dict]:
         if version not in (1, 2, VERSION):
             raise CheckpointError(f"{path}: checkpoint version {version} unsupported "
                                   f"(expected 1 to {VERSION})")
+        if version != VERSION and not weights_only:
+            raise CheckpointError(f"cannot resume from {path}: it is a checkpoint version {version} file; "
+                                  "eval and init_from still read its weights, but its stage must restart")
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path} has an unreadable header (torn file?): {exc}") from exc
         shapes = [tuple(e["shape"]) for e in header["arrays"]]
         nbytes = [8 * math.prod(s) for s in shapes]
-        state_len = header.get("state_bytes", 0)        # version 2 only
-        expected = _PREFIX.size + hlen + sum(nbytes) + state_len
+        # a version-2 file's mining state follows the buffers
+        expected = _PREFIX.size + hlen + sum(nbytes) + header.get("state_bytes", 0)
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise CheckpointError(f"{path} is {size} bytes but its header implies {expected} "
@@ -105,17 +107,11 @@ def _read(path, weights_only: bool) -> tuple[dict, dict[str, np.ndarray], dict]:
                 fh.seek(n, os.SEEK_CUR)
                 continue
             arrays[e["name"]] = np.frombuffer(fh.read(n), dtype="<f8").reshape(shape).astype(np.float64)
-        extra = header["extra"]
-        if state_len and not weights_only:
-            try:
-                extra = {**extra, **json.loads(fh.read(state_len).decode("utf-8"))}
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise CheckpointError(f"{path} has a corrupt training-state section: {exc}") from exc
-    return header["config"], arrays, extra
+    return header["config"], arrays, header["extra"]
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    """Everything: config, every array, and ``extra`` (with a version-2 file's state merged in)."""
+    """Everything of a version-3 file: config, every array, and the header's ``extra``."""
     return _read(path, weights_only=False)
 
 

@@ -44,6 +44,17 @@ class RawRecord:
     source: str = ""
 
 
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _string(name: str, value) -> str:
+    """``value`` when it is a string; otherwise a ValueError naming field ``name``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, not {value!r}")
+    return value
+
+
 @dataclass
 class Triplet:
     """A query, its positive and its candidate negatives; a pair is a triplet without negatives."""
@@ -56,6 +67,12 @@ class Triplet:
     uid: str = ""
     source: str = ""
 
+    def __post_init__(self):
+        for name in ("query", "positive", "query_lang", "passage_lang", "uid", "source"):
+            _string(name, getattr(self, name))
+        if not _is_strings(self.negatives):
+            raise ValueError(f"negatives must be a list of strings, not {self.negatives!r}")
+
 
 @dataclass
 class ScoredPair:
@@ -67,6 +84,8 @@ class ScoredPair:
     source: str = ""
 
     def __post_init__(self):
+        for name in ("text_a", "text_b", "lang", "uid", "source"):
+            _string(name, getattr(self, name))
         s = self.similarity
         if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s):
             raise ValueError(f"similarity must be a finite real number, got {s!r}")
@@ -90,12 +109,9 @@ def example_to_record(e: TrainingExample) -> dict:
 def example_from_record(d: dict) -> TrainingExample:
     d = dict(d)
     kind = d.pop("kind", None)
-    # files written before pairs became triplets: a "pair" record, and a "task" in every record
-    kind = "triplet" if kind == "pair" else kind
     if kind not in _KINDS:
         raise ValueError(f"unknown example kind {kind!r}; expected one of {sorted(_KINDS)}")
     d.pop("record", None)
-    d.pop("task", None)
     return _KINDS[kind](**d)
 
 
@@ -465,6 +481,9 @@ def _header(path, first_line: str) -> dict:
         raise ValueError(f"{path}:1: invalid header: {exc}") from exc
     if not isinstance(header, dict) or header.get("record") != "header":
         raise ValueError(f"dataset {path} is missing its header record")
+    for key in ("vocab", "languages"):
+        if key in header and not _is_strings(header[key]):
+            raise ValueError(f"{path}:1: {key} must be a list of strings, not {header[key]!r}")
     return header
 
 
@@ -533,4 +552,4 @@ def write_text_dataset(path, texts: Sequence[str], extra: Optional[dict] = None)
 
 
 def read_text_dataset(path) -> tuple[dict, list[str]]:
-    return _read_records(path, lambda rec: rec["text"], task="text")
+    return _read_records(path, lambda rec: _string("text", rec["text"]), task="text")

@@ -119,6 +119,13 @@ _GAINS = [1.0 / math.log2(rank + 1) for rank in range(1, 11)]
 _IDEAL = np.array(list(itertools.accumulate(_GAINS, initial=0.0)))
 
 
+def check_cutoffs(ks: Sequence[int]):
+    """Refuse a recall cut-off below 1."""
+    for k in ks:
+        if k < 1:
+            raise ValueError(f"recall cut-off k must be at least 1, got {k}")
+
+
 def retrieval_metrics(hits: np.ndarray, first_hits: np.ndarray, n_relevant: np.ndarray,
                       ks: Sequence[int]) -> dict[str, float]:
     """recall@k for each k in ``ks``, then nDCG@10, each a mean over queries.
@@ -130,9 +137,7 @@ def retrieval_metrics(hits: np.ndarray, first_hits: np.ndarray, n_relevant: np.n
     credits every relevant occurrence in the top 10, its gains summed in rank
     order.
     """
-    for k in ks:
-        if k < 1:
-            raise ValueError(f"recall cut-off k must be at least 1, got {k}")
+    check_cutoffs(ks)
     metrics = {f"recall@{k}": float(np.mean(first_hits[:, :k].sum(axis=1) / n_relevant))
                for k in ks}
     dcg = np.zeros(hits.shape[0])

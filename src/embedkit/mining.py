@@ -170,24 +170,3 @@ class MiningState:
             state.s0[-1], state.cursor[-1] = s0[i:i + k_q], c
             i, j = i + k_q, j + p
         return state
-
-    @classmethod
-    def from_dict(cls, d: dict, queries: Sequence[tuple[str, Sequence[str], int]]) -> "MiningState":
-        """The state a version-1 or -2 checkpoint holds as JSON, negatives named by text, for
-        ``queries`` as in ``from_arrays``."""
-        slots = {(s["query_id"], s["slot_index"]): s for s in d["slots"]}
-        state = cls(mode=d["mode"])
-        for query_id, negatives, k in queries:
-            row = {text: i for i, text in enumerate(negatives)}
-            try:
-                mine = [slots.pop((query_id, i)) for i in range(k)]
-                pool = d["pools"][query_id]
-                state.register_query(query_id, [row[s["negative_id"]] for s in mine],
-                                     [row[text] for text in pool["candidates"]], negatives)
-            except KeyError as exc:
-                raise ValueError(f"mining state for query {query_id!r} does not fit the dataset: "
-                                 f"no {exc}") from exc
-            state.s0[-1], state.cursor[-1] = [s["s0"] for s in mine], pool["cursor"]
-        if slots or d["pools"].keys() - state.queries.keys():
-            raise ValueError("mining state holds queries the dataset does not")
-        return state

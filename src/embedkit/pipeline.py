@@ -35,7 +35,7 @@ from .checkpoint import (CheckpointError, load_checkpoint, load_weights, require
                          save_checkpoint)
 from .data import ScoredPair, Triplet, _texts_of, read_dataset, read_header, read_text_dataset
 from .encoder import Encoder, EncoderConfig, truncate_normalize
-from .evaluation import retrieval_metrics, spearman, top_k
+from .evaluation import check_cutoffs, retrieval_metrics, spearman, top_k
 from .losses import cosent, info_nce_with_scores, next_token_ce
 from .masks import schedule_alpha
 from .mining import MiningState
@@ -353,8 +353,7 @@ class _Start(NamedTuple):
     stage: int = -1
     step: int = 0
     optimizer: tuple = ()             # AdamW.load_state's arrays and step count
-    # the checkpoint's mining.* arrays, or the JSON mining state of a version-1 or -2 file
-    mining: Optional[dict] = None
+    mining: dict = {}                 # the checkpoint's mining.* arrays
 
 
 class _RunDir:
@@ -449,9 +448,8 @@ class _RunDir:
                                   f"({cfg.kind}) with steps {steps}, this manifest has steps "
                                   f"{cfg.steps}; only a stage's final checkpoint, and not a soft-mask "
                                   "stage's, may resume under other steps")
-        mining = {k: v for k, v in arrays.items() if k.startswith("mining.")} or extra.get("mining")
         return start._replace(stage=idx, step=step, optimizer=(arrays, int(extra["opt_step_count"])),
-                              mining=mining)
+                              mining={k: v for k, v in arrays.items() if k.startswith("mining.")})
 
 
 def _stage_alpha(cfg: StageConfig, step: int) -> float:
@@ -607,8 +605,8 @@ class Trainer:
                                         cfg.batch_size, 0), "pairs"
 
     def _mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict,
-                saved: Optional[dict]) -> MiningState:
-        """The stage's mining state: as a checkpoint of this stage ``saved`` it, or new.
+                saved: dict) -> MiningState:
+        """The stage's mining state: as ``saved`` by a checkpoint of this stage, or new if that is empty.
 
         Each triplet with negatives holds slots, in task and dataset order.  A
         saved state names negatives by dataset row; the fingerprint a resume
@@ -622,9 +620,8 @@ class Trainer:
                     for ex in datasets[task] if ex.negatives]
         queries = [(f"{task}:{ex.uid}", ex.negatives, min(cfg.negatives_per_query, len(ex.negatives)))
                    for task, ex in triplets]
-        if saved is not None:       # a version-1 or -2 checkpoint holds JSON with "slots"
-            return (MiningState.from_dict(saved, queries) if "slots" in saved
-                    else MiningState.from_arrays(cfg.dhnm_mode, queries, saved))
+        if saved:
+            return MiningState.from_arrays(cfg.dhnm_mode, queries, saved)
         # sorted, not set order: string hashing is randomized per process
         texts = sorted({t for _, ex in triplets for t in (ex.query, *ex.negatives)})
         row = {t: i for i, t in enumerate(texts)}
@@ -744,6 +741,7 @@ def evaluate_sts(encoder: Encoder, tokenizer: Tokenizer, examples: list) -> dict
 
 
 def evaluate_checkpoint(ckpt_path, dataset_path, ks: tuple[int, ...] = (1, 5, 10, 20)) -> dict[str, float]:
+    check_cutoffs(ks)
     encoder, tokenizer, _ = load_encoder(ckpt_path)
     kind = ScoredPair if read_header(dataset_path).get("task") == "sts" else Triplet
     examples = _examples(dataset_path, kind, _text_check(tokenizer, encoder.cfg.max_len, 0))

@@ -1,5 +1,6 @@
 """Type and range checks of the configuration values, by field name."""
 
+import math
 import numbers
 
 from .masks import SCHEDULE_KINDS
@@ -18,8 +19,8 @@ _VALUES = (
       "hidden_dim", "heads", "kv_heads", "ffn_dim", "vocab_size", "max_len")),
     ("an integer >= 0", lambda v: _number(v, numbers.Integral) and v >= 0,
      ("negatives_per_query", "checkpoint_every", "seed", "layers")),
-    ("a number > 0", lambda v: _number(v) and v > 0, ("lr", "temperature")),
-    ("a number >= 0", lambda v: _number(v) and v >= 0, ("weight_decay",)),
+    ("a finite number > 0", lambda v: _number(v) and 0 < v < math.inf, ("lr", "temperature")),
+    ("a finite number >= 0", lambda v: _number(v) and 0 <= v < math.inf, ("weight_decay",)),
     ("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1, ("warmup_frac",)),
     ("true or false", lambda v: isinstance(v, bool), ("mrl", "dhnm")),
     (f"one of {SCHEDULE_KINDS}", lambda v: v in SCHEDULE_KINDS, ("mask_schedule",)),

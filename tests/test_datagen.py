@@ -300,19 +300,20 @@ class TestDatasetFiles:
             assert rec == want
             assert json.dumps(rec) == json.dumps(want)
 
-    def test_legacy_pair_record_with_task_reads_as_triplet_without_negatives(self, tmp_path):
-        # the format before pairs became triplets: kind "pair", and a "task" in every record
+    def test_record_of_the_format_before_triplets_refused_at_its_line(self, tmp_path):
+        # before pairs became triplets, a record had kind "pair" and a "task"; make_toy_data.py
+        # writes such data anew
         path = tmp_path / "old.jsonl"
-        path.write_text(
-            '{"record":"header","task":"pair","languages":[],"vocab":["a","b","c"],"count":2}\n'
-            '{"record":"example","kind":"pair","query":"a","positive":"b","query_lang":"aa",'
-            '"passage_lang":"aa","task":"pair","cluster":1,"uid":"u1","source":"s"}\n'
-            '{"record":"example","kind":"triplet","query":"a","positive":"b","negatives":["c"],'
-            '"task":"clr","uid":"u2"}\n')
-        _, examples = read_dataset(path, Triplet)
-        assert examples == [Triplet("a", "b", [], query_lang="aa", passage_lang="aa", cluster=1,
-                                    uid="u1", source="s"),
-                            Triplet("a", "b", ["c"], uid="u2")]
+        for record, what in [
+                ('{"record":"example","kind":"pair","query":"a","positive":"b"}',
+                 "unknown example kind 'pair'"),
+                ('{"record":"example","kind":"triplet","query":"a","positive":"b","task":"clr"}',
+                 "'task'")]:
+            path.write_text('{"record":"header","task":"pair","languages":[],"vocab":["a","b"]}\n'
+                            '{"record":"example","kind":"triplet","query":"a","positive":"b"}\n'
+                            + record + "\n")
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: invalid record: .*{what}"):
+                read_dataset(path, Triplet)
 
     def test_pair_written_as_triplet_without_negatives(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -586,14 +586,6 @@ def _training_checkpoint(path, version=3):
 
 
 class TestCheckpointLayout:
-    def test_full_read_merges_state_into_extra(self, tmp_path):
-        path = tmp_path / "run.ckpt"
-        arrays, extra, state = _training_checkpoint(path, version=2)
-        config, restored, got = load_checkpoint(path)
-        assert config == SMALL.to_dict() and got == {**extra, **state}
-        assert {k: v.tobytes() for k, v in restored.items()} == \
-            {k: v.tobytes() for k, v in arrays.items()}
-
     def test_version3_keeps_the_mining_state_in_buffers(self, tmp_path):
         path = tmp_path / "run.ckpt"
         arrays, extra, _ = _training_checkpoint(path)
@@ -620,12 +612,11 @@ class TestCheckpointLayout:
     def test_weights_read_skips_moments_and_state(self, tmp_path):
         for version in (2, 3):
             path = tmp_path / f"run{version}.ckpt"
-            _, extra, _ = _training_checkpoint(path, version)
+            arrays, extra, _ = _training_checkpoint(path, version)
             config, weights, got = load_weights(path)
-            _, full, _ = load_checkpoint(path)
             assert config == SMALL.to_dict() and got == extra
-            assert sorted(weights) == sorted(k for k in full if k.startswith("model."))
-            assert all(weights[k].tobytes() == full[k].tobytes() for k in weights)
+            assert {k: v.tobytes() for k, v in weights.items()} == \
+                {k: v.tobytes() for k, v in arrays.items() if k.startswith("model.")}
 
     def test_state_section_is_after_the_buffers(self, tmp_path):
         # corrupt only a version-2 file's state bytes: weights still load, a resume is refused
@@ -637,21 +628,22 @@ class TestCheckpointLayout:
         path.write_bytes(bytes(raw))
         _, weights, _ = load_weights(path)
         assert weights
-        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*training-state"):
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*version 2 file"):
             load_checkpoint(path)
 
-    def test_version1_file_loads_through_both_readers(self, tmp_path):
+    def test_version1_file_gives_its_weights_and_refuses_a_resume(self, tmp_path):
         path = tmp_path / "old.ckpt"
         arrays = {f"model.{k}": v for k, v in Encoder(SMALL, seed=4).export_arrays().items()}
         arrays["opt.m.x"] = np.arange(3.0)
         extra = {"vocab": ["a"], "stage_index": 1, "mining": {"version": 1, "slots": []}}
         _save_v1(path, SMALL.to_dict(), arrays, extra)
-        config, restored, got = load_checkpoint(path)
+        config, weights, got = load_weights(path)
         assert config == SMALL.to_dict() and got == extra
-        assert {k: v.tobytes() for k, v in restored.items()} == \
-            {k: v.tobytes() for k, v in arrays.items()}
-        _, weights, got = load_weights(path)
-        assert got == extra and sorted(weights) == sorted(k for k in arrays if k != "opt.m.x")
+        assert {k: v.tobytes() for k, v in weights.items()} == \
+            {k: v.tobytes() for k, v in arrays.items() if k != "opt.m.x"}
+        with pytest.raises(CheckpointError, match=re.escape(str(path)) + ".*version 1 file.*"
+                           "still read its weights, but its stage must restart"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("where", ["prefix", "header", "weights", "moments", "state", "trailing"])
     @pytest.mark.parametrize("reader", [load_checkpoint, load_weights])

@@ -173,30 +173,6 @@ class TestMiningState:
             with pytest.raises(ValueError, match="outside"):
                 MiningState.from_arrays("absolute", queries, arrays)
 
-    def test_from_dict_reads_a_version_2_state_by_text(self):
-        # the JSON state a version-2 checkpoint holds: negatives by text, pools as text lists
-        d = {"mode": "literal", "slots": [
-            {"query_id": "q1", "slot_index": 0, "negative_id": "p0", "s0": None, "s_cur": None,
-             "flagged": False, "first_step_seen": None, "last_cached_step": None},
-            {"query_id": "q1", "slot_index": 1, "negative_id": "n1", "s0": 0.9, "s_cur": 0.9,
-             "flagged": False, "first_step_seen": 0, "last_cached_step": 0}],
-            "pools": {"q1": {"candidates": ["p0", "p1", "p2"], "cursor": 1, "exhausted_events": 0}}}
-        ms = MiningState.from_dict(d, [("q1", ["n0", "n1", "p0", "p1", "p2"], 2)])
-        assert ms.mode == "literal" and ms.current_negatives("q1") == ["p0", "n1"]
-        assert ms.arrays()["mining.slots"].tolist() == [2, 1]
-        assert ms.arrays()["mining.pool"].tolist() == [2, 3, 4]
-        assert ms.cursor == [1] and ms.s0 == [[None, 0.9]]
-
-    def test_from_dict_rejects_gap_in_slot_numbers(self):
-        ms = self._state()
-        d = {"mode": "absolute",
-             "slots": [{"query_id": "q1", "slot_index": 1, "negative_id": "n1", "s0": None,
-                        "flagged": False}],
-             "pools": {"q1": {"candidates": ["p0", "p1", "p2"], "cursor": 0}}}
-        with pytest.raises(ValueError, match="q1"):
-            MiningState.from_dict(d, [("q1", ["n0", "n1", "p0", "p1", "p2"], 2)])
-        assert ms.current_negatives("q1") == ["n0", "n1"]
-
 
 # ---------------------------------------------------------------------------
 # trajectory replay against an independent oracle

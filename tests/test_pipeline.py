@@ -565,45 +565,6 @@ class TestTrainingRuns:
                 assert (out / name).read_bytes() == content, (at, on_disk, name)
         assert at > 0
 
-    def test_mid_stage_resume_from_a_version_2_checkpoint_matches_uninterrupted(self, toy_data,
-                                                                              tmp_path):
-        # a version-2 file names negatives by text in a JSON section; resuming one mid-stage
-        # continues the run as the version-3 file it was made from does
-        final_full = Trainer(_manifest(toy_data, tmp_path / "full")).run()
-        logs = ("stage3-supervised.metrics.jsonl", "stage3-mining.jsonl")
-
-        def resume(name, edit=None, version=2):
-            m = _manifest(toy_data, tmp_path / name)
-            mid = tmp_path / name / "stage3-step5.ckpt"
-            mid.parent.mkdir()
-            for file in (mid.name, *logs):
-                (mid.parent / file).write_bytes((tmp_path / "full" / file).read_bytes())
-            queries = _mining_queries(Trainer(m), m.stages[-1])
-            if edit is not None:
-                config, arrays, extra = load_checkpoint(mid)
-                save_checkpoint(mid, config, {**arrays, **edit(queries, arrays)}, extra)
-            if version == 2:
-                saved = _as_version_2(mid, queries)
-                assert mid.read_bytes()[4:8] == (2).to_bytes(4, "little")
-                assert np.isnan(saved["mining.s0"]).any() and not np.isnan(saved["mining.s0"]).all()
-            final = Trainer(m).run(resume_from=str(mid))
-            return Path(final).read_bytes(), [(mid.parent / file).read_bytes() for file in logs]
-
-        full = Path(final_full).read_bytes(), [(tmp_path / "full" / f).read_bytes() for f in logs]
-        assert resume("v2") == full
-
-        def replace_first_slots(queries, arrays):
-            # as if each query's first slot had drawn its pool's first row and not been scored since
-            ms = MiningState.from_arrays("absolute", queries, arrays)
-            for q in ms.queries.values():
-                if ms.pool[q]:
-                    ms.slots[q][0], ms.cursor[q], ms.s0[q][0] = ms.pool[q][0], 1, None
-            return ms.arrays()
-
-        edited = resume("v3-edited", replace_first_slots, version=3)
-        assert edited != full       # the loss sees the swapped negatives
-        assert resume("v2-edited", replace_first_slots) == edited
-
     def test_mining_state_bytes_do_not_depend_on_negative_text_length(self, toy_data, tmp_path):
         # a checkpoint names each negative by its dataset row, not by its text
         sizes = []
@@ -750,33 +711,6 @@ def _untrained_checkpoint(path):
     arrays = {f"model.{k}": v for k, v in Encoder(SMALL_ENC, seed=1).export_arrays().items()}
     save_checkpoint(path, SMALL_ENC.to_dict(), arrays, {"vocab": ["a"]})
     return path
-
-
-def _mining_queries(trainer, cfg):
-    """(query id, negatives, slot count) of each query ``cfg``'s mining registers, in order."""
-    datasets = trainer._load_stage_data(cfg)
-    return [(f"{task}:{ex.uid}", ex.negatives, min(cfg.negatives_per_query, len(ex.negatives)))
-            for task in ("retrieval", "clr", "classification") if task in datasets
-            for ex in datasets[task] if ex.negatives]
-
-
-def _as_version_2(path: Path, queries: list):
-    """Write mid-mining checkpoint ``path`` again as the version-2 writer did: no ``mining.*``
-    buffers, the state as JSON after the buffers, negatives named by text."""
-    config, arrays, extra = load_checkpoint(path)
-    saved = {k: arrays.pop(k) for k in [k for k in arrays if k.startswith("mining.")]}
-    ms = MiningState.from_arrays("absolute", queries, saved)
-    negatives = {query_id: negs for query_id, negs, _ in queries}
-    slots, pools = [], {}
-    for query_id, q in sorted(ms.queries.items()):
-        text = negatives[query_id]
-        slots += [{"query_id": query_id, "slot_index": i, "negative_id": text[row], "s0": s0,
-                   "s_cur": s0, "flagged": False, "first_step_seen": None, "last_cached_step": None}
-                  for i, (row, s0) in enumerate(zip(ms.slots[q], ms.s0[q]))]
-        pools[query_id] = {"candidates": [text[row] for row in ms.pool[q]], "cursor": ms.cursor[q],
-                           "exhausted_events": 0}
-    _save_v2(path, config, arrays, extra, {"mining": {"mode": ms.mode, "slots": slots, "pools": pools}})
-    return saved
 
 
 class TestEmbedTexts:
@@ -927,6 +861,51 @@ class TestCli:
         assert json.loads(capsys.readouterr().out)["failures"] == 2
         assert read_dataset(out_path, Triplet)[1] == []
 
+    def test_eval_refuses_a_cut_off_below_1_before_it_embeds(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        embed = pipeline.embed_texts
+        monkeypatch.setattr(pipeline, "embed_texts", lambda *a: calls.append(len(a[2])) or embed(*a))
+        data = tmp_path / "heldout.jsonl"
+        write_dataset(data, "pair", [Triplet("a", "a"), Triplet("a a", "a")])
+        args = ["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
+                "--data", str(data)]
+        assert cli_main(args + ["--k", "1,0"]) == 3
+        assert "recall cut-off k must be at least 1, got 0" in capsys.readouterr().err
+        assert calls == []
+        assert cli_main(args + ["--k", "1"]) == 0 and calls == [2, 2]
+
+    @pytest.mark.parametrize("file,line,edit,what", [
+        ("retrieval", 2, lambda r: r.update(query=5), "query must be a string, not 5"),
+        ("retrieval", 2, lambda r: r.update(query=None), "query must be a string, not None"),
+        ("retrieval", 3, lambda r: r.update(negatives=[1, 2, 3]),
+         "negatives must be a list of strings, not [1, 2, 3]"),
+        ("retrieval", 2, lambda r: r.update(uid=7), "uid must be a string, not 7"),
+        ("lm", 2, lambda r: r.update(text=3), "text must be a string, not 3"),
+        ("lm", 1, lambda r: r.update(vocab="abc"), "vocab must be a list of strings, not 'abc'"),
+        ("retrieval", 1, lambda r: r.update(vocab=[1, 2]),
+         "vocab must be a list of strings, not [1, 2]"),
+    ], ids=["query-int", "query-null", "negatives-ints", "uid-int", "lm-text-int", "vocab-string",
+            "vocab-ints"])
+    def test_train_on_a_field_of_the_wrong_type_exits_3_naming_file_and_line(
+            self, toy_data, tmp_path, capsys, file, line, edit, what):
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        bad = tmp_path / f"{file}.jsonl"
+        lines = (toy_data / f"{file}.jsonl").read_text().splitlines()
+        record = json.loads(lines[line - 1])
+        edit(record)
+        lines[line - 1] = json.dumps(record)
+        bad.write_text("\n".join(lines) + "\n")
+        if file == "lm":
+            m.stages, m.data = m.stages[:1], {"lm-pretrain": str(bad)}
+        else:
+            m.stages, m.data = m.stages[-1:], {"supervised": {"retrieval": str(bad)}}
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}: " in err and what in err, err
+        assert not list((tmp_path / "run").glob("stage0-*"))
+
     def test_eval_of_dataset_without_examples_exits_3_naming_it(self, tmp_path, capsys):
         data = tmp_path / "none.jsonl"
         write_dataset(data, "retrieval", [])
@@ -937,7 +916,7 @@ class TestCli:
     @pytest.mark.parametrize("line,what", [
         ('{kind: "pair"}', "Expecting property name"),
         ('{"record":"example","kind":"pear","query":"q","positive":"p"}', "'pear'"),
-        ('{"record":"example","kind":"pair","qury":"q","positive":"p"}', "'qury'"),
+        ('{"record":"example","kind":"triplet","qury":"q","positive":"p"}', "'qury'"),
     ], ids=["not-json", "unknown-kind", "unknown-field"])
     def test_bad_dataset_record_exits_3_naming_file_and_line(self, tmp_path, capsys, line, what):
         data = tmp_path / "bad.jsonl"
@@ -1174,14 +1153,20 @@ class TestCli:
         (1, lambda s, d: s.update(window_len=80), "window_len 80 exceeds the encoder's max_len 32"),
         (3, lambda s, d: s.update(negatives_per_query=-1), "negatives_per_query must be an integer >= 0"),
         (3, lambda s, d: s.update(checkpoint_every=-5), "checkpoint_every must be an integer >= 0"),
-        (1, lambda s, d: s.update(lr=-1), "lr must be a number > 0, not -1"),
-        (2, lambda s, d: s.update(temperature=0), "temperature must be a number > 0, not 0"),
+        (1, lambda s, d: s.update(lr=-1), "lr must be a finite number > 0, not -1"),
+        (2, lambda s, d: s.update(temperature=0), "temperature must be a finite number > 0, not 0"),
+        (1, lambda s, d: s.update(lr=float("inf")), "lr must be a finite number > 0, not inf"),
+        (2, lambda s, d: s.update(temperature=float("nan")),
+         "temperature must be a finite number > 0, not nan"),
+        (3, lambda s, d: s.update(weight_decay=float("inf")),
+         "weight_decay must be a finite number >= 0, not inf"),
         (0, lambda s, d: s.update(steps=True), "steps must be an integer >= 1, not True"),
         (0, lambda s, d: d.update({"lm-pretrain": {"text": "lm.jsonl"}}),
          "lm-pretrain data must be one dataset path, not a mapping"),
     ], ids=["mask-schedule", "dhnm-mode", "batch-size", "triplet-batch-size", "window-len",
             "lm-window-len-over-max-len", "sft-window-len-over-max-len", "negatives-per-query",
-            "checkpoint-every", "lr", "temperature", "steps-bool", "data-mapping"])
+            "checkpoint-every", "lr", "temperature", "lr-inf", "temperature-nan", "weight-decay-inf",
+            "steps-bool", "data-mapping"])
     def test_bad_stage_value_exits_3_before_any_stage_runs(self, toy_data, tmp_path, capsys,
                                                            stage, edit, what):
         # refused as the manifest is read, naming the stage, not when its stage starts
@@ -1249,6 +1234,29 @@ class TestCli:
         m.seed = 99
         m.output_dir = str(tmp_path / "s3")
         assert Path(Trainer(m).run(init_from=str(ckpt))).exists()
+
+    def test_resume_from_a_version_2_checkpoint_exits_3_and_init_from_adopts_its_weights(
+            self, toy_data, tmp_path, capsys):
+        # a version-2 file kept its mining state as JSON after the buffers: its stage restarts,
+        # but eval and init_from still read its weights
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        m.stages = m.stages[:2]
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 0
+        ckpt = tmp_path / "run" / "stage0-lm-pretrain.ckpt"
+        old = tmp_path / "old.ckpt"
+        _save_v2(old, *load_checkpoint(ckpt), {"mining": {"mode": "absolute", "slots": []}})
+        capsys.readouterr()
+        assert cli_main(["train", "--manifest", str(yml), "--resume", str(old)]) == 3
+        err = capsys.readouterr().err
+        assert str(old) in err and "version 2" in err and "stage must restart" in err, err
+        finals = []
+        for name, path in (("from-v3", ckpt), ("from-v2", old)):
+            m.output_dir = str(tmp_path / name)
+            finals.append(Path(Trainer(m).run(init_from=str(path))).read_bytes())
+        assert finals[0] == finals[1]
+        assert finals[0] != (tmp_path / "run" / "stage1-pair-sft.ckpt").read_bytes()
 
     @pytest.mark.parametrize("edit", [
         lambda m, ckpt: setattr(m.stages[2], "lr", 2e-3) or ["stage 2 lr 0.001", "stage 2 lr 0.002"],
