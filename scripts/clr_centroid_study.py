@@ -28,7 +28,10 @@ def main():
 
     out = Path(args.out)
     langs = ("aa", "bb")
-    corpus = synth_corpus(args.clusters, 8, languages=langs, seed=args.seed)
+    try:
+        corpus = synth_corpus(args.clusters, 8, languages=langs, seed=args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
     write_text_dataset(out / "lm.jsonl", [s["text"] for s in corpus.sentences])
     dist = LanguageDistribution.from_weights({lg: 1 for lg in langs})
     clr, _ = generate_clr_dataset(build_triplets(corpus, pool_size=16, seed=args.seed + 1),

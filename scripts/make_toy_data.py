@@ -28,7 +28,10 @@ def main():
 
     out = Path(args.out)
     langs = tuple(args.languages.split(","))
-    corpus = synth_corpus(args.clusters, args.per_cluster, languages=langs, seed=args.seed)
+    try:
+        corpus = synth_corpus(args.clusters, args.per_cluster, languages=langs, seed=args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
     held = [p for p in corpus.pairs if p.uid.endswith("-p0")]
     train = [p for p in corpus.pairs if not p.uid.endswith("-p0")]
     train_corpus = corpus.__class__(languages=corpus.languages, n_clusters=corpus.n_clusters,

@@ -77,13 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_train(args) -> int:
     from dataclasses import replace
 
-    from .pipeline import RunManifest, Trainer
+    from .pipeline import ManifestError, RunManifest, Trainer
 
     # replace() runs the manifest's checks on the overrides too
     overrides = {"seed": args.seed, "output_dir": args.output_dir}
     manifest = replace(RunManifest.from_yaml(args.manifest),
                        **{k: v for k, v in overrides.items() if v is not None})
-    ckpt = Trainer(manifest).run(resume_from=args.resume)
+    try:
+        trainer = Trainer(manifest)
+    except ManifestError as exc:
+        raise ValueError(f"{args.manifest}: {exc}") from exc
+    ckpt = trainer.run(resume_from=args.resume)
     print(_dumps({"record": "final_checkpoint", "path": str(ckpt)}))
     print(f"training complete: {ckpt}", file=sys.stderr)
     return EXIT_OK

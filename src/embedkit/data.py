@@ -3,8 +3,9 @@ and the synthetic cluster corpora used for desk-scale experiments.
 
 Synthetic text is built from words "t<number>"; each "language" owns a
 disjoint 1000-id block, and the mock translator maps a word to the
-target language's block (a reversible substitution) and prefixes a
-"[lang]" tag token.  Real words pass through the substitution unchanged.
+target language's block (a reversible substitution, ``_block_words``) and
+prefixes a "[lang]" tag token.  Real words pass through the substitution
+unchanged.  A synthetic corpus whose words would not fit in one block is refused.
 Dataset files are line-delimited JSON with a leading header record that
 carries the task, the languages, and the corpus vocabulary.
 """
@@ -14,17 +15,17 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import re
 import shutil
 import subprocess
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Union
+from typing import Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
 from . import _dumps
+from .values import _number
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +73,8 @@ class Triplet:
             _string(name, getattr(self, name))
         if not _is_strings(self.negatives):
             raise ValueError(f"negatives must be a list of strings, not {self.negatives!r}")
+        if self.cluster is not None and not _number(self.cluster, int):
+            raise ValueError(f"cluster must be an integer or null, not {self.cluster!r}")
 
 
 @dataclass
@@ -87,7 +90,7 @@ class ScoredPair:
         for name in ("text_a", "text_b", "lang", "uid", "source"):
             _string(name, getattr(self, name))
         s = self.similarity
-        if isinstance(s, bool) or not isinstance(s, numbers.Real) or not math.isfinite(s):
+        if not _number(s) or not math.isfinite(s):
             raise ValueError(f"similarity must be a finite real number, got {s!r}")
 
 
@@ -169,8 +172,8 @@ class OverlapScorer:
     """Jaccard word overlap, ignoring language-block offsets of synthetic words."""
 
     def score(self, query: str, passage: str) -> float:
-        a = {_base_word(w) for w in query.split()}
-        b = {_base_word(w) for w in passage.split()}
+        a = set(_block_words(query, 0))
+        b = set(_block_words(passage, 0))
         if not a or not b:
             return 0.0
         return len(a & b) / len(a | b)
@@ -250,11 +253,10 @@ def sample_target_language(dist: LanguageDistribution, rng) -> str:
 # translators
 # ---------------------------------------------------------------------------
 
-def _base_word(word: str) -> str:
-    m = _SYNTH_WORD.match(word)
-    if m:
-        return f"t{int(m.group(1)) % LANG_STRIDE}"
-    return word
+def _block_words(text: str, offset: int) -> list[str]:
+    """The words of ``text``, each synthetic word t<n> moved to t<n % LANG_STRIDE + offset>."""
+    return [f"t{int(m.group(1)) % LANG_STRIDE + offset}" if (m := _SYNTH_WORD.match(w)) else w
+            for w in text.split()]
 
 
 class MockTranslator:
@@ -268,11 +270,7 @@ class MockTranslator:
         if target_language not in self._index:
             raise ValueError(f"unsupported target language {target_language!r}")
         offset = self._index[target_language] * LANG_STRIDE
-        words = []
-        for w in text.split():
-            m = _SYNTH_WORD.match(w)
-            words.append(f"t{int(m.group(1)) % LANG_STRIDE + offset}" if m else w)
-        return " ".join([f"[{target_language}]"] + words)
+        return " ".join([f"[{target_language}]", *_block_words(text, offset)])
 
 
 class CommandTranslator:
@@ -341,24 +339,23 @@ def _make_sentence(rng, cluster_words: list[str], shared_words: list[str], lengt
     return " ".join(toks)
 
 
-def _lang_surface(text: str, lang_index: int) -> str:
-    if lang_index == 0:
-        return text
-    offset = lang_index * LANG_STRIDE
-    return " ".join(
-        f"t{int(m.group(1)) + offset}" if (m := _SYNTH_WORD.match(w)) else w
-        for w in text.split()
-    )
-
-
 def synth_corpus(n_clusters: int, per_cluster: int, languages: Sequence[str] = ("l0",),
                  seed: int = 0, words_per_cluster: int = 3, sentence_len: int = 8,
                  shared_words: int = 4, noise_prob: float = 0.1) -> SynthCorpus:
-    """Separable token clusters; per-language surface forms share cluster identity."""
+    """Separable token clusters; per-language surface forms share cluster identity.
+
+    Words t0 .. t<n_clusters * words_per_cluster + shared_words - 1> must fit in
+    one language block, so that no two languages share a word.
+    """
     if n_clusters < 2:
         raise ValueError("need at least 2 clusters")
     if per_cluster < 2:
         raise ValueError("need at least 2 sentences per cluster")
+    n_words = n_clusters * words_per_cluster + shared_words
+    if n_words > LANG_STRIDE:
+        raise ValueError(f"{n_clusters} clusters of {words_per_cluster} words and {shared_words} "
+                         f"shared words make {n_words} words, more than the {LANG_STRIDE} of "
+                         "one language block")
     rng = np.random.default_rng(seed)
     languages = tuple(languages)
     shared = [f"t{n_clusters * words_per_cluster + k}" for k in range(shared_words)]
@@ -369,7 +366,9 @@ def synth_corpus(n_clusters: int, per_cluster: int, languages: Sequence[str] = (
         base_texts = [_make_sentence(rng, cwords, shared, sentence_len, noise_prob)
                       for _ in range(per_cluster)]
         for li, lang in enumerate(languages):
-            texts = [_lang_surface(t, li) for t in base_texts]
+            # under the bound, block 0 holds the base words themselves
+            texts = (base_texts if li == 0 else
+                     [" ".join(_block_words(t, li * LANG_STRIDE)) for t in base_texts])
             for si, t in enumerate(texts):
                 sentences.append({"cluster": c, "lang": lang, "text": t})
             for si in range(0, per_cluster - 1, 2):
@@ -456,28 +455,41 @@ def _texts_of(e: TrainingExample, negatives: Optional[int] = None) -> tuple[str,
     return (e.query, e.positive, *e.negatives[:negatives])
 
 
-def write_dataset(path, task: str, examples: Sequence[TrainingExample],
-                  languages: Sequence[str] = (), extra: Optional[dict] = None):
-    """Line-delimited records behind a header carrying task, languages and vocab."""
-    vocab = sorted({w for e in examples for t in _texts_of(e) for w in t.split()})
+def _write_lines(path, task: str, items: Sequence, texts: Iterable[str], record,
+                 languages: Sequence[str] = (), extra: Optional[dict] = None):
+    """The one dataset writer: a header of ``task``, the sorted ``languages``, the sorted
+    words of ``texts``, the count of ``items`` and ``extra``, then one line ``record(item)``
+    per item."""
     header = {"record": "header", "task": task, "languages": sorted(languages),
-              "vocab": vocab, "count": len(examples)}
-    if extra:
-        header.update(extra)
+              "vocab": sorted({w for t in texts for w in t.split()}), "count": len(items),
+              **(extra or {})}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_dumps(header) + "\n")
-        for e in examples:
-            fh.write(_dumps(example_to_record(e)) + "\n")
+        for item in items:
+            fh.write(_dumps(record(item)) + "\n")
 
 
-def _header(path, first_line: str) -> dict:
+def write_dataset(path, task: str, examples: Sequence[TrainingExample],
+                  languages: Sequence[str] = (), extra: Optional[dict] = None):
+    """Line-delimited records behind a header carrying task, languages and vocab."""
+    _write_lines(path, task, examples, (t for e in examples for t in _texts_of(e)),
+                 example_to_record, languages, extra)
+
+
+def write_text_dataset(path, texts: Sequence[str]):
+    """Plain text lines behind the same header scheme (token-level training data)."""
+    _write_lines(path, "text", texts, texts,
+                 lambda t: {"record": "example", "kind": "text", "text": t})
+
+
+def _header(path, first_line: bytes) -> dict:
     if not first_line:
         raise ValueError(f"dataset {path} is empty")
     try:
-        header = json.loads(first_line)
-    except json.JSONDecodeError as exc:
+        header = json.loads(first_line.decode("utf-8"))
+    except ValueError as exc:         # not UTF-8, or not JSON
         raise ValueError(f"{path}:1: invalid header: {exc}") from exc
     if not isinstance(header, dict) or header.get("record") != "header":
         raise ValueError(f"dataset {path} is missing its header record")
@@ -489,7 +501,7 @@ def _header(path, first_line: str) -> dict:
 
 def read_header(path) -> dict:
     """A dataset file's header record, read without its examples."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return _header(path, fh.readline())
 
 
@@ -499,16 +511,16 @@ def _read_records(path, parse, task: Optional[str] = None) -> tuple[dict, list]:
     A header of another ``task``, or a record that is not JSON or that
     ``parse`` rejects, raises ValueError naming the file (and ``path:line``).
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         lines = fh.read().splitlines()
-    header = _header(path, lines[0] if lines else "")
+    header = _header(path, lines[0] if lines else b"")
     if task is not None and header.get("task") != task:
         raise ValueError(f"{path} is not a {task} dataset")
     out = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line:
             try:
-                out.append(parse(json.loads(line)))
+                out.append(parse(json.loads(line.decode("utf-8"))))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: record without field {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -534,21 +546,6 @@ def read_dataset(path, kind: Optional[type] = None, check=None) -> tuple[dict, l
         return example
 
     return _read_records(path, parse)
-
-
-def write_text_dataset(path, texts: Sequence[str], extra: Optional[dict] = None):
-    """Plain text lines behind the same header scheme (token-level training data)."""
-    vocab = sorted({w for t in texts for w in t.split()})
-    header = {"record": "header", "task": "text", "languages": [], "vocab": vocab,
-              "count": len(texts)}
-    if extra:
-        header.update(extra)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dumps(header) + "\n")
-        for t in texts:
-            fh.write(_dumps({"record": "example", "kind": "text", "text": t}) + "\n")
 
 
 def read_text_dataset(path) -> tuple[dict, list[str]]:

@@ -438,7 +438,9 @@ class _RunDir:
                                       f"{_dumps(self._fingerprint.get(key))}")
         idx, step = int(extra["stage_index"]), int(extra["stage_step"])
         cfg = self._manifest.stages[idx]
-        steps = extra.get("steps", cfg.steps)
+        if "steps" not in extra:
+            raise CheckpointError(f"cannot resume from {path}: it records no stage steps")
+        steps = extra["steps"]
         # steps sizes the lr warmup and the soft-mask clock, so a mid-stage resume under other steps
         # would follow a schedule no uninterrupted run has.  A stage's final checkpoint may go on
         # to a new budget (the acceptance tests' budget loop does), unless its soft mask, at
@@ -481,11 +483,15 @@ def _mean(terms: list[Tensor]) -> Tensor:
 # trainer
 # ---------------------------------------------------------------------------
 
+class ManifestError(ValueError):
+    """A manifest value that only the manifest's datasets show to be wrong."""
+
+
 class Trainer:
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
-        self.run_dir = _RunDir(manifest)
         self.tokenizer = self._build_tokenizer()
+        self.run_dir = _RunDir(manifest)
 
     # -- data ----------------------------------------------------------
 
@@ -493,7 +499,10 @@ class Trainer:
         words: set[str] = set()
         for p in _datasets(self.manifest.data).values():
             words.update(read_header(p).get("vocab", []))
-        return Tokenizer(sorted(words), self.manifest.encoder.vocab_size)
+        try:
+            return Tokenizer(sorted(words), self.manifest.encoder.vocab_size)
+        except ValueError as exc:         # the words are distinct, so vocab_size is too small
+            raise ManifestError(f"encoder: vocab_size: {exc}") from exc
 
     def _load_stage_data(self, cfg: StageConfig):
         """The stage's token windows, pairs, or examples by task; empty data is refused, naming its file."""

@@ -249,6 +249,27 @@ class TestSynthCorpus:
         with pytest.raises(ValueError):
             synth_corpus(1, 4)
 
+    @pytest.mark.parametrize("clusters,words", [(333, 1003), (400, 1204)])
+    def test_corpus_past_one_language_block_refused(self, clusters, words):
+        # its words reached into the next language's block: 400 clusters shared 202 words
+        # between "aa" and "bb", and the mock translator mapped cluster 350 onto itself
+        with pytest.raises(ValueError, match=f"make {words} words, more than the 1000 of one "
+                                             "language block"):
+            synth_corpus(clusters, 2, languages=("aa", "bb"))
+
+    def test_largest_corpus_keeps_languages_apart_and_translates_into_them(self):
+        # 332 clusters of 3 words and 4 shared words fill the block exactly
+        c = synth_corpus(332, 2, languages=("aa", "bb"), seed=5)
+        words = {lg: {w for s in c.sentences if s["lang"] == lg for w in s["text"].split()}
+                 for lg in ("aa", "bb")}
+        assert max(int(w[1:]) for w in words["aa"]) < 1000
+        assert not words["aa"] & words["bb"]
+        t = MockTranslator(c.languages)
+        aa = [s["text"] for s in c.sentences if s["lang"] == "aa"]
+        bb = [s["text"] for s in c.sentences if s["lang"] == "bb"]
+        assert [t.translate(text, "bb") for text in aa] == [f"[bb] {text}" for text in bb]
+        assert all(OverlapScorer().score(a, b) == 1.0 for a, b in zip(aa, bb))
+
     def test_same_seed_same_bytes(self, tmp_path):
         for run in ("a", "b"):
             c = synth_corpus(4, 6, languages=("aa", "bb"), seed=9)
@@ -343,6 +364,16 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: .*similarity must be a "
                                              "finite real number"):
             read_dataset(path, ScoredPair)
+
+    def test_text_with_a_unicode_line_separator_reads_back(self, tmp_path):
+        # records are split at their newline bytes only: U+2028 and U+0085, which the JSON
+        # writer leaves unescaped, split a record when the file was read as text lines
+        examples = [Triplet("a\u2028b", "c\x85d", uid="u0"), Triplet("e", "f", uid="u1")]
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, "pair", examples)
+        assert read_dataset(path, Triplet)[1] == examples
+        write_text_dataset(path, ["a\u2029b", "c"])
+        assert read_text_dataset(path)[1] == ["a\u2029b", "c"]
 
     def test_header_vocab_covers_all_text(self, tmp_path):
         examples = [Triplet("alpha beta", "gamma", ["delta epsilon"])]

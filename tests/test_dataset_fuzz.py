@@ -1,6 +1,6 @@
 """The exit-code contract under malformed datasets: one header or record field of a
-retrieval or STS file swapped for a value of another JSON type, run through
-``embedkit eval`` and ``embedkit gen-clr``."""
+retrieval or STS file swapped for a value of another JSON type, or bytes that are not
+UTF-8 put into one of its lines, run through ``embedkit eval`` and ``embedkit gen-clr``."""
 
 import contextlib
 import io
@@ -23,6 +23,14 @@ VALUES = (5, 2.5, True, None, [1, 2], {"x": 1}, "s", "", [], float("inf"))
 
 # exit codes the CLI documents: ok, invalid configuration or data, missing file, runtime error
 EXITS = {0, 3, 4, 5}
+
+# swaps of a retrieval record's field that both commands refuse at the record's path:line
+REFUSED = [("cluster", "s"), ("cluster", [1, 2]), ("cluster", {"x": 1}), ("cluster", float("inf")),
+           ("cluster", True)]
+
+# byte sequences that are not UTF-8 wherever they stand in an ASCII file: a byte no UTF-8
+# text holds, a lone continuation byte, and lead bytes cut short
+NOT_UTF8 = (b"\xff", b"\x80", b"\xc3", b"\xe2\x82")
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +72,36 @@ def test_a_field_of_another_type_keeps_the_exit_code_contract(files, data):
         code, err = _run(args)
         assert code in EXITS, (args[0], record, code, err)
         assert code != 3 or str(path) in err, (args[0], record, err)
+
+
+@pytest.mark.parametrize("field,value", REFUSED, ids=[f"{f}={v!r}" for f, v in REFUSED])
+def test_a_refused_field_exits_3_at_its_line(files, field, value):
+    lines = (files / "retrieval.jsonl").read_text().splitlines()
+    record = json.loads(lines[2])
+    record[field] = value
+    lines[2] = json.dumps(record)
+    path = files / "refused.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    for args in (["eval", "--checkpoint", str(files / "m.ckpt"), "--data", str(path)],
+                 ["gen-clr", "--input", str(path), "--output", str(files / "clr.jsonl")]):
+        code, err = _run(args)
+        assert code == 3 and f"{path}:3: invalid record: {field} must be" in err, (args[0], err)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bytes_that_are_not_utf8_exit_3_at_their_line(files, data):
+    name = data.draw(st.sampled_from(["retrieval", "sts"]))
+    lines = (files / f"{name}.jsonl").read_bytes().splitlines()
+    n = data.draw(st.integers(0, len(lines) - 1))
+    at = data.draw(st.integers(0, len(lines[n])))
+    lines[n] = lines[n][:at] + data.draw(st.sampled_from(NOT_UTF8)) + lines[n][at:]
+    path = files / "not-utf8.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    commands = [["eval", "--checkpoint", str(files / "m.ckpt"), "--data", str(path)]]
+    if name == "retrieval":         # gen-clr refuses an STS file at its first record
+        commands.append(["gen-clr", "--input", str(path), "--output", str(files / "clr.jsonl")])
+    for args in commands:
+        code, err = _run(args)
+        assert code == 3 and f"{path}:{n + 1}: " in err and "'utf-8' codec" in err, (args[0], err)

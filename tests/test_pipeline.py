@@ -1283,6 +1283,21 @@ class TestCli:
         assert str(ckpt) in err and all(w in err for w in what), err
         assert {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()} == before
 
+    def test_resume_from_a_checkpoint_without_steps_exits_3(self, toy_data, tmp_path, capsys):
+        # it resumed under the manifest's steps, whatever the steps of the run that wrote it
+        m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
+        m.stages[0].checkpoint_every = 4
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 0
+        ckpt = tmp_path / "run" / "stage0-step4.ckpt"
+        config, arrays, extra = load_checkpoint(ckpt)
+        del extra["steps"]
+        save_checkpoint(ckpt, config, arrays, extra)
+        capsys.readouterr()
+        assert cli_main(["train", "--manifest", str(yml), "--resume", str(ckpt)]) == 3
+        assert f"cannot resume from {ckpt}: it records no stage steps" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line,what", [
         ("{not json}\n", "Expecting property name"),
         ('{"stage":0,"loss":0.5}\n', "'step'"),
@@ -1327,6 +1342,36 @@ class TestCli:
         assert cli_main(["train", "--manifest", str(yml)]) == 3
         assert f"{yml}: {what}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_vocab_size_below_the_dataset_headers_exits_3_naming_manifest_and_field(
+            self, toy_data, tmp_path, capsys):
+        # the Tokenizer's own message named neither
+        out = tmp_path / "run"
+        yml = tmp_path / "m.yaml"
+        _manifest(toy_data, out).to_yaml(yml)
+        doc = yaml.safe_load(yml.read_text())
+        doc["encoder"]["vocab_size"] = 260
+        yml.write_text(yaml.safe_dump(doc))
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        err = capsys.readouterr().err
+        assert f"{yml}: encoder: vocab_size: vocabulary of " in err and "vocab_size is 260" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_bytes_that_are_not_utf8_in_a_dataset_exit_3_naming_path_and_line(
+            self, toy_data, tmp_path, capsys, line):
+        # a header is read for the tokenizer, the records as the stage starts
+        m = _manifest(toy_data, tmp_path / "run")
+        m.stages = m.stages[:1]
+        lm = tmp_path / "lm.jsonl"
+        lines = Path(m.data["lm-pretrain"]).read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        lm.write_bytes(b"".join(lines))
+        m.data["lm-pretrain"] = str(lm)
+        yml = tmp_path / "m.yaml"
+        m.to_yaml(yml)
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"{lm}:{line}: " in capsys.readouterr().err
 
     def test_bad_seed_override_exits_3_naming_it(self, toy_data, tmp_path, capsys):
         out = tmp_path / "run"

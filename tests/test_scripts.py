@@ -1,11 +1,12 @@
 """Smoke runs of the scripts under ``scripts/`` at tiny sizes: each exits 0, and the
 toy data holds, for each stage, the record kind that stage reads.  ``bench.py``
 runs in-process on stand-in timings; ``bitwise_gate.py`` runs one case in-process,
-with this checkout as its own baseline."""
+with this checkout as its own baseline, and against a copy whose datasets differ."""
 
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,13 +18,20 @@ from embedkit.pipeline import RunManifest, Trainer
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run(script: str, *args: str) -> str:
+def _run(script: str, *args: str, code: int = 0) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(embedkit.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == code, proc.stderr
+    return proc
+
+
+def _load(script: str):
+    spec = importlib.util.spec_from_file_location(Path(script).stem + "_script", SCRIPTS / script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_make_toy_data_writes_the_kind_each_stage_reads(tmp_path):
@@ -36,24 +44,31 @@ def test_make_toy_data_writes_the_kind_each_stage_reads(tmp_path):
     assert read_dataset(tmp_path / "heldout.jsonl", Triplet)[1]
 
 
+def test_make_toy_data_refuses_clusters_past_one_language_block(tmp_path):
+    # 400 clusters wrote two languages that shared 202 words
+    err = _run("make_toy_data.py", "--out", str(tmp_path / "data"), "--clusters", "400",
+               code=2).stderr
+    assert "400 clusters of 3 words and 4 shared words make 1204 words, more than the 1000 " \
+           "of one language block" in err
+    assert not (tmp_path / "data").exists()
+
+
 def test_mask_rank_study(tmp_path):
-    rows = _run("mask_rank_study.py", "--sizes", "4,8", "--samples", "3").splitlines()
+    rows = _run("mask_rank_study.py", "--sizes", "4,8", "--samples", "3").stdout.splitlines()
     assert rows[0] == "schedule\tn\tt_frac\trank"
     assert len(rows) == 1 + 3 * 2 * 3
 
 
 def test_clr_centroid_study(tmp_path):
     out = _run("clr_centroid_study.py", "--out", str(tmp_path), "--clusters", "4",
-               "--pretrain-steps", "2", "--finetune-steps", "2")
+               "--pretrain-steps", "2", "--finetune-steps", "2").stdout
     assert "contraction:" in out
     assert (tmp_path / "projection-before.tsv").exists() and (tmp_path / "projection-after.tsv").exists()
 
 
 def test_bench_records_each_benchmarks_ratio_to_the_baseline(tmp_path, monkeypatch, capsys):
     # the ratio of the medians, change over baseline, for each benchmark both sides ran
-    spec = importlib.util.spec_from_file_location("bench_script", SCRIPTS / "bench.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = _load("bench.py")
     for var in bench.THREAD_VARS:
         monkeypatch.setenv(var, "1")
     baseline = tmp_path.resolve()
@@ -74,9 +89,7 @@ def test_bench_records_each_benchmarks_ratio_to_the_baseline(tmp_path, monkeypat
 def test_bitwise_gate_passes_against_its_own_checkout(tmp_path):
     # one perfbench case, trained and evaluated twice in fresh processes: equal bytes;
     # then one flipped byte in one run file is named
-    spec = importlib.util.spec_from_file_location("bitwise_gate", SCRIPTS / "bitwise_gate.py")
-    gate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gate)
+    gate = _load("bitwise_gate.py")
     assert gate.gate(gate.ROOT, gate.CASES[:1], tmp_path) is None
     case = tmp_path / "toy-pipeline-seed1"
     log = case / "change" / "run" / "stage0-lm-pretrain.metrics.jsonl"
@@ -85,3 +98,24 @@ def test_bitwise_gate_passes_against_its_own_checkout(tmp_path):
     log.write_bytes(bytes(data))
     assert gate.first_difference(case / "baseline", case / "change") == (
         "run/stage0-lm-pretrain.metrics.jsonl: bytes differ")
+
+
+def test_bitwise_gate_names_an_input_file_that_differs(tmp_path, monkeypatch, capsys):
+    # a baseline whose dataset writer adds one byte to each header: the gate built the inputs
+    # with this checkout's embedkit only, so it trained both trees on equal inputs and passed
+    gate = _load("bitwise_gate.py")
+    baseline = tmp_path / "baseline"
+    shutil.copytree(gate.ROOT / "src", baseline / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    data = baseline / "src" / "embedkit" / "data.py"
+    text = data.read_text()
+    assert text.count('fh.write(_dumps(header) + "\\n")') == 1
+    data.write_text(text.replace('fh.write(_dumps(header) + "\\n")',
+                                 'fh.write(_dumps(header) + " \\n")'))
+    work = tmp_path / "work"
+    assert gate.gate(baseline, gate.CASES[:1], work) == (
+        "toy-pipeline seed 1: inputs/clr.jsonl: bytes differ")
+    assert not any(work.rglob("run"))          # no tree trained
+    monkeypatch.setattr(gate, "CASES", gate.CASES[:1])
+    assert gate.main(["--baseline", str(baseline)]) == 1
+    assert "inputs/clr.jsonl: bytes differ" in capsys.readouterr().err
