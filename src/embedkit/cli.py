@@ -234,13 +234,9 @@ def main(argv=None) -> int:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except (ValueError, KeyError, TypeError) as exc:
-        if os.environ.get("EMBEDKIT_DEBUG"):
-            raise
         print(f"error: invalid configuration or data: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ArithmeticError, RuntimeError, OSError) as exc:
-        if os.environ.get("EMBEDKIT_DEBUG"):
-            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

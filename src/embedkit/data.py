@@ -7,7 +7,8 @@ target language's block (a reversible substitution, ``_block_words``) and
 prefixes a "[lang]" tag token.  Real words pass through the substitution
 unchanged.  A synthetic corpus whose words would not fit in one block is refused.
 Dataset files are line-delimited JSON with a leading header record that
-carries the task, the languages, and the corpus vocabulary.
+carries the task, the languages, and the corpus vocabulary.  Each record's
+fields and a header's lists pass the checks of ``values._VALUES`` as they are read.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import math
 import re
 import shutil
 import subprocess
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
 from . import _dumps
-from .values import _number
+from .values import _check_values
 
 logger = logging.getLogger(__name__)
 
@@ -45,17 +46,6 @@ class RawRecord:
     source: str = ""
 
 
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
-
-
-def _string(name: str, value) -> str:
-    """``value`` when it is a string; otherwise a ValueError naming field ``name``."""
-    if not isinstance(value, str):
-        raise ValueError(f"{name} must be a string, not {value!r}")
-    return value
-
-
 @dataclass
 class Triplet:
     """A query, its positive and its candidate negatives; a pair is a triplet without negatives."""
@@ -69,12 +59,7 @@ class Triplet:
     source: str = ""
 
     def __post_init__(self):
-        for name in ("query", "positive", "query_lang", "passage_lang", "uid", "source"):
-            _string(name, getattr(self, name))
-        if not _is_strings(self.negatives):
-            raise ValueError(f"negatives must be a list of strings, not {self.negatives!r}")
-        if self.cluster is not None and not _number(self.cluster, int):
-            raise ValueError(f"cluster must be an integer or null, not {self.cluster!r}")
+        _check_values(vars(self))
 
 
 @dataclass
@@ -87,26 +72,20 @@ class ScoredPair:
     source: str = ""
 
     def __post_init__(self):
-        for name in ("text_a", "text_b", "lang", "uid", "source"):
-            _string(name, getattr(self, name))
-        s = self.similarity
-        if not _number(s) or not math.isfinite(s):
-            raise ValueError(f"similarity must be a finite real number, got {s!r}")
+        _check_values(vars(self))
 
 
 TrainingExample = Union[Triplet, ScoredPair]
 
 _KINDS = {"triplet": Triplet, "scored_pair": ScoredPair}
 _KIND_NAMES = {cls: kind for kind, cls in _KINDS.items()}
-_FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _KINDS.items()}
 
 
 def example_to_record(e: TrainingExample) -> dict:
-    for kind, cls in _KINDS.items():
-        if isinstance(e, cls):
-            # shallow, unlike dataclasses.asdict's recursive deep copy: records are only serialized
-            return {"record": "example", "kind": kind, **{f: getattr(e, f) for f in _FIELDS[kind]}}
-    raise TypeError(f"not a training example: {type(e)}")
+    if type(e) not in _KIND_NAMES:
+        raise TypeError(f"not a training example: {type(e)}")
+    # vars(e) holds the fields in order; shallow, unlike dataclasses.asdict's deep copy
+    return {"record": "example", "kind": _KIND_NAMES[type(e)], **vars(e)}
 
 
 def example_from_record(d: dict) -> TrainingExample:
@@ -238,8 +217,6 @@ def default_translation_languages() -> LanguageDistribution:
 
 def sample_target_language(dist: LanguageDistribution, rng) -> str:
     """One categorical draw from the distribution."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     u = rng.random()
     acc = 0.0
     for code, p in zip(dist.codes, dist.proportions):
@@ -328,43 +305,42 @@ class SynthCorpus:
     label_words: list[str]
 
 
-def _make_sentence(rng, cluster_words: list[str], shared_words: list[str], length: int,
-                   noise_prob: float) -> str:
+# a synthetic cluster's own words, the words all clusters share, and each word's chance to be shared
+WORDS_PER_CLUSTER, SHARED_WORDS, NOISE_PROB = 3, 4, 0.1
+
+
+def _make_sentence(rng, cluster_words: list[str], shared_words: list[str], length: int) -> str:
     toks = []
     for _ in range(length):
-        if shared_words and rng.random() < noise_prob:
-            toks.append(shared_words[int(rng.integers(len(shared_words)))])
-        else:
-            toks.append(cluster_words[int(rng.integers(len(cluster_words)))])
+        words = shared_words if rng.random() < NOISE_PROB else cluster_words
+        toks.append(words[int(rng.integers(len(words)))])
     return " ".join(toks)
 
 
 def synth_corpus(n_clusters: int, per_cluster: int, languages: Sequence[str] = ("l0",),
-                 seed: int = 0, words_per_cluster: int = 3, sentence_len: int = 8,
-                 shared_words: int = 4, noise_prob: float = 0.1) -> SynthCorpus:
+                 seed: int = 0, sentence_len: int = 8) -> SynthCorpus:
     """Separable token clusters; per-language surface forms share cluster identity.
 
-    Words t0 .. t<n_clusters * words_per_cluster + shared_words - 1> must fit in
+    Words t0 .. t<n_clusters * WORDS_PER_CLUSTER + SHARED_WORDS - 1> must fit in
     one language block, so that no two languages share a word.
     """
     if n_clusters < 2:
         raise ValueError("need at least 2 clusters")
     if per_cluster < 2:
         raise ValueError("need at least 2 sentences per cluster")
-    n_words = n_clusters * words_per_cluster + shared_words
+    n_words = n_clusters * WORDS_PER_CLUSTER + SHARED_WORDS
     if n_words > LANG_STRIDE:
-        raise ValueError(f"{n_clusters} clusters of {words_per_cluster} words and {shared_words} "
+        raise ValueError(f"{n_clusters} clusters of {WORDS_PER_CLUSTER} words and {SHARED_WORDS} "
                          f"shared words make {n_words} words, more than the {LANG_STRIDE} of "
                          "one language block")
     rng = np.random.default_rng(seed)
     languages = tuple(languages)
-    shared = [f"t{n_clusters * words_per_cluster + k}" for k in range(shared_words)]
+    shared = [f"t{n_clusters * WORDS_PER_CLUSTER + k}" for k in range(SHARED_WORDS)]
     sentences: list[dict] = []
     pairs: list[Triplet] = []
     for c in range(n_clusters):
-        cwords = [f"t{c * words_per_cluster + k}" for k in range(words_per_cluster)]
-        base_texts = [_make_sentence(rng, cwords, shared, sentence_len, noise_prob)
-                      for _ in range(per_cluster)]
+        cwords = [f"t{c * WORDS_PER_CLUSTER + k}" for k in range(WORDS_PER_CLUSTER)]
+        base_texts = [_make_sentence(rng, cwords, shared, sentence_len) for _ in range(per_cluster)]
         for li, lang in enumerate(languages):
             # under the bound, block 0 holds the base words themselves
             texts = (base_texts if li == 0 else
@@ -380,8 +356,8 @@ def synth_corpus(n_clusters: int, per_cluster: int, languages: Sequence[str] = (
                        sentences=sentences, pairs=pairs, label_words=labels)
 
 
-def build_sft_records(corpus: SynthCorpus, instruction: str = "inst") -> list[RawRecord]:
-    return [RawRecord(instruction=instruction, input=p.query, output=p.positive, source="synth")
+def build_sft_records(corpus: SynthCorpus) -> list[RawRecord]:
+    return [RawRecord(instruction="inst", input=p.query, output=p.positive, source="synth")
             for p in corpus.pairs]
 
 
@@ -484,8 +460,8 @@ def write_text_dataset(path, texts: Sequence[str]):
                  lambda t: {"record": "example", "kind": "text", "text": t})
 
 
-def _header(path, first_line: bytes) -> dict:
-    if not first_line:
+def _header(path, first_line: Optional[bytes]) -> dict:          # None: a file without lines
+    if first_line is None:
         raise ValueError(f"dataset {path} is empty")
     try:
         header = json.loads(first_line.decode("utf-8"))
@@ -493,16 +469,17 @@ def _header(path, first_line: bytes) -> dict:
         raise ValueError(f"{path}:1: invalid header: {exc}") from exc
     if not isinstance(header, dict) or header.get("record") != "header":
         raise ValueError(f"dataset {path} is missing its header record")
-    for key in ("vocab", "languages"):
-        if key in header and not _is_strings(header[key]):
-            raise ValueError(f"{path}:1: {key} must be a list of strings, not {header[key]!r}")
+    try:
+        _check_values({k: header[k] for k in ("vocab", "languages") if k in header})
+    except ValueError as exc:
+        raise ValueError(f"{path}:1: {exc}") from exc
     return header
 
 
 def read_header(path) -> dict:
     """A dataset file's header record, read without its examples."""
     with open(path, "rb") as fh:
-        return _header(path, fh.readline())
+        return _header(path, fh.readline() or None)
 
 
 def _read_records(path, parse, task: Optional[str] = None) -> tuple[dict, list]:
@@ -513,7 +490,7 @@ def _read_records(path, parse, task: Optional[str] = None) -> tuple[dict, list]:
     """
     with open(path, "rb") as fh:
         lines = fh.read().splitlines()
-    header = _header(path, lines[0] if lines else b"")
+    header = _header(path, lines[0] if lines else None)
     if task is not None and header.get("task") != task:
         raise ValueError(f"{path} is not a {task} dataset")
     out = []
@@ -549,4 +526,4 @@ def read_dataset(path, kind: Optional[type] = None, check=None) -> tuple[dict, l
 
 
 def read_text_dataset(path) -> tuple[dict, list[str]]:
-    return _read_records(path, lambda rec: _string("text", rec["text"]), task="text")
+    return _read_records(path, lambda rec: _check_values({"text": rec["text"]})["text"], task="text")

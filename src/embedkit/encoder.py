@@ -66,9 +66,8 @@ class EncoderConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
-        d = dict(d)
-        d["mrl_dims"] = tuple(d.get("mrl_dims", ()))
-        return cls(**d)
+        dims = _check_values({"mrl_dims": d.get("mrl_dims", ())})["mrl_dims"]
+        return cls(**{**d, "mrl_dims": tuple(dims)})
 
 
 def sinusoidal_positions(max_len: int, dim: int) -> np.ndarray:

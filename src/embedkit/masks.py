@@ -62,11 +62,11 @@ def mask_numerical_rank(mask: np.ndarray, eps: float = 1e-8) -> int:
     return int((sv > eps * sv[0]).sum())
 
 
-def rank_trajectory(kind: str, n: int, samples: int = 9, l: int | None = None,
+def rank_trajectory(kind: str, n: int, samples: int = 9,
                     eps: float = 1e-8) -> list[tuple[float, int]]:
     """(t/tau, rank) pairs at evenly spaced schedule positions."""
     if samples < 2:
         raise ValueError("need at least the two endpoint samples")
     tau = samples - 1
-    return [(t / tau, mask_numerical_rank(build_soft_mask(n, schedule_alpha(kind, t, tau), l), eps))
+    return [(t / tau, mask_numerical_rank(build_soft_mask(n, schedule_alpha(kind, t, tau)), eps))
             for t in range(samples)]

@@ -190,23 +190,22 @@ class RunManifest:
             except (ValueError, TypeError) as exc:
                 raise ValueError(f"{where}: {exc}") from exc
 
-        def resolve(p):
+        def resolve(name, p):         # every path is checked as output_dir is
+            _check_values({name: p}, rule="output_dir")
             p = Path(p)
             return str(p if p.is_absolute() else base / p)
 
-        data = {}
-        for k, v in raw.get("data", {}).items():
-            data[k] = {t: resolve(p) for t, p in v.items()} if isinstance(v, dict) else resolve(v)
+        data = {k: {t: resolve(f"data: {k}: {t}", p) for t, p in v.items()} if isinstance(v, dict)
+                else resolve(f"data: {k}", v) for k, v in raw.get("data", {}).items()}
         try:
             encoder = EncoderConfig.from_dict(raw.get("encoder", {}))
         except (ValueError, TypeError) as exc:
             raise ValueError(f"encoder: {exc}") from exc
-        out = raw.get("output_dir", "runs/out")
         return cls(
             encoder=encoder,
             stages=stages,
             data=data,
-            output_dir=str(Path(out) if Path(out).is_absolute() else base / out),
+            output_dir=resolve("output_dir", raw.get("output_dir", "runs/out")),
             seed=raw.get("seed", 0),
         )
 
@@ -696,12 +695,11 @@ class Trainer:
         return loss
 
 
-def default_toy_manifest(data: dict, output_dir: str, seed: int = 0,
-                         encoder: Optional[EncoderConfig] = None) -> RunManifest:
+def default_toy_manifest(data: dict, output_dir: str, seed: int = 0) -> RunManifest:
     """Default desk-scale four-stage run: 500/200/500/1000 steps, batch 32
     (triplet batches of 4 and STS batches of 32 in the supervised stage)."""
     return RunManifest(
-        encoder=encoder or EncoderConfig(),
+        encoder=EncoderConfig(),
         stages=[
             StageConfig(kind="lm-pretrain", steps=500, batch_size=32, lr=2e-3),
             StageConfig(kind="pair-sft", steps=200, batch_size=32, lr=1e-3),
@@ -755,5 +753,7 @@ def evaluate_checkpoint(ckpt_path, dataset_path, ks: tuple[int, ...] = (1, 5, 10
     kind = ScoredPair if read_header(dataset_path).get("task") == "sts" else Triplet
     examples = _examples(dataset_path, kind, _text_check(tokenizer, encoder.cfg.max_len, 0))
     if kind is ScoredPair:
+        if len(examples) < 2:
+            raise ValueError(f"dataset {dataset_path} has one scored pair; Spearman needs two")
         return evaluate_sts(encoder, tokenizer, examples)
     return evaluate_retrieval(encoder, tokenizer, examples, ks)

@@ -13,9 +13,9 @@ from embedkit.data import (CommandTranslator, LanguageDistribution,
                            TRANSLATION_LANGUAGE_WEIGHTS, Triplet, build_classification,
                            build_sts, build_triplets, default_translation_languages,
                            generate_clr_dataset, make_clr_pair, pair_from_sft,
-                           example_to_record, quality_filter, read_dataset, read_text_dataset,
-                           sample_target_language, synth_corpus, write_dataset,
-                           write_text_dataset)
+                           example_to_record, quality_filter, read_dataset, read_header,
+                           read_text_dataset, sample_target_language, synth_corpus,
+                           write_dataset, write_text_dataset)
 
 
 class TestPairFromSft:
@@ -387,6 +387,15 @@ class TestDatasetFiles:
         path.write_text("")
         with pytest.raises(ValueError, match=f"dataset {re.escape(str(path))} is empty"):
             read_text_dataset(path)
+
+    @pytest.mark.parametrize("read", [read_header, read_dataset], ids=["header", "dataset"])
+    def test_blank_first_line_refused_at_line_1(self, tmp_path, read):
+        # a header line cut to nothing was reported as an empty file
+        path = tmp_path / "d.jsonl"
+        write_dataset(path, "pair", [Triplet("a", "b")])
+        path.write_text("\n" + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: invalid header"):
+            read(path)
 
     def test_text_record_without_text_names_its_line(self, tmp_path):
         path = tmp_path / "lm.jsonl"

@@ -2,6 +2,8 @@
 round-robin task mixing, determinism, mid-stage resume, and the CLI surface."""
 
 import builtins
+import collections
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -18,14 +20,14 @@ import pytest
 import yaml
 
 import embedkit
-from embedkit import _dumps, checkpoint, pipeline
+from embedkit import _dumps, checkpoint, pipeline, values
 from embedkit.autograd import Tensor, no_grad
 from embedkit.checkpoint import load_checkpoint, save_checkpoint
 from embedkit.cli import main as cli_main
-from embedkit.data import (MockTranslator, LanguageDistribution, Triplet, build_classification,
-                           build_sts, build_triplets, generate_clr_dataset, pair_from_sft,
-                           build_sft_records, read_dataset, synth_corpus, write_dataset,
-                           write_text_dataset)
+from embedkit.data import (MockTranslator, LanguageDistribution, ScoredPair, Triplet,
+                           build_classification, build_sts, build_triplets, generate_clr_dataset,
+                           pair_from_sft, build_sft_records, read_dataset, synth_corpus,
+                           write_dataset, write_text_dataset)
 from embedkit.encoder import Encoder, EncoderConfig
 from embedkit.evaluation import exact_search, ndcg_at_10, recall_at_k
 from embedkit.mining import MiningState
@@ -218,6 +220,15 @@ def _manifest(tmp, out, seed=5, sup_steps=12, dhnm=True):
 
 
 class TestManifest:
+    def test_every_field_read_from_a_manifest_or_dataset_has_exactly_one_value_row(self):
+        rows = collections.Counter(name for _, _, names in values._VALUES for name in names)
+        assert [name for name, n in rows.items() if n > 1] == []
+        read = ({f.name for f in dataclasses.fields(StageConfig)} - {"kind", "mask_policy"}
+                | {f.name for f in dataclasses.fields(EncoderConfig)} - {"pooling"}
+                | {f.name for cls in (Triplet, ScoredPair) for f in dataclasses.fields(cls)}
+                | {"seed", "output_dir", "vocab", "languages", "text"})
+        assert sorted(rows) == sorted(read)
+
     def test_stage_order_enforced(self, toy_data, tmp_path):
         with pytest.raises(ValueError, match="pipeline order"):
             RunManifest(encoder=SMALL_ENC,
@@ -276,6 +287,31 @@ class TestManifest:
             if stage["kind"] == "supervised" and stage["dhnm"]:
                 want.add("dhnm_mode")
             assert set(stage) == want, stage["kind"]
+
+
+    @pytest.mark.parametrize("edit,what", [
+        (lambda d: d.update(output_dir=5), "output_dir must be a string, not 5"),
+        (lambda d: d["data"].update({"lm-pretrain": 5}),
+         "data: lm-pretrain must be a string, not 5"),
+        (lambda d: d["data"]["supervised"].update(retrieval=None),
+         "data: supervised: retrieval must be a string, not None"),
+        (lambda d: d["encoder"].update(mrl_dims=5),
+         "encoder: mrl_dims must be a list of integers, not 5"),
+        (lambda d: d["encoder"].update(mrl_dims=[16, "a"]),
+         "encoder: mrl_dims must be a list of integers, not [16, 'a']"),
+    ], ids=["output-dir-int", "lm-path-int", "retrieval-path-null", "mrl-dims-int",
+            "mrl-dims-string-entry"])
+    def test_a_path_or_mrl_dims_of_the_wrong_type_exits_3_naming_manifest_and_key(
+            self, toy_data, tmp_path, capsys, edit, what):
+        # these reached Path() or tuple() unchecked, and Python's message named no key
+        yml = tmp_path / "m.yaml"
+        _manifest(toy_data, tmp_path / "run").to_yaml(yml)
+        doc = yaml.safe_load(yml.read_text())
+        edit(doc)
+        yml.write_text(yaml.safe_dump(doc))
+        assert cli_main(["train", "--manifest", str(yml)]) == 3
+        assert f"{yml}: {what}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 # run as ``python -c _KILL_AFTER_SAVE <checkpoint name> <manifest>``: train, and
@@ -1048,6 +1084,14 @@ class TestCli:
         assert f"{bad}:2: invalid record: a {found_kind} record" in capsys.readouterr().err
         assert (tmp_path / "run" / f"stage{idx - 1}-{STAGE_KINDS[idx - 1]}.ckpt").exists()
         assert not list((tmp_path / "run").glob(f"stage{idx}-*"))
+
+    def test_eval_of_one_scored_pair_exits_3_naming_the_file(self, tmp_path, capsys):
+        # Spearman needs two pairs; its error named no file
+        data = tmp_path / "sts.jsonl"
+        write_dataset(data, "sts", [ScoredPair("a", "b", 1.0)])
+        assert cli_main(["eval", "--checkpoint", str(_untrained_checkpoint(tmp_path / "m.ckpt")),
+                         "--data", str(data)]) == 3
+        assert f"dataset {data} has one scored pair" in capsys.readouterr().err
 
     def test_train_on_empty_lm_file_exits_3_naming_it(self, toy_data, tmp_path, capsys):
         m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
