@@ -99,8 +99,8 @@ def test_lm_step_gemm_floor(benchmark):
     assert len(benchmark(gemms)) == 39
 
 
-def _trainer_step(benchmark, stage: StageConfig, method: str, step: int):
-    """Time ``Trainer.<method>`` at ``step`` of ``stage``, then ``backward`` and ``AdamW.step``."""
+def _trainer_step(benchmark, stage: StageConfig, step: int):
+    """Time ``Trainer._loss`` at ``step`` of ``stage``, then ``backward`` and ``AdamW.step``."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         corpus = synth_corpus(16, 8, languages=("aa", "bb"), seed=0)
@@ -112,13 +112,12 @@ def _trainer_step(benchmark, stage: StageConfig, method: str, step: int):
                 "supervised": {"retrieval": str(tmp / "retrieval.jsonl")}}
         trainer = Trainer(RunManifest(encoder=CFG, stages=[stage], data=data,
                                       output_dir=str(tmp / "run")))
-        examples = trainer._load_stage_data(stage)
+        data = trainer._load_stage_data(stage)
         encoder = Encoder(CFG, seed=0)
         optimizer = AdamW(encoder.params, stage.lr, stage.weight_decay)
-        step_fn = getattr(trainer, method)
 
         def one_step():
-            loss, _ = step_fn(stage, encoder, examples, np.random.default_rng(step), step, None)
+            loss, _ = trainer._loss(stage, encoder, data, np.random.default_rng(step), step, None)
             ag.backward(loss)
             optimizer.step()
             optimizer.zero_grads()
@@ -129,16 +128,16 @@ def _trainer_step(benchmark, stage: StageConfig, method: str, step: int):
 
 def test_lm_step(benchmark):
     stage = StageConfig(kind="lm-pretrain", steps=500, batch_size=BATCH, window_len=LENGTH, lr=2e-3)
-    _trainer_step(benchmark, stage, "_lm_step", step=250)
+    _trainer_step(benchmark, stage, step=250)
 
 
 def test_weak_contrastive_step(benchmark):
     stage = StageConfig(kind="weak-contrastive", steps=500, batch_size=32, lr=5e-4,
                         mask_policy="soft", mask_schedule="linear")
-    _trainer_step(benchmark, stage, "_contrastive_step", step=250)
+    _trainer_step(benchmark, stage, step=250)
 
 
 def test_supervised_triplet_step(benchmark):
     stage = StageConfig(kind="supervised", steps=1000, lr=1e-3, mrl=True,
                         triplet_batch_size=4, negatives_per_query=7)
-    _trainer_step(benchmark, stage, "_supervised_step", step=0)
+    _trainer_step(benchmark, stage, step=0)

@@ -4,12 +4,13 @@ Stages run in a fixed order: token-level pretraining and pair SFT (next-token
 cross-entropy under a causal mask), weakly-supervised contrastive training
 (in-batch InfoNCE under the scheduled mask, clock t = stage step out of
 steps - 1 so the first step is exactly causal and the last exactly
-bidirectional), and supervised multi-task fine-tuning (round-robin over
-retrieval / cross-lingual / classification triplets with optional dynamic
-hard negative mining, plus CoSENT on similarity pairs, all under the
-bidirectional mask, optionally averaged over nested embedding dims).  Both
-contrastive stages take their InfoNCE step from ``_triplet_batch_loss``: a pair
-is a triplet drawn with no negatives.  ``_KINDS`` lists what each kind reads;
+bidirectional), and supervised multi-task fine-tuning (retrieval / cross-lingual
+/ classification triplets with optional dynamic hard negative mining, plus
+CoSENT on similarity pairs, all under the bidirectional mask, optionally
+averaged over nested embedding dims).  A stage's data is a set of tasks (``lm``,
+``pairs`` or the supervised tasks) that take turns, one a step: ``Trainer._loss``
+draws the task's batch and scores it with the lm head, CoSENT or InfoNCE (a pair
+is a triplet drawn with no negatives).  ``_KINDS`` lists what each kind reads;
 a stage that sets any other option is refused.
 
 Every batch is derived from a per-step seeded RNG, so a mid-stage resume
@@ -46,15 +47,14 @@ from .values import _check_values, _number
 # the options every stage kind reads
 _COMMON = ("kind", "steps", "lr", "mask_policy", "seed", "warmup_frac", "weight_decay",
            "checkpoint_every")
-# per stage kind, in pipeline order: the Trainer method that computes one step's loss, the
-# allowed mask policies (the first the default), and the options it reads beyond _COMMON
-# (weak-contrastive reads no negatives_per_query: its pairs are triplets drawn with K = 0)
+# per stage kind, in pipeline order: the allowed mask policies (the first the default) and
+# the options it reads beyond _COMMON.  Every kind steps through Trainer._loss, its tasks
+# taking turns (weak-contrastive reads no negatives_per_query: its pairs are drawn with K = 0)
 _KINDS = {
-    "lm-pretrain": ("_lm_step", ("causal",), ("batch_size", "window_len")),
-    "pair-sft": ("_lm_step", ("causal",), ("batch_size", "window_len")),
-    "weak-contrastive": ("_contrastive_step", ("soft", "bidirectional"),
-                         ("batch_size", "temperature", "mask_schedule")),
-    "supervised": ("_supervised_step", ("bidirectional",),
+    "lm-pretrain": (("causal",), ("batch_size", "window_len")),
+    "pair-sft": (("causal",), ("batch_size", "window_len")),
+    "weak-contrastive": (("soft", "bidirectional"), ("batch_size", "temperature", "mask_schedule")),
+    "supervised": (("bidirectional",),
                    ("triplet_batch_size", "sts_batch_size", "temperature", "negatives_per_query",
                     "mrl", "dhnm", "dhnm_mode")),
 }
@@ -68,7 +68,7 @@ class StageConfig:
     steps: int
     batch_size: int = 32
     lr: float = 1e-3
-    mask_policy: str = ""            # defaults per kind; "soft" only in weak-contrastive
+    mask_policy: str = ""            # unset: the kind's default; "soft" only in weak-contrastive
     mask_schedule: str = "linear"
     temperature: float = 0.05
     negatives_per_query: int = 7
@@ -88,8 +88,9 @@ class StageConfig:
             raise ValueError(f"unknown stage kind {self.kind!r}; expected one of {STAGE_KINDS}")
         if self.warmup_frac is None:
             self.warmup_frac = 0.05 if self.kind == "lm-pretrain" else 0.02
-        allowed = _KINDS[self.kind][1]
-        self.mask_policy = self.mask_policy or allowed[0]
+        allowed = _KINDS[self.kind][0]
+        if self.mask_policy == "":        # unset; null or [] is refused below
+            self.mask_policy = allowed[0]
         if self.mask_policy not in allowed:
             raise ValueError(f"mask policy {self.mask_policy!r} not allowed in {self.kind} "
                              f"(allowed: {allowed})")
@@ -101,7 +102,7 @@ class StageConfig:
         """The options this stage reads: its kind's (``_KINDS``), of which ``mask_schedule``
         only under the soft mask and ``dhnm_mode`` only with ``dhnm`` on."""
         off = {"mask_schedule": self.mask_policy != "soft", "dhnm_mode": not self.dhnm}
-        return {*_COMMON, *_KINDS[self.kind][2]} - {name for name, unread in off.items() if unread}
+        return {*_COMMON, *_KINDS[self.kind][1]} - {name for name, unread in off.items() if unread}
 
     def _refuse_unread(self, names: Iterable[str]):
         unread = sorted(set(names) - self._reads())
@@ -192,9 +193,14 @@ class RunManifest:
 
         def resolve(name, p):         # every path is checked as output_dir is
             _check_values({name: p}, rule="output_dir")
+            if p == "" and name != "output_dir":     # it would name the manifest's directory
+                raise ValueError(f"{name} must name a dataset file, not ''")
             p = Path(p)
             return str(p if p.is_absolute() else base / p)
 
+        if not isinstance(raw.get("data", {}).get("supervised", {}), dict):
+            raise ValueError("data: supervised data must map task names to dataset paths, "
+                             f"not {raw['data']['supervised']!r}")
         data = {k: {t: resolve(f"data: {k}: {t}", p) for t, p in v.items()} if isinstance(v, dict)
                 else resolve(f"data: {k}", v) for k, v in raw.get("data", {}).items()}
         try:
@@ -503,8 +509,9 @@ class Trainer:
         except ValueError as exc:         # the words are distinct, so vocab_size is too small
             raise ManifestError(f"encoder: vocab_size: {exc}") from exc
 
-    def _load_stage_data(self, cfg: StageConfig):
-        """The stage's token windows, pairs, or examples by task; empty data is refused, naming its file."""
+    def _load_stage_data(self, cfg: StageConfig) -> dict:
+        """The stage's data by task, in turn order: ``lm``'s token windows, ``pairs``, or the
+        supervised tasks' examples; empty data is refused, naming its file."""
         path = self.manifest.data[cfg.kind]
         max_len = self.manifest.encoder.max_len
         if cfg.kind == "supervised":
@@ -514,13 +521,13 @@ class Trainer:
                                     _text_check(self.tokenizer, max_len, negatives, cfg.dhnm, seen))
                     for task in SUPERVISED_TASKS if task in path}
         if cfg.kind == "weak-contrastive":
-            return _examples(path, Triplet, _text_check(self.tokenizer, max_len, 0))
+            return {"pairs": _examples(path, Triplet, _text_check(self.tokenizer, max_len, 0))}
         if cfg.kind == "lm-pretrain":
             seqs = [self.tokenizer.encode(t) for t in read_text_dataset(path)[1]]
         else:
             seqs = [self.tokenizer.encode(e.query) + self.tokenizer.encode(e.positive)
                     for e in read_dataset(path, Triplet)[1]]
-        return self._pack_windows(seqs, cfg.window_len, path)
+        return {"lm": self._pack_windows(seqs, cfg.window_len, path)}
 
     @staticmethod
     def _pack_windows(seqs: list[list[int]], window_len: int, path: str) -> np.ndarray:
@@ -566,11 +573,10 @@ class Trainer:
             optimizer.load_state(*start.optimizer)
         data = self._load_stage_data(cfg)
         mining = self._mining(cfg, encoder, data, start.mining) if cfg.dhnm else None
-        step_fn = getattr(self, _KINDS[cfg.kind][0])
         with self.run_dir.stage(idx, cfg, start.step, mining is not None):
             for step in range(start.step, cfg.steps):
                 rng = np.random.default_rng([self.manifest.seed, cfg.seed, idx, step])
-                loss, task = step_fn(cfg, encoder, data, rng, step, mining)
+                loss, task = self._loss(cfg, encoder, data, rng, step, mining)
                 value = float(loss.data)
                 if not np.isfinite(value):
                     raise ArithmeticError(f"non-finite loss at stage {idx} step {step}")
@@ -592,25 +598,30 @@ class Trainer:
                     ckpt = self.run_dir.checkpoint(done, encoder, optimizer, self.tokenizer.words, mining)
         return ckpt
 
-    # -- per-kind steps: (cfg, encoder, data, rng, step, mining) -> (loss, task)
+    # -- one step of any stage -------------------------------------------
 
     def _embed(self, cfg: StageConfig, encoder: Encoder, texts: list[str], step: int) -> Tensor:
         """Tracked (B, hidden) embeddings of ``texts`` under the stage's mask at ``step``."""
         ids, lengths = batch_ids(self.tokenizer, texts)
         return encoder.embed_batch(ids, _stage_alpha(cfg, step), lengths)
 
-    def _lm_step(self, cfg: StageConfig, encoder: Encoder, windows: np.ndarray,
-                 rng: np.random.Generator, step: int, mining) -> tuple[Tensor, str]:
-        batch = windows[_draw(rng, len(windows), cfg.batch_size)]
-        inputs, targets = batch[:, :-1], batch[:, 1:]
-        states = encoder.forward_batch(inputs, _stage_alpha(cfg, step))
-        return next_token_ce(states, encoder.params["embed"], targets), "lm"
-
-    def _contrastive_step(self, cfg: StageConfig, encoder: Encoder, pairs: list,
-                          rng: np.random.Generator, step: int, mining) -> tuple[Tensor, str]:
+    def _loss(self, cfg: StageConfig, encoder: Encoder, data: dict, rng: np.random.Generator,
+              step: int, mining: Optional[MiningState]) -> tuple[Tensor, str]:
+        """Step ``step``'s loss and task: the tasks of ``data`` take turns, and the task's
+        batch is drawn once, then scored by the lm head, CoSENT or InfoNCE."""
+        task = list(data)[step % len(data)]
+        size = {"lm": cfg.batch_size, "pairs": cfg.batch_size, "sts": cfg.sts_batch_size}
+        rows = _draw(rng, len(data[task]), size.get(task, cfg.triplet_batch_size))
+        if task == "lm":
+            batch = data[task][rows]
+            states = encoder.forward_batch(batch[:, :-1], _stage_alpha(cfg, step))
+            return next_token_ce(states, encoder.params["embed"], batch[:, 1:]), task
+        chosen = [data[task][i] for i in rows]
+        if task == "sts":
+            return self._sts_batch_loss(cfg, encoder, chosen, step), task
         # a pair is a triplet drawn with no negatives: in-batch InfoNCE over batch_size pairs
-        return self._triplet_batch_loss(cfg, encoder, pairs, rng, step, "pairs", None,
-                                        cfg.batch_size, 0), "pairs"
+        per_query = 0 if task == "pairs" else cfg.negatives_per_query
+        return self._triplet_batch_loss(cfg, encoder, chosen, step, task, mining, per_query), task
 
     def _mining(self, cfg: StageConfig, encoder: Encoder, datasets: dict,
                 saved: dict) -> MiningState:
@@ -623,9 +634,8 @@ class Trainer:
         encoder: every distinct query and negative text is embedded once, in
         one tape-free call, and each query's negatives are scored by row lookup.
         """
-        triplets = [(task, ex) for task in SUPERVISED_TASKS
-                    if task != "sts" and task in datasets
-                    for ex in datasets[task] if ex.negatives]
+        triplets = [(task, ex) for task, examples in datasets.items() if task != "sts"
+                    for ex in examples if ex.negatives]
         queries = [(f"{task}:{ex.uid}", ex.negatives, min(cfg.negatives_per_query, len(ex.negatives)))
                    for task, ex in triplets]
         if saved:
@@ -646,19 +656,8 @@ class Trainer:
             return tuple(self.manifest.encoder.mrl_dims)
         return (self.manifest.encoder.hidden_dim,)
 
-    def _supervised_step(self, cfg: StageConfig, encoder: Encoder, datasets: dict,
-                         rng: np.random.Generator, step: int,
-                         mining: Optional[MiningState]) -> tuple[Tensor, str]:
-        tasks = [t for t in SUPERVISED_TASKS if t in datasets]
-        task = tasks[step % len(tasks)]
-        if task == "sts":
-            return self._sts_batch_loss(cfg, encoder, datasets[task], rng, step), task
-        return self._triplet_batch_loss(cfg, encoder, datasets[task], rng, step, task, mining,
-                                        cfg.triplet_batch_size, cfg.negatives_per_query), task
-
-    def _sts_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
-                        rng: np.random.Generator, step: int) -> Tensor:
-        chosen = [examples[i] for i in _draw(rng, len(examples), cfg.sts_batch_size)]
+    def _sts_batch_loss(self, cfg: StageConfig, encoder: Encoder, chosen: list, step: int) -> Tensor:
+        """CoSENT of the ``chosen`` scored pairs' cosines, averaged over the MRL dims."""
         ea = self._embed(cfg, encoder, [e.text_a for e in chosen], step)
         eb = self._embed(cfg, encoder, [e.text_b for e in chosen], step)
         labels = np.array([e.similarity for e in chosen])
@@ -667,11 +666,9 @@ class Trainer:
                                      truncate_normalize(eb, d, dims))) for d in dims]
         return _mean([cosent(c, labels) for c in cos])  # ascending dims
 
-    def _triplet_batch_loss(self, cfg: StageConfig, encoder: Encoder, examples: list,
-                            rng: np.random.Generator, step: int, task: str,
-                            mining: Optional[MiningState], size: int, per_query: int) -> Tensor:
-        """InfoNCE of ``size`` drawn triplets over their positives and first ``per_query`` negatives."""
-        chosen = [examples[i] for i in _draw(rng, len(examples), size)]
+    def _triplet_batch_loss(self, cfg: StageConfig, encoder: Encoder, chosen: list, step: int,
+                            task: str, mining: Optional[MiningState], per_query: int) -> Tensor:
+        """InfoNCE of the ``chosen`` triplets over their positives and first ``per_query`` negatives."""
         # the mining slots hold a query's first negatives_per_query negatives, re-ranked and replaced
         negatives = [mining.current_negatives(f"{task}:{ex.uid}") if mining is not None
                      else ex.negatives[:per_query] for ex in chosen]

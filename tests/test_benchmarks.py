@@ -151,4 +151,5 @@ def test_perfbench_manifest_reads_back_with_data_for_every_stage(tmp_path, workl
     inputs = bench.setup(bench.WORKLOADS[workload], 1, tmp_path / workload)
     manifest = RunManifest.from_yaml(inputs.manifest)
     trainer = Trainer(manifest)
-    assert [len(trainer._load_stage_data(cfg)) > 0 for cfg in manifest.stages] == [True] * 4
+    assert [all(len(rows) for rows in trainer._load_stage_data(cfg).values())
+            for cfg in manifest.stages] == [True] * 4

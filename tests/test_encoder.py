@@ -356,8 +356,8 @@ def _tape_nodes(loss) -> int:
 
 class TestTape:
     def test_lm_step_tape_nodes(self):
-        # one lm step of the default two-layer encoder, built as Trainer._lm_step
-        # does: 2 embedding nodes, 12 per layer, the final norm and 1 for the
+        # one lm step of the default two-layer encoder, built as Trainer._loss
+        # does for the lm task: 2 embedding nodes, 12 per layer, the final norm and 1 for the
         # lm head.  The unfused attention and norm chains recorded 86 nodes, the
         # 5-node logsumexp chain 56, the 5-node cross-entropy chain 52, the
         # head split and merge around the attention op 48, the reshapes that

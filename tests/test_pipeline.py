@@ -219,6 +219,19 @@ def _manifest(tmp, out, seed=5, sup_steps=12, dhnm=True):
         output_dir=str(out), seed=seed)
 
 
+def _refused_after_edit(toy_data, tmp_path, capsys, edit, what):
+    """Train ``_manifest``'s YAML after ``edit``: exit 3 with ``what`` after the manifest's
+    path, before any stage makes the run directory."""
+    yml = tmp_path / "m.yaml"
+    _manifest(toy_data, tmp_path / "run").to_yaml(yml)
+    doc = yaml.safe_load(yml.read_text())
+    edit(doc)
+    yml.write_text(yaml.safe_dump(doc))
+    assert cli_main(["train", "--manifest", str(yml)]) == 3
+    assert f"{yml}: {what}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 class TestManifest:
     def test_every_field_read_from_a_manifest_or_dataset_has_exactly_one_value_row(self):
         rows = collections.Counter(name for _, _, names in values._VALUES for name in names)
@@ -304,14 +317,28 @@ class TestManifest:
     def test_a_path_or_mrl_dims_of_the_wrong_type_exits_3_naming_manifest_and_key(
             self, toy_data, tmp_path, capsys, edit, what):
         # these reached Path() or tuple() unchecked, and Python's message named no key
-        yml = tmp_path / "m.yaml"
-        _manifest(toy_data, tmp_path / "run").to_yaml(yml)
-        doc = yaml.safe_load(yml.read_text())
-        edit(doc)
-        yml.write_text(yaml.safe_dump(doc))
-        assert cli_main(["train", "--manifest", str(yml)]) == 3
-        assert f"{yml}: {what}" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        _refused_after_edit(toy_data, tmp_path, capsys, edit, what)
+
+    @pytest.mark.parametrize("edit,what", [
+        (lambda d: d["data"].update({"lm-pretrain": ""}),
+         "data: lm-pretrain must name a dataset file"),
+        (lambda d: d["data"]["supervised"].update(sts=""),
+         "data: supervised: sts must name a dataset file"),
+        (lambda d: d["stages"][2].update(mask_policy=None),
+         "stage 2 (weak-contrastive): mask policy None not allowed"),
+        (lambda d: d["stages"][2].update(mask_policy=[]),
+         "stage 2 (weak-contrastive): mask policy [] not allowed"),
+        (lambda d: d["data"].update(supervised=5),
+         "data: supervised data must map task names to dataset paths, not 5"),
+        (lambda d: d["data"].update(supervised=None),
+         "data: supervised data must map task names to dataset paths, not None"),
+    ], ids=["lm-path-empty", "sts-path-empty", "mask-policy-null", "mask-policy-empty-list",
+            "supervised-data-int", "supervised-data-null"])
+    def test_an_empty_path_or_policy_or_a_scalar_supervised_data_exits_3_before_any_stage(
+            self, toy_data, tmp_path, capsys, edit, what):
+        # an empty path named the manifest's directory (exit 5, "Is a directory"), an empty
+        # policy trained under the kind's default, and a scalar got the path rule's words
+        _refused_after_edit(toy_data, tmp_path, capsys, edit, what)
 
 
 # run as ``python -c _KILL_AFTER_SAVE <checkpoint name> <manifest>``: train, and
@@ -435,10 +462,10 @@ class TestTrainingRuns:
         final_full = Trainer(_manifest(toy_data, tmp_path / "full")).run()
 
         class Crash(Trainer):
-            def _supervised_step(self, cfg, encoder, datasets, rng, step, mining):
-                if step == 8:
+            def _loss(self, cfg, encoder, data, rng, step, mining):
+                if cfg.kind == "supervised" and step == 8:
                     raise RuntimeError("simulated crash")
-                return super()._supervised_step(cfg, encoder, datasets, rng, step, mining)
+                return super()._loss(cfg, encoder, data, rng, step, mining)
 
         crashed = _manifest(toy_data, tmp_path / "crashed")
         with pytest.raises(RuntimeError, match="simulated crash"):
@@ -685,20 +712,11 @@ class TestTrainingRuns:
         previous = []
 
         class Watched(Trainer):
-            def _watch(self, step_fn, *args):
+            def _loss(self, *args):
                 assert all(ref() is None for ref in previous), "previous step's graph is alive"
-                loss, task = step_fn(*args)
+                loss, task = super()._loss(*args)
                 previous[:] = [weakref.ref(loss)]
                 return loss, task
-
-            def _lm_step(self, *args):
-                return self._watch(super()._lm_step, *args)
-
-            def _contrastive_step(self, *args):
-                return self._watch(super()._contrastive_step, *args)
-
-            def _supervised_step(self, *args):
-                return self._watch(super()._supervised_step, *args)
 
         Watched(_manifest(toy_data, tmp_path / "run", sup_steps=4)).run()
         assert previous
@@ -708,9 +726,9 @@ class TestTrainingRuns:
         m = _manifest(toy_data, tmp_path / "run", sup_steps=4, dhnm=False)
 
         class Poisoned(Trainer):
-            def _lm_step(self, cfg, encoder, data, rng, step, mining):
+            def _loss(self, cfg, encoder, data, rng, step, mining):
                 encoder.params["embed"].data[0, 0] = np.inf
-                return super()._lm_step(cfg, encoder, data, rng, step, mining)
+                return super()._loss(cfg, encoder, data, rng, step, mining)
 
         with pytest.raises(ArithmeticError, match="stage 0 step 0"):
             Poisoned(m).run()

@@ -39,7 +39,7 @@ def test_make_toy_data_writes_the_kind_each_stage_reads(tmp_path):
     manifest = RunManifest.from_yaml(tmp_path / "manifest.yaml")
     trainer = Trainer(manifest)
     for cfg in manifest.stages:
-        assert len(trainer._load_stage_data(cfg))
+        assert all(len(rows) for rows in trainer._load_stage_data(cfg).values())
     # the README evaluates the trained run on the held-out pairs
     assert read_dataset(tmp_path / "heldout.jsonl", Triplet)[1]
 
